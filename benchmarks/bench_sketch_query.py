@@ -1,4 +1,4 @@
-"""Greedy selection loop: arena-backed query path vs the pre-arena one.
+"""Greedy selection loop: incremental rebases vs a rebuild per step.
 
 PR 4 made the cold sketch *build* array-native; this benchmark times
 the other half of Algorithm 2's life — the per-selection rebase + gains
@@ -6,29 +6,27 @@ sweep inside the CELF greedy loop, the hot path of every ``block``
 query the service answers.  Both sides run the same greedy
 (:func:`repro.core.advanced_greedy.lazy_blocking`) over the **same
 pooled samples** and must produce bit-identical blocker sets, gains
-and spread estimates; they differ only in the sketch view layout:
+and spread estimates:
 
-* **legacy** — the pre-arena query path, preserved verbatim as
-  ``SketchIndex(layout="legacy")``: Python lists of per-sample
-  ``(order, sizes)`` arrays, one ``frozenset`` reachable set per
-  sample, a Python touch scan over all ``theta`` samples per rebase,
-  per-sample scatter updates, per-sample Python tree rebuilds;
-* **arena** — ``SketchIndex(layout="arena")``: pooled tree arena +
-  inverted membership index (vectorized touch detection, one batched
-  delta scatter, one flat write-back) with touched trees rebuilt by
-  the compiled batched kernel (:mod:`repro.native`) when the host has
-  a C compiler, the Python path otherwise.
+* **arena** — one :class:`~repro.engine.SketchIndex` whose view is
+  rebased from each blocker set to the next (postings-driven touch
+  detection, one batched delta scatter, one flat arena write-back,
+  touched trees rebuilt by the compiled batched kernel of
+  :mod:`repro.native` when the host has a C compiler);
+* **rebuild** — the identity reference: a fresh index per blocker set,
+  built cold over the shared pool and moved to that set once, so no
+  answer ever comes from an incrementally rebased view.
 
 A rebase microbench row isolates one representative blocker-set
 transition (first pick's rebase + whole-candidate sweep) from the
-CELF machinery around it.
+CELF machinery around it, next to the cold view build it avoids.
 
-Timing excludes sampling (shared pool) and is a same-process
-Python-vs-Python ratio, so machine speed cancels.  The acceptance
-bar: on the 10k-vertex WC graph at theta=1000 the arena selection
-loop must be >= 5x faster end-to-end.  ``--json PATH`` writes
-``BENCH_sketch_query.json``; CI gates ``select_speedup_vs_legacy``
-against the committed baseline via
+Timing excludes sampling (shared pool) and both sides run the same
+kernels in one process, so machine speed cancels in the ratio.  The
+acceptance bar: on the 10k-vertex WC graph at theta=1000 the
+incremental selection loop must be >= 5x faster end-to-end.  ``--json
+PATH`` writes ``BENCH_sketch_query.json``; CI gates
+``select_speedup_vs_rebuild`` against the committed baseline via
 ``benchmarks/check_bench_regression.py`` (report kind auto-detected;
 an identity failure is a hard fail regardless of tolerance).
 
@@ -62,8 +60,42 @@ except ImportError:  # pragma: no cover - script mode
         print(text)
 
 RESULT_FILE = "sketch_query"
-JSON_SCHEMA = 1
+JSON_SCHEMA = 2
 TARGET_SPEEDUP = 5.0
+
+
+class RebuildPerStep:
+    """A sketch that never rebases: each new blocker set is answered
+    by a fresh :class:`SketchIndex` over the shared pool."""
+
+    def __init__(self, csr: CSRGraph, pool: SamplePool) -> None:
+        self.csr = csr
+        self.pool = pool
+        self._blocked: tuple[int, ...] | None = None
+        self._index: SketchIndex | None = None
+
+    def _at(self, blocked) -> SketchIndex:
+        key = tuple(sorted(int(v) for v in blocked))
+        if key != self._blocked:
+            self.close()
+            self._index = SketchIndex(self.csr, pool=self.pool)
+            self._blocked = key
+        return self._index
+
+    def expected_spread(self, seeds, rounds, blocked=()):
+        return self._at(blocked).expected_spread(seeds, rounds, blocked)
+
+    def marginal_gain(self, v, seeds, rounds, blocked=()):
+        return self._at(blocked).marginal_gain(v, seeds, rounds, blocked)
+
+    def decrease_estimates(self, seeds, rounds, blocked=()):
+        return self._at(blocked).decrease_estimates(seeds, rounds, blocked)
+
+    def close(self) -> None:
+        if self._index is not None:
+            self._index.close()
+            self._index = None
+            self._blocked = None
 
 
 def run_query_benchmark(
@@ -75,15 +107,15 @@ def run_query_benchmark(
     rng: int = 7,
     repeats: int = 2,
 ) -> dict[str, object]:
-    """Time the greedy selection loop under both view layouts."""
+    """Time the greedy selection loop, rebased vs rebuilt per step."""
     graph = assign_weighted_cascade(barabasi_albert(n, attach, rng=rng))
     seeds = pick_seeds(graph, num_seeds, rng=rng)
     csr = CSRGraph(graph)
     pool = SamplePool(csr, rng=rng)
     pool.get(theta)  # shared samples: excluded from every timing
 
-    def once(layout: str):
-        with SketchIndex(csr, pool=pool, layout=layout) as index:
+    def arena_once():
+        with SketchIndex(csr, pool=pool) as index:
             start = time.perf_counter()
             index.expected_spread(seeds, theta)
             t_cold = time.perf_counter() - start
@@ -92,39 +124,46 @@ def run_query_benchmark(
             t_select = time.perf_counter() - start
             # one representative transition on a fresh warm view: the
             # top pick's rebase plus the whole-candidate gains sweep
-            with SketchIndex(csr, pool=pool, layout=layout) as fresh:
+            with SketchIndex(csr, pool=pool) as fresh:
                 fresh.expected_spread(seeds, theta)
                 start = time.perf_counter()
                 fresh.decrease_estimates(
                     seeds, theta, [result.blockers[0]]
                 )
                 t_rebase = time.perf_counter() - start
-            return t_cold, t_select, t_rebase, result
+            return {"cold": t_cold, "select": t_select,
+                    "rebase": t_rebase}, result
+
+    def rebuild_once():
+        reference = RebuildPerStep(csr, pool)
+        start = time.perf_counter()
+        result = lazy_blocking(graph, seeds, budget, theta, reference)
+        t_select = time.perf_counter() - start
+        reference.close()
+        return {"select": t_select}, result
 
     measurements: dict[str, dict[str, float]] = {}
     results: dict[str, object] = {}
     phases: dict[str, dict] = {}
-    for layout in ("legacy", "arena"):
-        best = {"cold": float("inf"), "select": float("inf"),
-                "rebase": float("inf")}
+    for side, once in (("rebuild", rebuild_once), ("arena", arena_once)):
+        best: dict[str, float] = {}
         for _ in range(max(1, repeats)):
             # per-phase span breakdown (sketch.build / rebase / gains /
             # treebuild ...) of one full repeat, attached to the report
             trace = new_trace()
             with use_trace(trace):
-                t_cold, t_select, t_rebase, result = once(layout)
-            best["cold"] = min(best["cold"], t_cold)
-            best["select"] = min(best["select"], t_select)
-            best["rebase"] = min(best["rebase"], t_rebase)
-            results[layout] = result
-        measurements[layout] = best
-        phases[layout] = trace.summary()
+                times, result = once()
+            for key, value in times.items():
+                best[key] = min(best.get(key, float("inf")), value)
+            results[side] = result
+        measurements[side] = best
+        phases[side] = trace.summary()
 
-    legacy, arena = results["legacy"], results["arena"]
+    rebuild, arena = results["rebuild"], results["arena"]
     identical = (
-        legacy.blockers == arena.blockers
-        and legacy.round_deltas == arena.round_deltas
-        and legacy.estimated_spread == arena.estimated_spread
+        rebuild.blockers == arena.blockers
+        and rebuild.round_deltas == arena.round_deltas
+        and rebuild.estimated_spread == arena.estimated_spread
     )
     return {
         "n": n,
@@ -132,18 +171,14 @@ def run_query_benchmark(
         "theta": theta,
         "budget": budget,
         "picked": len(arena.blockers),
-        "legacy": measurements["legacy"],
+        "rebuild": measurements["rebuild"],
         "arena": measurements["arena"],
         "select_speedup": (
-            measurements["legacy"]["select"]
+            measurements["rebuild"]["select"]
             / measurements["arena"]["select"]
         ),
         "rebase_speedup": (
-            measurements["legacy"]["rebase"]
-            / measurements["arena"]["rebase"]
-        ),
-        "cold_speedup": (
-            measurements["legacy"]["cold"] / measurements["arena"]["cold"]
+            measurements["arena"]["cold"] / measurements["arena"]["rebase"]
         ),
         "identical": identical,
         "native": native_build_available(),
@@ -152,30 +187,27 @@ def run_query_benchmark(
 
 
 def render(r: dict[str, object]) -> str:
+    arena = r["arena"]
     rows = [
+        ["cold view build", f"{1e3 * arena['cold']:.1f}", ""],
         [
-            phase,
-            f"{1e3 * r['legacy'][key]:.1f}",
-            f"{1e3 * r['arena'][key]:.1f}",
-            f"{r[speed]:.1f}x",
-        ]
-        for phase, key, speed in (
-            ("cold view build", "cold", "cold_speedup"),
-            (f"greedy selection (budget {r['budget']})", "select",
-             "select_speedup"),
-            ("single rebase + gains sweep", "rebase", "rebase_speedup"),
-        )
+            f"greedy selection (budget {r['budget']})",
+            f"{1e3 * arena['select']:.1f}",
+            f"{1e3 * r['rebuild']['select']:.1f}",
+        ],
+        ["single rebase + gains sweep", f"{1e3 * arena['rebase']:.1f}", ""],
     ]
     verdict = "PASS" if r["select_speedup"] >= TARGET_SPEEDUP else "FAIL"
     summary = (
         f"selections bit-identical: {r['identical']}; "
         f"native kernel: {r['native']}; picked {r['picked']} blockers\n"
-        f"selection-loop speedup vs pre-arena path: "
+        f"single rebase vs cold view build: {r['rebase_speedup']:.1f}x\n"
+        f"selection-loop speedup vs a rebuild per step: "
         f"{r['select_speedup']:.1f}x "
         f"(>= {TARGET_SPEEDUP:.0f}x target: {verdict})"
     )
     table = format_table(
-        ["phase", "legacy ms", "arena ms", "speedup"],
+        ["phase", "arena ms", "rebuild ms"],
         rows,
         title=(
             f"sketch query path (n={r['n']}, WC model, "
@@ -190,22 +222,17 @@ def to_json(result: dict[str, object], params: dict) -> dict:
     return {
         "schema": JSON_SCHEMA,
         "params": params,
-        "legacy_select_s": round(float(result["legacy"]["select"]), 6),
         "arena_select_s": round(float(result["arena"]["select"]), 6),
-        "legacy_rebase_s": round(float(result["legacy"]["rebase"]), 6),
         "arena_rebase_s": round(float(result["arena"]["rebase"]), 6),
-        "legacy_cold_s": round(float(result["legacy"]["cold"]), 6),
         "arena_cold_s": round(float(result["arena"]["cold"]), 6),
-        "select_speedup_vs_legacy": round(
+        "rebuild_select_s": round(float(result["rebuild"]["select"]), 6),
+        "select_speedup_vs_rebuild": round(
             float(result["select_speedup"]), 3
         ),
-        "rebase_speedup_vs_legacy": round(
-            float(result["rebase_speedup"]), 3
-        ),
-        "cold_speedup_vs_legacy": round(float(result["cold_speedup"]), 3),
+        "rebase_speedup_vs_cold": round(float(result["rebase_speedup"]), 3),
         "identical": bool(result["identical"]),
         "native": bool(result["native"]),
-        # per-layout {span: {count, total_ms}} from the last repeat —
+        # per-side {span: {count, total_ms}} from the last repeat —
         # extra keys are ignored by check_bench_regression.py
         "phases": result["phases"],
     }
@@ -235,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=2,
-        help="timings per layout; the best is reported (default: 2)",
+        help="timings per side; the best is reported (default: 2)",
     )
     parser.add_argument(
         "--json",
@@ -277,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
         print(f"wrote {args.json}")
     if not result["identical"]:
-        print("FAIL: arena selection diverges from the legacy path")
+        print("FAIL: rebased selection diverges from the rebuild path")
         return 1
     if not args.no_check and result["select_speedup"] < TARGET_SPEEDUP:
         return 1

@@ -22,13 +22,14 @@ Three report kinds, auto-detected:
     builds disagreed, since that is a correctness bug, not a
     regression.
 ``BENCH_sketch_query.json`` (``bench_sketch_query.py --json``)
-    Gates ``select_speedup_vs_legacy`` — the arena-backed greedy
-    selection loop normalized by the pre-arena query path run in the
-    same process over the same pooled samples.  Fails hard if the two
-    paths selected different blockers (the arena refactor's
-    bit-compatibility contract); the rebase-microbench and cold-build
-    speedups are reported but not gated (they are noisier slices of
-    the same work the selection ratio already covers).
+    Gates ``select_speedup_vs_rebuild`` — the greedy selection loop
+    on one incrementally rebased sketch index normalized by the same
+    loop answering every blocker set from a fresh cold-built index,
+    run in the same process over the same pooled samples.  Fails hard
+    if the two selected different blockers (a rebased view must be
+    bit-identical to a cold build); the rebase-vs-cold-build
+    microbench ratio is reported but not gated (a noisier slice of the
+    same work the selection ratio already covers).
 ``BENCH_service_saturation.json`` (``bench_service_saturation.py
 --json``)
     Gates ``sustained_speedup_vs_serial`` — the knee of the clients
@@ -199,7 +200,7 @@ def report_kind(report: dict) -> str | None:
         return "service_saturation"
     if "build_speedup_vs_legacy" in report:
         return "sketch_build"
-    if "select_speedup_vs_legacy" in report:
+    if "select_speedup_vs_rebuild" in report:
         return "sketch_query"
     if "rehydrate_speedup_vs_cold" in report:
         return "mmap_artifacts"
@@ -392,14 +393,14 @@ def compare_sketch_query(
 ) -> tuple[list[str], list[str]]:
     """Sketch-query-report gate vs the baseline.
 
-    Gates ``select_speedup_vs_legacy``: both sides of the ratio are
+    Gates ``select_speedup_vs_rebuild``: both sides of the ratio are
     same-process compute over identical pooled samples, so machine
-    speed cancels (though the arena side's compiled kernel makes this
-    ratio somewhat more compiler-sensitive than the numpy-vs-numpy
-    gates — CI passes a wider tolerance).  A report with
-    ``identical: false`` fails unconditionally — the arena query path
-    selecting different blockers than the legacy path breaks the
-    refactor's bit-compatibility contract.
+    speed cancels (though the compiled tree kernel makes this ratio
+    somewhat more compiler-sensitive than the numpy-vs-numpy gates —
+    CI passes a wider tolerance).  A report with ``identical: false``
+    fails unconditionally — a rebased view selecting different
+    blockers than cold builds breaks the incremental path's
+    bit-identity contract.
     """
     _check_params(current, baseline, _SKETCH_QUERY_IDENTITY_PARAMS)
     failures: list[str] = []
@@ -407,10 +408,10 @@ def compare_sketch_query(
     if not current.get("identical", False):
         failures.append("identical")
         lines.append(
-            "FAIL identical: arena selection diverges from the legacy "
-            "query path"
+            "FAIL identical: rebased selection diverges from the "
+            "rebuild-per-step path"
         )
-    metric = "select_speedup_vs_legacy"
+    metric = "select_speedup_vs_rebuild"
     base_speed = float(baseline[metric])
     cur_speed = float(current[metric])
     floor = (1.0 - tolerance) * base_speed
@@ -420,9 +421,8 @@ def compare_sketch_query(
         f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
     )
     lines.append(
-        "      rebase "
-        f"{current.get('rebase_speedup_vs_legacy', '?')}x, cold "
-        f"{current.get('cold_speedup_vs_legacy', '?')}x, native "
+        "      rebase vs cold build "
+        f"{current.get('rebase_speedup_vs_cold', '?')}x, native "
         f"{current.get('native', '?')} (informational, not gated)"
     )
     if cur_speed < floor:
@@ -521,7 +521,7 @@ _GATED_METRIC = {
     "service": "warm_speedup_vs_cold_inprocess",
     "service_saturation": "sustained_speedup_vs_serial",
     "sketch_build": "build_speedup_vs_legacy",
-    "sketch_query": "select_speedup_vs_legacy",
+    "sketch_query": "select_speedup_vs_rebuild",
     "mmap_artifacts": "rehydrate_speedup_vs_cold",
     "graph_updates": "delta_speedup_vs_rebuild",
 }
@@ -636,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         failures, lines = compare_sketch_query(
             current, baseline, args.tolerance
         )
-        metric = "selection speedup vs legacy"
+        metric = "selection speedup vs rebuild per step"
     elif kind == "mmap_artifacts":
         failures, lines = compare_mmap_artifacts(
             current, baseline, args.tolerance

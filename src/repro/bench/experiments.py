@@ -125,7 +125,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
         Experiment(
             "sketch-query", "§V-C",
-            "arena-backed greedy selection loop vs the pre-arena path",
+            "rebased greedy selection loop vs a rebuild per step",
             "bench_sketch_query.py",
         ),
         Experiment(

@@ -261,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--model", choices=("tr", "wc"), default=None)
     query.add_argument("--theta", type=int, default=None)
     query.add_argument(
-        "--layout", choices=("arena", "legacy"), default=None,
-        help="sketch view layout of the artifact (default: arena)",
-    )
-    query.add_argument(
         "--seed", type=int, default=None,
         help="artifact seed: keys the samples and the TR assignment",
     )
@@ -337,10 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     update.add_argument("--model", choices=("tr", "wc"), default=None)
     update.add_argument("--theta", type=int, default=None)
-    update.add_argument(
-        "--layout", choices=("arena", "legacy"), default=None,
-        help="sketch view layout of the artifact (default: arena)",
-    )
     update.add_argument(
         "--seed", type=int, default=None,
         help="artifact seed: keys the samples and the TR assignment",
@@ -443,17 +435,6 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
             "worker processes: simulation chunks for --engine parallel, "
             "batched sketch-tree builds for --engine sketch (default: "
             "all cores / serial)"
-        ),
-    )
-    sub.add_argument(
-        "--sketch-layout",
-        choices=("arena", "legacy"),
-        default="arena",
-        help=(
-            "sketch view layout for --engine sketch: arena (pooled "
-            "tree arena + inverted membership index, the fast query "
-            "path; default) or legacy (per-sample reference layout); "
-            "results are bit-identical either way"
         ),
     )
     sub.add_argument(
@@ -573,7 +554,6 @@ def _engine_spec(args, theta: int | None = None) -> EngineSpec:
         theta=theta if theta is not None else 200,
         seed=args.rng,
         workers=args.workers,
-        layout=getattr(args, "sketch_layout", "arena"),
         cache_dir=getattr(args, "cache_dir", None),
     )
 
@@ -860,7 +840,6 @@ def _cmd_query(args) -> int:
         "model": args.model,
         "theta": args.theta,
         "seed": args.seed,
-        "layout": args.layout,
         "seeds": args.seeds,
         "num_seeds": args.num_seeds,
         "blocked": args.blocked,
@@ -937,7 +916,6 @@ def _cmd_update(args) -> int:
                 model=args.model,
                 theta=args.theta,
                 seed=args.seed,
-                layout=args.layout,
                 inserts=inserts or None,
                 deletes=deletes or None,
                 reweights=reweights or None,

@@ -24,8 +24,8 @@ form.  Four pieces:
 :mod:`repro.engine.sketch`
     The dominator-tree sketch index — the paper's Algorithm 2
     estimator as a persistent, incrementally-rebased backend with O(1)
-    marginal gains; views default to the pooled-arena layout with an
-    inverted membership index (vertex -> samples postings) for
+    marginal gains; each view keeps its trees in a pooled arena with
+    an inverted membership index (vertex -> samples postings) for
     vectorized rebases.
 :mod:`repro.engine.evaluator`
     The :class:`SpreadEvaluator` protocol, the backend implementations
@@ -58,13 +58,12 @@ from .kernels import (
 )
 from .parallel import default_workers, ParallelEvaluator, split_rounds
 from .pool import PoolStats, SampleBatch, SamplePool
-from .sketch import LAYOUTS, SketchIndex, SketchStats
+from .sketch import SketchIndex, SketchStats
 from .treebuild import build_sample_tree, build_trees, TreeBuilder
 
 __all__ = [
     "SketchIndex",
     "SketchStats",
-    "LAYOUTS",
     "postings_csr",
     "SpreadEvaluator",
     "ScalarEvaluator",

@@ -275,7 +275,6 @@ def _make_evaluator(
     cache_dir=None,
     cache_key: str | None = None,
     pool: SamplePool | None = None,
-    layout: str = "arena",
 ) -> SpreadEvaluator:
     """Warning-free factory core shared by both calling conventions."""
     name = backend.lower()
@@ -302,7 +301,6 @@ def _make_evaluator(
             rng,
             pool=pool,
             workers=workers,
-            layout=layout,
             cache_dir=cache_dir,
             cache_key=cache_key,
         )
@@ -322,13 +320,12 @@ def make_evaluator(
     cache_dir=None,
     cache_key: str | None = None,
     pool: SamplePool | None = None,
-    layout: str = "arena",
 ) -> SpreadEvaluator:
     """Construct a spread evaluator for ``graph`` from an ``EngineSpec``.
 
     Canonical form: ``make_evaluator(graph, spec)`` with ``spec`` an
     :class:`~repro.engine.spec.EngineSpec` — the spec's ``seed`` seeds
-    the evaluator, ``workers``/``layout``/``cache_dir`` configure it,
+    the evaluator, ``workers``/``cache_dir`` configure it,
     and its ``model``/``theta`` fields key artifacts (the factory
     consumes an already-prepared graph and per-query ``rounds``, so it
     does not read them).  Runtime-only knobs remain keywords: ``pool``
@@ -353,11 +350,6 @@ def make_evaluator(
         Cascades simulated per numpy batch (vectorized family).
     cache_dir / cache_key / pool:
         Sample-pool persistence knobs (``pooled``/``sketch`` backends).
-    layout:
-        Sketch view layout (``sketch`` backend only): ``"arena"``
-        (default, the pooled-arena query path) or ``"legacy"`` (the
-        per-sample reference layout) — bit-identical answers either
-        way, see :class:`~repro.engine.sketch.SketchIndex`.
     """
     if isinstance(spec, EngineSpec):
         resolved_dir = spec.cache_dir if cache_dir is None else cache_dir
@@ -372,7 +364,6 @@ def make_evaluator(
             cache_dir=resolved_dir,
             cache_key=cache_key,
             pool=pool,
-            layout=spec.layout,
         )
     _legacy_warning("make_evaluator")
     return _make_evaluator(
@@ -384,7 +375,6 @@ def make_evaluator(
         cache_dir=cache_dir,
         cache_key=cache_key,
         pool=pool,
-        layout=layout,
     )
 
 
@@ -398,7 +388,6 @@ def _build_evaluator(
     cache_dir=None,
     cache_key: str | None = None,
     pool: SamplePool | None = None,
-    layout: str = "arena",
 ) -> SpreadEvaluator:
     """Warning-free stream-discipline core (see :func:`build_evaluator`)."""
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
@@ -416,7 +405,6 @@ def _build_evaluator(
         cache_dir=cache_dir,
         cache_key=cache_key,
         pool=pool,
-        layout=layout,
     )
 
 
@@ -430,7 +418,6 @@ def build_evaluator(
     cache_dir=None,
     cache_key: str | None = None,
     pool: SamplePool | None = None,
-    layout: str = "arena",
 ) -> SpreadEvaluator:
     """:func:`make_evaluator` plus the RNG-stream discipline callers need.
 
@@ -472,7 +459,6 @@ def build_evaluator(
             cache_dir=spec.cache_dir if cache_dir is None else cache_dir,
             cache_key=cache_key,
             pool=pool,
-            layout=spec.layout,
         )
     _legacy_warning("build_evaluator")
     return _build_evaluator(
@@ -485,5 +471,4 @@ def build_evaluator(
         cache_dir=cache_dir,
         cache_key=cache_key,
         pool=pool,
-        layout=layout,
     )

@@ -34,32 +34,25 @@ behind the :class:`~repro.engine.evaluator.SpreadEvaluator` protocol:
   the rebase and a whole greedy round of candidate gains costs one
   array read (Algorithm 2's "all candidates at once" property).
 
-Two view layouts implement that contract (``SketchIndex(layout=...)``,
-default ``"arena"``):
+Per-sample trees live in one pooled **arena** — flat ``order``/``sizes``
+arrays plus per-sample ``(start, length)`` slots (CSR-of-trees), grown
+by amortised doubling when a rebuilt tree outgrows its slot.
+Reachability is an **inverted membership index**: a CSR postings
+structure mapping vertex -> samples whose *base* (unblocked) tree
+reaches it (:func:`repro.engine.kernels.postings_csr`), built once per
+view, with a per-posting aliveness bit tracking the *current* blocker
+set.  A rebase unions the postings rows of the moved blockers to find
+the touched samples (O(affected postings) — no Python loop over
+``theta``), applies every touched sample's -/+ subtree-size delta in
+one batched ``np.bincount`` scatter, patches the aliveness bits with
+one ``searchsorted`` over ``v * theta + t`` keys, and writes the
+rebuilt trees back into the arena in one flat scatter.
 
-``arena``
-    Per-sample trees live in one pooled **arena** — flat
-    ``order``/``sizes`` arrays plus per-sample ``(start, length)``
-    slots (CSR-of-trees), grown by amortised doubling when a rebuilt
-    tree outgrows its slot.  Reachability is an **inverted membership
-    index**: a CSR postings structure mapping vertex -> samples whose
-    *base* (unblocked) tree reaches it
-    (:func:`repro.engine.kernels.postings_csr`), built once per view,
-    with a per-posting aliveness bit tracking the *current* blocker
-    set.  A rebase unions the postings rows of the moved blockers to
-    find the touched samples (O(affected postings) — no Python loop
-    over ``theta``), applies every touched sample's -/+ subtree-size
-    delta in one batched ``np.bincount`` scatter, patches the
-    aliveness bits with one ``searchsorted`` over ``v * theta + t``
-    keys, and writes the rebuilt trees back into the arena in one
-    flat scatter.
-``legacy``
-    The pre-arena per-sample layout — Python lists of ``(order,
-    sizes)`` arrays, one ``frozenset`` reachable set per sample, a
-    Python touch scan over all ``theta`` samples — kept verbatim as
-    the semantic reference: the parity tests and
-    ``benchmarks/bench_sketch_query.py`` pin the arena layout
-    bit-identical to it (same spreads, gains and blocker selections).
+Every answer of a rebased view is bit-identical to a view built cold
+at the same blocker set, and its spreads equal the pooled Monte-Carlo
+backend's over the same samples; the tests pin both, plus a per-sample
+reference build and the exact enumerator (:mod:`repro.spread.exact`)
+on small graphs.
 
 Multi-seed queries use a virtual super-source (id ``n``) with
 deterministic edges to every seed — joint reachability on the *same*
@@ -89,13 +82,11 @@ from .kernels import postings_csr, ragged_arange
 from .pool import PoolDeltaReport, SampleBatch, SamplePool
 from .treebuild import TreeBuilder
 
-__all__ = ["SketchIndex", "SketchStats", "LAYOUTS"]
+__all__ = ["SketchIndex", "SketchStats"]
 
 # retained seed-set/theta views (each holds theta cached trees); greedy
 # loops use one view, CLI runs use at most one per (selection, judge)
 _MAX_VIEWS = 4
-
-LAYOUTS: tuple[str, ...] = ("arena", "legacy")
 
 # on-disk arena-view format; bump on any layout/semantic change so
 # stale artifacts fall back to a cold build instead of misloading
@@ -134,21 +125,17 @@ class SketchStats:
     tree_bytes: int = 0
     """Resident bytes of the cached per-sample tree state (a live
     gauge, not a counter): grows as views are built, shrinks as views
-    are evicted or the index is closed.  For arena views this is the
-    arena plus the inverted membership index (``arena_bytes`` +
-    ``postings_bytes``); for legacy views it is the per-tree array
-    sum.  The gauge is re-synced only after a successful write-back,
-    so a builder failure mid-rebase never leaves it stale.  The
-    serving layer adds this to its artifact byte accounting so LRU
+    are evicted or the index is closed.  Always ``arena_bytes +
+    postings_bytes``.  The gauge is re-synced only after a successful
+    write-back, so a builder failure mid-rebase never leaves it stale.
+    The serving layer adds this to its artifact byte accounting so LRU
     byte bounds reflect the tree cache, not just the sample pools."""
     arena_bytes: int = 0
     """Resident bytes of the pooled tree arenas (flat order/sizes
-    arrays at capacity, plus the per-sample slot tables).  Zero for
-    legacy-layout views."""
+    arrays at capacity, plus the per-sample slot tables)."""
     postings_bytes: int = 0
     """Resident bytes of the inverted membership indexes (postings
-    CSR, aliveness bits, search keys, by-sample posting table).  Zero
-    for legacy-layout views."""
+    CSR, aliveness bits, search keys, by-sample posting table)."""
     rehydrations: int = 0
     """Arena views attached memory-mapped from a persisted artifact
     instead of cold-built — a rehydrate skips sampling *and* every
@@ -227,197 +214,6 @@ def _delta_sources(delta: GraphDelta) -> list[int]:
     )
 
 
-class _LegacySketchView:
-    """Per-(seed set, theta) tree cache, pre-arena layout.
-
-    Holds, for every sample, the dominator tree of the sample *under
-    the currently committed blocker set* — as ``(order, sizes)`` flat
-    arrays in Python lists plus a ``frozenset`` reachable set per
-    sample used for touch tests — and the aggregated subtree-size
-    array over all samples.  Kept byte-for-byte as the semantic
-    reference the arena layout is benchmarked and parity-tested
-    against.
-    """
-
-    def __init__(
-        self,
-        csr: CSRGraph,
-        batch: SampleBatch,
-        seeds: tuple[int, ...],
-        stats: SketchStats,
-        builder: TreeBuilder,
-    ) -> None:
-        self.csr = csr
-        self.batch = batch
-        self.seeds = seeds
-        self.stats = stats
-        self.builder = builder
-        self.root = csr.n  # virtual super-source
-        self.theta = batch.theta
-        self.blocked: frozenset[int] = frozenset()
-        self._orders: list[np.ndarray] = []
-        self._sizes: list[np.ndarray] = []
-        self._reachable: list[frozenset[int]] = []
-        # vertices reachable with *no* blockers: the superset of what
-        # any unblocking can expose, used for removed-blocker touch
-        # tests
-        self._base_reachable: list[frozenset[int]] = []
-        self._delta_sum = np.zeros(csr.n + 1, dtype=np.float64)
-        self._spread_sum = 0
-        self._accounted_bytes = 0
-        # the cold build: every sample's tree in one batched,
-        # array-native pass
-        for order, sizes in self._build(range(self.theta), self.blocked):
-            self._orders.append(order)
-            self._sizes.append(sizes)
-            reachable = frozenset(order.tolist())
-            self._reachable.append(reachable)
-            self._base_reachable.append(reachable)
-            self._apply(order, sizes, +1)
-        self._sync_bytes()
-
-    # ------------------------------------------------------------------
-    # tree construction and aggregation
-    # ------------------------------------------------------------------
-    def _build(
-        self, sample_indices, blocked: frozenset[int]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        trees = self.builder.build(
-            self.batch, sample_indices, self.seeds, sorted(blocked)
-        )
-        self.stats.trees_built += len(trees)
-        return trees
-
-    def _live_bytes(self) -> int:
-        return sum(
-            order.nbytes + sizes.nbytes
-            for order, sizes in zip(self._orders, self._sizes)
-        )
-
-    def _sync_bytes(self) -> None:
-        # absolute re-sync after a *successful* write-back: the gauge
-        # always reflects what is actually resident, so a builder
-        # failure mid-rebase (which leaves the old trees in place)
-        # cannot strand phantom bytes in the stats
-        live = self._live_bytes()
-        self.stats.tree_bytes += live - self._accounted_bytes
-        self._accounted_bytes = live
-
-    def drop(self) -> None:
-        """Release the cached trees (view eviction / index close)."""
-        self.stats.tree_bytes -= self._accounted_bytes
-        self._accounted_bytes = 0
-        self._orders.clear()
-        self._sizes.clear()
-        self._reachable.clear()
-        self._base_reachable.clear()
-
-    def _apply(self, order: np.ndarray, sizes: np.ndarray, sign: int) -> None:
-        # order[0] is the virtual root; its "subtree" is the whole
-        # sample and it is never a blocker candidate, so skip it
-        self._spread_sum += sign * (order.shape[0] - 1)
-        if order.shape[0] > 1:
-            np.add.at(
-                self._delta_sum,
-                order[1:],
-                sign * sizes[1:].astype(np.float64),
-            )
-
-    # ------------------------------------------------------------------
-    # rebase: move the committed blocker set, touching few samples
-    # ------------------------------------------------------------------
-    def rebase(self, blocked: frozenset[int]) -> None:
-        if blocked == self.blocked:
-            return
-        with span("sketch.rebase"):
-            added = blocked - self.blocked
-            removed = self.blocked - blocked
-            touched = [
-                t
-                for t in range(self.theta)
-                if any(v in self._reachable[t] for v in added)
-                or any(v in self._base_reachable[t] for v in removed)
-            ]
-            for t, (order, sizes) in zip(
-                touched, self._build(touched, blocked)
-            ):
-                self._apply(self._orders[t], self._sizes[t], -1)
-                self._orders[t] = order
-                self._sizes[t] = sizes
-                self._reachable[t] = frozenset(order.tolist())
-                self._apply(order, sizes, +1)
-            self.blocked = blocked
-            if touched:
-                self.stats.rebases += 1
-                self._sync_bytes()
-            self.stats.samples_skipped += self.theta - len(touched)
-
-    # ------------------------------------------------------------------
-    # graph deltas: swap the graph under the view, rebuild few trees
-    # ------------------------------------------------------------------
-    def apply_delta(
-        self,
-        csr: CSRGraph,
-        batch: SampleBatch,
-        touched: np.ndarray,
-        builder: TreeBuilder,
-        delta: GraphDelta,
-    ) -> int:
-        """Move this view onto the post-delta graph and samples.
-
-        Caller contract (:meth:`SketchIndex.apply_delta`): the view
-        was parked at the unblocked base while the *old* pool state
-        was live, and ``touched`` is the pool's exact changed-sample
-        set for this view's theta prefix.  Narrowed further by the
-        source-reachability test of :func:`_delta_sources`, then only
-        the surviving samples' trees are rebuilt.  Returns how many.
-        """
-        sources = _delta_sources(delta)
-        keep = [
-            int(t)
-            for t in touched
-            if any(u in self._base_reachable[t] for u in sources)
-        ]
-        self.csr = csr
-        self.batch = batch
-        self.builder = builder
-        if keep:
-            for t, (order, sizes) in zip(
-                keep, self._build(keep, frozenset())
-            ):
-                self._apply(self._orders[t], self._sizes[t], -1)
-                self._orders[t] = order
-                self._sizes[t] = sizes
-                reachable = frozenset(order.tolist())
-                self._reachable[t] = reachable
-                self._base_reachable[t] = reachable
-                self._apply(order, sizes, +1)
-            self._sync_bytes()
-        return len(keep)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def spread(self, blocked: frozenset[int]) -> float:
-        self.rebase(blocked)
-        self.stats.queries += 1
-        return self._spread_sum / self.theta
-
-    def gain(self, v: int, blocked: frozenset[int]) -> float:
-        self.rebase(blocked)
-        self.stats.queries += 1
-        if v in blocked:
-            return 0.0
-        return float(self._delta_sum[v]) / self.theta
-
-    def gains(self, blocked: frozenset[int]) -> np.ndarray:
-        """Every vertex's marginal decrease at once (Algorithm 2)."""
-        with span("sketch.gains"):
-            self.rebase(blocked)
-            self.stats.queries += 1
-            return self._delta_sum[: self.csr.n] / self.theta
-
-
 class _ArenaSketchView:
     """Per-(seed set, theta) tree cache, pooled-arena layout.
 
@@ -428,7 +224,8 @@ class _ArenaSketchView:
     Every rebase step — touch detection, -/+ delta aggregation,
     postings patching, tree write-back — is a constant number of numpy
     calls over the touched slice, with no Python loop over samples.
-    Answers are bit-identical to :class:`_LegacySketchView`.
+    Answers after any rebase are bit-identical to a view built cold at
+    the same blocker set.
     """
 
     def __init__(
@@ -810,7 +607,7 @@ class _ArenaSketchView:
 
         # -/+ subtree-size deltas of every touched sample in one
         # bincount scatter (all-integer float64 arithmetic, so the
-        # reordering vs the per-sample legacy scatters is exact)
+        # reordering vs per-sample scatters is exact)
         verts = np.concatenate(
             [old_orders[old_mask], orders[new_mask]]
         )
@@ -1053,12 +850,6 @@ class SketchIndex:
         worker processes (only relevant when the compiled batched
         kernel is unavailable; any value yields bit-identical
         results, so the knob is pure throughput).
-    layout:
-        ``"arena"`` (default) stores each view's trees in a pooled
-        arena with an inverted membership index — the fast query
-        path; ``"legacy"`` keeps the historical per-sample layout,
-        preserved as the bit-identical semantic reference (see the
-        module docstring).
     cache_dir / cache_key:
         Sample-pool persistence knobs, forwarded verbatim.
 
@@ -1076,15 +867,9 @@ class SketchIndex:
         rng: RngLike = None,
         pool: SamplePool | None = None,
         workers: int | None = None,
-        layout: str = "arena",
         cache_dir=None,
         cache_key: str | None = None,
     ) -> None:
-        if layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown sketch layout {layout!r}: expected one of "
-                + ", ".join(LAYOUTS)
-            )
         if pool is not None:
             self.pool = pool
         else:
@@ -1093,7 +878,6 @@ class SketchIndex:
             )
         self.csr = self.pool.csr
         self.workers = workers
-        self.layout = layout
         # when the pool persists its samples, hand the worker pool the
         # .npy paths: sharded builds then ship sample *indices* only
         # and read the pooled samples via a shared read-only mapping
@@ -1102,7 +886,7 @@ class SketchIndex:
             sample_paths=self.pool.cache_paths,
         )
         self.stats = SketchStats()
-        self._views: dict[tuple[tuple[int, ...], int], object] = {}
+        self._views: dict[tuple[tuple[int, ...], int], _ArenaSketchView] = {}
 
     # ------------------------------------------------------------------
     # view management
@@ -1130,13 +914,8 @@ class SketchIndex:
                     self.builder, prefix,
                 )
             if view is None:
-                view_cls = (
-                    _ArenaSketchView
-                    if self.layout == "arena"
-                    else _LegacySketchView
-                )
                 with span("sketch.build"):
-                    view = view_cls(
+                    view = _ArenaSketchView(
                         self.csr,
                         batch,
                         seed_tuple,
@@ -1154,24 +933,23 @@ class SketchIndex:
         self, seeds: tuple[int, ...], theta: int
     ) -> Path | None:
         """On-disk prefix for this view's persisted arena artifact, or
-        ``None`` when the view is not persistable (no disk-backed
-        pool, or legacy layout).
+        ``None`` when the pool is not disk-backed.
 
         The key piggybacks on the sample pool's cache digest — which
         already fingerprints the graph structure, probabilities and
-        cache key — extended with the artifact format version, layout,
+        cache key — extended with the artifact format version,
         ``theta`` and the seed set, so any semantic change lands on a
         fresh file name and stale artifacts are simply never loaded.
+        (The literal ``arena`` segment is part of every persisted
+        name: dropping it would orphan existing artifacts.)
         """
-        if self.layout != "arena":
-            return None
         digest = self.pool.cache_digest
         paths = self.pool.cache_paths
         if digest is None or paths is None:
             return None
         seed_key = ",".join(str(s) for s in seeds)
         key = (
-            f"{digest}:v{_SKETCH_FORMAT}:{self.layout}"
+            f"{digest}:v{_SKETCH_FORMAT}:arena"
             f":theta{theta}:seeds{seed_key}"
         )
         short = hashlib.sha256(key.encode()).hexdigest()[:16]
@@ -1179,8 +957,8 @@ class SketchIndex:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the cached per-sample tree state (arena
-        plus postings for arena views, per-tree arrays for legacy)."""
+        """Resident bytes of the cached per-sample tree state (arenas
+        plus postings of every cached view)."""
         return self.stats.tree_bytes
 
     # ------------------------------------------------------------------

@@ -2,14 +2,11 @@
 
 Every layer that constructs a spread evaluator — the CLI, the serving
 layer's artifact cache, benchmarks — used to thread the same loose
-keywords (``backend``, ``rng``, ``workers``, ``layout``,
-``cache_dir``...) through its own signatures, and each layer invented
-its own partial subset.  :class:`EngineSpec` names the full identity
-of an engine once:
+keywords (``backend``, ``rng``, ``workers``, ``cache_dir``...)
+through its own signatures, and each layer invented its own partial
+subset.  :class:`EngineSpec` names the full identity of an engine once:
 
-* **what** is estimated — ``engine`` (one of :data:`BACKENDS`) and
-  ``layout`` (sketch view layout, see
-  :data:`repro.engine.sketch.LAYOUTS`);
+* **what** is estimated — ``engine`` (one of :data:`BACKENDS`);
 * **which randomness** — ``model`` (edge-probability model, one of
   :data:`MODELS`) and the integer ``seed`` that keys both the RNG
   streams and the on-disk artifact cache;
@@ -34,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-from .sketch import LAYOUTS
 
 __all__ = ["BACKENDS", "MODELS", "EngineSpec"]
 
@@ -63,9 +58,6 @@ class EngineSpec:
     workers: int | None = None
     """Worker processes (parallel spread chunks / sharded sketch
     builds); ``None`` = serial, results bit-identical either way."""
-    layout: str = "arena"
-    """Sketch view layout, one of
-    :data:`repro.engine.sketch.LAYOUTS`."""
     cache_dir: str | Path | None = None
     """Directory for persistent, memory-mappable artifacts (sample
     pools and arena sketch views); ``None`` = memory only."""
@@ -89,11 +81,6 @@ class EngineSpec:
             raise ValueError("seed must be an integer")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown sketch layout {self.layout!r}: expected one "
-                "of " + ", ".join(LAYOUTS)
-            )
 
     # ------------------------------------------------------------------
     # derived identities
@@ -118,7 +105,6 @@ class EngineSpec:
             "theta": self.theta,
             "seed": self.seed,
             "workers": self.workers,
-            "layout": self.layout,
             "cache_dir": (
                 None if self.cache_dir is None else str(self.cache_dir)
             ),

@@ -11,7 +11,7 @@ artifacts resident and serves many queries against them:
     gzip-compressed) SNAP edge lists resolved by name, loaded lazily.
 :mod:`repro.service.cache`
     Size-bounded LRU of warm ``(SamplePool, SketchIndex)`` artifacts
-    keyed by ``(graph, model, theta, seed, layout)``, with
+    keyed by ``(graph, model, theta, seed)``, with
     hit/miss/eviction stats and disk rehydration of both the pool's
     samples and the sketch's arena views through their persistence.
 :mod:`repro.service.server`

@@ -9,7 +9,7 @@ query), and a :class:`~repro.engine.sketch.SketchIndex` sharing the
 same pool (used for blocker selection — O(1) marginal gains).
 
 Artifacts are keyed by :class:`ArtifactKey` ``(graph, model, theta,
-seed, layout)`` and built deterministically from the key via an
+seed)`` and built deterministically from the key via an
 :class:`~repro.engine.spec.EngineSpec`: the same key always yields
 bit-identical samples and therefore bit-identical answers, which is
 what makes cache hits *semantically* transparent, not just faster.
@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Sequence
 from ..bench import pick_seeds, prepare_graph
 from ..core import solve_imin
 from ..engine import build_evaluator, EngineSpec, SamplePool
-from ..engine.sketch import LAYOUTS
 from ..graph import GraphDelta
 from ..obs import span, track
 from .registry import GraphRegistry
@@ -58,34 +57,21 @@ JOURNAL_VERSION = 1
 
 @dataclass(frozen=True, order=True)
 class ArtifactKey:
-    """Identity of one warm artifact: what was sampled, and how.
-
-    ``layout`` selects the sketch view layout (see
-    :class:`~repro.engine.sketch.SketchIndex`); it defaults so the
-    historical four-field positional construction keeps working.
-    """
+    """Identity of one warm artifact: what was sampled, and how."""
 
     graph: str
     model: str
     theta: int
     seed: int
-    layout: str = "arena"
 
     def __post_init__(self) -> None:
         if self.theta <= 0:
             raise ValueError("theta must be positive")
-        if self.layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown sketch layout {self.layout!r}: expected one "
-                "of " + ", ".join(LAYOUTS)
-            )
 
     @classmethod
     def from_spec(cls, graph: str, spec: EngineSpec) -> "ArtifactKey":
         """Key the artifact an :class:`EngineSpec` would build."""
-        return cls(
-            graph, spec.model, spec.theta, spec.seed, spec.layout
-        )
+        return cls(graph, spec.model, spec.theta, spec.seed)
 
     def spec(self, cache_dir=None, workers=None) -> EngineSpec:
         """The :class:`EngineSpec` this key pins (engine ``sketch``)."""
@@ -95,7 +81,6 @@ class ArtifactKey:
             theta=self.theta,
             seed=self.seed,
             workers=workers,
-            layout=self.layout,
             cache_dir=cache_dir,
         )
 
@@ -105,7 +90,6 @@ class ArtifactKey:
             "model": self.model,
             "theta": self.theta,
             "seed": self.seed,
-            "layout": self.layout,
         }
 
 
@@ -432,10 +416,9 @@ class Artifact:
     @property
     def nbytes(self) -> int:
         """Resident size estimate: both pools' sample arrays plus the
-        sketch index's resident tree state — for the arena layout the
-        pooled tree arenas (at capacity, slack included) and the
-        inverted membership indexes, per-tree arrays for the legacy
-        layout.  A live gauge: it grows as block queries warm views
+        sketch index's resident tree state — the pooled tree arenas
+        (at capacity, slack included) and the inverted membership
+        indexes.  A live gauge: it grows as block queries warm views
         and shrinks as the index drops them, so the cache's LRU byte
         bound tracks what the artifact actually holds in memory."""
         return (
@@ -616,8 +599,8 @@ class ArtifactCache:
     def invalidate(self, graph: str, keep: ArtifactKey | None = None) -> int:
         """Evict every resident artifact of ``graph`` except ``keep``.
 
-        Used after an update: siblings (other model/theta/seed/layout
-        keys over the same name) were built against the pre-delta
+        Used after an update: siblings (other model/theta/seed keys
+        over the same name) were built against the pre-delta
         graph and must rebuild through the journal replay."""
         with self._lock:
             stale = [

@@ -156,9 +156,7 @@ def _check_str(name: str, value) -> str:
     return value
 
 
-def _key_params(
-    graph, model, theta, seed, layout
-) -> dict[str, object]:
+def _key_params(graph, model, theta, seed) -> dict[str, object]:
     """Validate + assemble the artifact-key fields every query verb
     shares; ``None`` fields are omitted (server defaults apply)."""
     params: dict[str, object] = {}
@@ -170,8 +168,6 @@ def _key_params(
         params["theta"] = _check_int("theta", theta, minimum=1)
     if seed is not None:
         params["seed"] = _check_int("seed", seed)
-    if layout is not None:
-        params["layout"] = _check_str("layout", layout)
     return params
 
 
@@ -328,7 +324,6 @@ class ServiceClient:
         model: str | None = None,
         theta: int | None = None,
         seed: int | None = None,
-        layout: str | None = None,
         seeds: Sequence[int] | None = None,
         sketch: bool | None = None,
         **extra,
@@ -336,7 +331,7 @@ class ServiceClient:
         """Build (or touch) the artifact; optionally pre-build its
         sketch view for ``seeds``.  All parameters are keyword-only
         and validated client-side."""
-        params = _key_params(graph, model, theta, seed, layout)
+        params = _key_params(graph, model, theta, seed)
         if seeds is not None:
             params["seeds"] = _check_vertices("seeds", seeds)
         if sketch is not None:
@@ -350,7 +345,6 @@ class ServiceClient:
         model: str | None = None,
         theta: int | None = None,
         seed: int | None = None,
-        layout: str | None = None,
         seeds: Sequence[int] | None = None,
         blocked: Sequence[int] | None = None,
         num_seeds: int | None = None,
@@ -358,7 +352,7 @@ class ServiceClient:
     ) -> dict:
         """Expected-spread estimate under ``blocked``.  All parameters
         are keyword-only and validated client-side."""
-        params = _key_params(graph, model, theta, seed, layout)
+        params = _key_params(graph, model, theta, seed)
         if seeds is not None:
             params["seeds"] = _check_vertices("seeds", seeds)
         if blocked is not None:
@@ -376,7 +370,6 @@ class ServiceClient:
         model: str | None = None,
         theta: int | None = None,
         seed: int | None = None,
-        layout: str | None = None,
         seeds: Sequence[int] | None = None,
         budget: int | None = None,
         algorithm: str | None = None,
@@ -386,7 +379,7 @@ class ServiceClient:
     ) -> dict:
         """Select blockers against the warm sketch index.  All
         parameters are keyword-only and validated client-side."""
-        params = _key_params(graph, model, theta, seed, layout)
+        params = _key_params(graph, model, theta, seed)
         if seeds is not None:
             params["seeds"] = _check_vertices("seeds", seeds)
         if budget is not None:
@@ -408,7 +401,6 @@ class ServiceClient:
         model: str | None = None,
         theta: int | None = None,
         seed: int | None = None,
-        layout: str | None = None,
         inserts: Sequence[Sequence] | None = None,
         deletes: Sequence[Sequence] | None = None,
         reweights: Sequence[Sequence] | None = None,
@@ -425,7 +417,7 @@ class ServiceClient:
         ``update`` is *not* in :data:`IDEMPOTENT_OPS` — the client
         never resends it automatically.
         """
-        params = _key_params(graph, model, theta, seed, layout)
+        params = _key_params(graph, model, theta, seed)
         for name, edits, width in (
             ("inserts", inserts, 3),
             ("deletes", deletes, 2),

@@ -1035,7 +1035,6 @@ class ShardedFrontend:
             str(request.get("model", self.defaults["model"])),
             request.get("theta", self.defaults["theta"]),
             request.get("seed", self.defaults["seed"]),
-            str(request.get("layout", "arena")),
         )
         with self._access_lock:
             self._access[key] = self._access.get(key, 0) + 1
@@ -1054,10 +1053,9 @@ class ShardedFrontend:
                     "model": model,
                     "theta": theta,
                     "seed": seed,
-                    "layout": layout,
                     "count": count,
                 }
-                for (graph, model, theta, seed, layout), count in sorted(
+                for (graph, model, theta, seed), count in sorted(
                     self._access.items(),
                     key=lambda item: -item[1],
                 )

@@ -42,7 +42,7 @@ Requests (all fields beyond ``op`` optional, with server defaults)::
                                        # dump/status — the sampling
                                        # wall-clock profiler
     {"op": "warm",   "graph": "toy", "model": "wc", "theta": 200,
-     "seed": 7, "layout": "arena"}
+     "seed": 7}
     {"op": "spread", "graph": "toy", "seeds": [0], "blocked": [4]}
     {"op": "block",  "graph": "toy", "budget": 2,
      "algorithm": "greedy-replace"}
@@ -110,7 +110,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..core import ALGORITHMS
-from ..engine.sketch import LAYOUTS
 from ..engine.spec import MODELS
 from ..graph import GraphDelta
 from ..obs import (
@@ -752,17 +751,11 @@ class BlockerService:
                 f"unknown model {model!r}; expected one of "
                 + ", ".join(MODELS)
             )
-        layout = request.get("layout", self.defaults.get("layout", "arena"))
-        if layout not in LAYOUTS:
-            raise RequestError(
-                f"unknown layout {layout!r}; expected one of "
-                + ", ".join(LAYOUTS)
-            )
         theta = _as_int(request, "theta", self.defaults["theta"])
         if theta <= 0:
             raise RequestError("theta must be positive")
         seed = _as_int(request, "seed", self.defaults["seed"])
-        return ArtifactKey(graph, model, theta, seed, layout)
+        return ArtifactKey(graph, model, theta, seed)
 
     def _artifact(self, key: ArtifactKey) -> Artifact:
         try:

@@ -2,15 +2,17 @@
 
 The arena layout (pooled tree arena + inverted membership index) and
 the optional compiled tree-build kernel both promise *bit-identical*
-answers to the historical per-sample Python path.  These tests pin
-that promise down:
+answers to the per-sample Python path.  These tests pin that promise
+down:
 
 * ``build_packed`` (native kernel or Python fallback) against the
   per-sample reference builder, tree for tree;
-* arena vs legacy views across blocker-set walks, including the
-  shrink -> grow -> shrink sequences GreedyReplace's replacement phase
-  produces (blockers removed then re-added), each step cross-checked
-  against a cold rebuild;
+* rebased arena views against sketches that never rebased — a cold
+  arena rebuild and the per-sample :class:`LegacySketch` — across
+  blocker-set walks, including the shrink -> grow -> shrink sequences
+  GreedyReplace's replacement phase produces (blockers removed then
+  re-added), and against the exact enumerator on a graph whose every
+  edge is certain;
 * the postings construction kernel;
 * the byte gauges' failure-injection contract (a builder that dies
   mid-rebase must not strand phantom bytes);
@@ -22,13 +24,16 @@ import pytest
 
 from repro.core import greedy_replace, solve_imin
 from repro.datasets.toy import figure1_graph, figure1_seed, V
-from repro.engine import make_evaluator, postings_csr, SketchIndex
+from repro.engine import postings_csr, SketchIndex
 from repro.engine.pool import SamplePool
 from repro.engine.treebuild import TreeBuilder
 from repro.graph import barabasi_albert, CSRGraph, DiGraph
 from repro.models import assign_weighted_cascade
 from repro.native import native_build_available, native_build_trees
 from repro.rng import ensure_rng
+from repro.spread import exact_expected_spread
+
+from .conftest import LegacySketch, reference_sketch
 
 
 @pytest.fixture
@@ -181,17 +186,18 @@ class TestPostingsCSR:
 
 
 # ----------------------------------------------------------------------
-# arena vs legacy parity (the tentpole's bit-compatibility contract)
+# arena vs the legacy per-sample sketch (the bit-compatibility contract)
 # ----------------------------------------------------------------------
 class TestArenaLegacyParity:
     def test_spreads_and_gains_bit_identical(self, wc_setup):
         graph, csr, pool = wc_setup
         theta = 120
         seeds = [0, 5, 9]
-        legacy = SketchIndex(csr, pool=pool, layout="legacy")
-        arena = SketchIndex(csr, pool=pool, layout="arena")
+        legacy = LegacySketch(pool)
+        arena = SketchIndex(csr, pool=pool)
         walk = [[], [7], [7, 30], [7, 30, 61], [30], [], [61, 100]]
-        for blocked in walk:
+        touched = []
+        for before, blocked in zip([[]] + walk, walk):
             assert legacy.expected_spread(
                 seeds, theta, blocked
             ) == arena.expected_spread(seeds, theta, blocked)
@@ -199,18 +205,21 @@ class TestArenaLegacyParity:
                 legacy.decrease_estimates(seeds, theta, blocked),
                 arena.decrease_estimates(seeds, theta, blocked),
             )
-        assert legacy.stats.rebases == arena.stats.rebases
-        assert legacy.stats.trees_built == arena.stats.trees_built
-        assert legacy.stats.samples_skipped == arena.stats.samples_skipped
+            if before != blocked:
+                touched.append(legacy.touched(seeds, theta, before, blocked))
+        # the postings rows touch exactly the samples the per-sample
+        # reachability scan would rebuild
+        assert arena.stats.rebases == sum(1 for k in touched if k)
+        assert arena.stats.trees_built == theta + sum(touched)
+        assert arena.stats.samples_skipped == sum(
+            theta - k for k in touched
+        )
 
     def test_greedy_replace_selection_identical(self, wc_setup):
         graph, csr, pool = wc_setup
         results = [
-            greedy_replace(
-                graph, [0, 5], 6, theta=120,
-                evaluator=SketchIndex(csr, pool=pool, layout=layout),
-            )
-            for layout in ("legacy", "arena")
+            greedy_replace(graph, [0, 5], 6, theta=120, evaluator=evaluator)
+            for evaluator in (LegacySketch(pool), SketchIndex(csr, pool=pool))
         ]
         assert results[0].blockers == results[1].blockers
         assert results[0].round_deltas == results[1].round_deltas
@@ -220,49 +229,48 @@ class TestArenaLegacyParity:
         picks = [
             solve_imin(
                 toy, [figure1_seed], 2, algorithm="greedy-replace",
-                theta=100,
-                evaluator=make_evaluator(
-                    toy, "sketch", rng=13, layout=layout
-                ),
+                theta=100, evaluator=evaluator,
             ).blockers
-            for layout in ("legacy", "arena")
+            for evaluator in (
+                LegacySketch(SamplePool(toy, rng=13)),
+                SketchIndex(toy, rng=13),
+            )
         ]
         assert picks[0] == picks[1]
 
-    @pytest.mark.parametrize("layout", ["legacy", "arena"])
+    @pytest.mark.parametrize("reference", ["legacy", "arena"])
     def test_shrink_grow_shrink_matches_cold_rebuild(
-        self, wc_setup, layout
+        self, wc_setup, reference
     ):
-        """Satellite: blockers removed then re-added must leave every
-        spread bit-identical to an index built cold at that blocker
-        set — for both layouts."""
+        """Blockers removed then re-added must leave every spread and
+        gain bit-identical to a sketch that never rebased: a cold-built
+        arena index, or the per-sample legacy sketch."""
         graph, csr, pool = wc_setup
         theta = 120
         seeds = [0, 5]
-        warm = SketchIndex(csr, pool=pool, layout=layout)
+        warm = SketchIndex(csr, pool=pool)
         walk = [
             [], [7, 30, 61], [7], [7, 30, 61, 100], [], [30, 61], [30],
             [7, 30, 61],
         ]
         for blocked in walk:
-            warm_spread = warm.expected_spread(seeds, theta, blocked)
-            warm_gains = warm.decrease_estimates(seeds, theta, blocked)
-            cold = SketchIndex(csr, pool=pool, layout=layout)
-            cold.rebased = cold.expected_spread(seeds, theta, blocked)
-            assert warm_spread == cold.rebased, blocked
+            cold = reference_sketch(reference, pool)
+            assert warm.expected_spread(
+                seeds, theta, blocked
+            ) == cold.expected_spread(seeds, theta, blocked), blocked
             assert np.array_equal(
-                warm_gains, cold.decrease_estimates(seeds, theta, blocked)
+                warm.decrease_estimates(seeds, theta, blocked),
+                cold.decrease_estimates(seeds, theta, blocked),
             ), blocked
         # the walk exercised both the in-place (shrink) and the
         # appended (grow) arena write-back paths
-        if layout == "arena":
-            assert warm.stats.rebases >= 6
+        assert warm.stats.rebases >= 6
 
     def test_arena_growth_appends_and_doubles(self, wc_setup):
         graph, csr, pool = wc_setup
         theta = 60
         seeds = [0, 5]
-        arena = SketchIndex(csr, pool=pool, layout="arena")
+        arena = SketchIndex(csr, pool=pool)
         arena.expected_spread(seeds, theta, list(range(10, 50)))
         view = next(iter(arena._views.values()))
         cap_before = view._order_arena.shape[0]
@@ -273,10 +281,38 @@ class TestArenaLegacyParity:
         assert view._used > used_before
         assert view._order_arena.shape[0] >= cap_before
         # and answers still match a cold rebuild exactly
-        cold = SketchIndex(csr, pool=pool, layout="arena")
+        cold = SketchIndex(csr, pool=pool)
         assert arena.expected_spread(
             seeds, theta
         ) == cold.expected_spread(seeds, theta)
+
+
+# ----------------------------------------------------------------------
+# arena vs the exact enumerator (certain edges: one possible world)
+# ----------------------------------------------------------------------
+class TestExactReference:
+    def test_deterministic_graph_matches_exact_enumeration(self):
+        """With every edge certain, each sample is the one possible
+        world, so spreads and gains along a rebase walk must equal the
+        exact enumerator's values exactly."""
+        gen = ensure_rng(5)
+        graph = DiGraph(40)
+        while graph.m < 90:
+            u, v = (int(x) for x in gen.integers(0, 40, size=2))
+            if u != v and not graph.has_edge(u, v):
+                graph.add_edge(u, v, probability=float(gen.integers(0, 2)))
+        seeds = [0, 1]
+        sketch = SketchIndex(graph, rng=5)
+        for blocked in ([], [7, 12], [7], [12, 20, 33], []):
+            exact = exact_expected_spread(graph, seeds, blocked)
+            assert sketch.expected_spread(seeds, 16, blocked) == exact
+            gains = sketch.decrease_estimates(seeds, 16, blocked)
+            for v in range(graph.n):
+                if v in seeds or v in blocked:
+                    continue
+                assert gains[v] == exact - exact_expected_spread(
+                    graph, seeds, blocked + [v]
+                ), (blocked, v)
 
 
 # ----------------------------------------------------------------------
@@ -304,9 +340,9 @@ class _ExplodingBuilder:
 
 
 class TestByteGaugeFailureInjection:
-    @pytest.mark.parametrize("layout", ["legacy", "arena"])
-    def test_failed_rebase_leaves_gauge_consistent(self, toy, layout):
-        sketch = SketchIndex(toy, rng=13, layout=layout)
+    @pytest.mark.parametrize("reference", ["legacy", "arena"])
+    def test_failed_rebase_leaves_gauge_consistent(self, toy, reference):
+        sketch = SketchIndex(toy, rng=13)
         sketch.builder = _ExplodingBuilder(sketch.builder)
         sketch.expected_spread([figure1_seed], 80)
         before = sketch.stats.as_dict()
@@ -318,10 +354,10 @@ class TestByteGaugeFailureInjection:
         # phantom trees counted
         assert sketch.stats.as_dict() == before
         # and the view recovers: the same query succeeds once the
-        # builder does, bit-identical to a cold index
+        # builder does, bit-identical to a sketch that never rebased
         sketch.builder.explode = False
         recovered = sketch.expected_spread([figure1_seed], 80, [V(5)])
-        cold = SketchIndex(toy, rng=13, layout=layout)
+        cold = reference_sketch(reference, SamplePool(toy, rng=13))
         assert recovered == cold.expected_spread(
             [figure1_seed], 80, [V(5)]
         )
@@ -348,9 +384,8 @@ class TestBoundsChecks:
         gain = sketch.marginal_gain(V(5), [figure1_seed], 40)
         assert gain >= 0.0
 
-    @pytest.mark.parametrize("layout", ["legacy", "arena"])
-    def test_blocked_ids_out_of_range_rejected(self, toy, layout):
-        sketch = SketchIndex(toy, rng=3, layout=layout)
+    def test_blocked_ids_out_of_range_rejected(self, toy):
+        sketch = SketchIndex(toy, rng=3)
         n = sketch.csr.n
         with pytest.raises(ValueError, match=rf"\[0, {n}\)"):
             sketch.expected_spread([figure1_seed], 40, [n])
@@ -358,5 +393,6 @@ class TestBoundsChecks:
             sketch.decrease_estimates([figure1_seed], 40, [-3])
 
     def test_unknown_layout_rejected(self, toy):
-        with pytest.raises(ValueError, match="arena"):
-            SketchIndex(toy, rng=3, layout="columnar")
+        # one layout: the index takes no layout knob any more
+        with pytest.raises(TypeError, match="layout"):
+            SketchIndex(toy, rng=3, layout="legacy")

@@ -158,33 +158,6 @@ class TestEngineFlag:
         assert "blockers=" in out
         assert "expected spread" in out
 
-    def test_sketch_layouts_agree_end_to_end(self, capsys):
-        outputs = []
-        for layout in ("arena", "legacy"):
-            code = main(
-                [
-                    "block",
-                    "--dataset", "email-core",
-                    "--scale", "0.08",
-                    "--budget", "2",
-                    "--theta", "30",
-                    "--seeds", "2",
-                    "--algorithm", "gr",
-                    "--rng", "1",
-                    "--engine", "sketch",
-                    "--sketch-layout", layout,
-                ]
-            )
-            assert code == 0
-            out = capsys.readouterr().out
-            outputs.append(
-                [line for line in out.splitlines()
-                 if line.startswith(("blockers=", "expected spread"))]
-            )
-        # the two layouts are the same estimator: identical blockers
-        # and identical spread estimates, not just approximately
-        assert outputs[0] == outputs[1]
-
     def test_spread_with_engine(self, capsys):
         code = main(
             [

@@ -41,7 +41,6 @@ class TestEngineSpec:
         assert spec.theta == 200
         assert spec.seed == 7
         assert spec.workers is None
-        assert spec.layout == "arena"
         assert spec.cache_dir is None
 
     def test_frozen(self):
@@ -54,7 +53,7 @@ class TestEngineSpec:
         [
             ({"engine": "quantum"}, "engine"),
             ({"model": "ic"}, "model"),
-            ({"layout": "columnar"}, "layout"),
+            ({"layout": "columnar"}, "layout"),  # not a field: TypeError
             ({"theta": 0}, "theta"),
             ({"theta": True}, "theta"),
             ({"seed": "seven"}, "seed"),
@@ -82,7 +81,7 @@ class TestEngineSpec:
         assert spec.engine == "sketch"  # original untouched
 
     def test_as_dict_round_trips(self):
-        spec = EngineSpec(model="tr", theta=50, seed=9, layout="legacy")
+        spec = EngineSpec(model="tr", theta=50, seed=9, workers=2)
         assert EngineSpec(**spec.as_dict()) == spec
 
 

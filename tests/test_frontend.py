@@ -540,6 +540,8 @@ class TestGracefulDrain:
         access_log.write_text(
             json.dumps({
                 "v": 1,
+                # a log written while keys still carried a sketch
+                # layout: the warm op ignores the stale field
                 "keys": [{
                     "graph": "toy", "model": "wc", "theta": 100,
                     "seed": 7, "layout": "arena", "count": 9,

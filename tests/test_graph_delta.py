@@ -4,7 +4,8 @@ The tentpole contract: applying a :class:`~repro.graph.GraphDelta` to
 a warm :class:`~repro.engine.SamplePool` / ``SketchIndex`` yields
 state **bit-identical** to throwing everything away and rebuilding
 from scratch over the mutated graph — same surviving edge sets, same
-spread estimates, same marginal-gain vectors, in both view layouts.
+spread estimates, same marginal-gain vectors — checked against both
+a cold arena rebuild and the per-sample legacy sketch.
 Plus the delta value object itself, the normalized
 ``DiGraph.remove_edge`` errors, the service's durable
 :class:`~repro.service.DeltaJournal`, and the temporal analysis
@@ -21,6 +22,8 @@ from repro.engine import SamplePool, SketchIndex
 from repro.graph import CSRGraph, DiGraph, GraphDelta
 from repro.service import DeltaJournal
 from repro.spread import exact_expected_spread, expected_activation_curve
+
+from .conftest import reference_sketch
 
 
 def random_graph(gen, n: int, m: int) -> DiGraph:
@@ -277,9 +280,13 @@ class TestPoolDeltaIdentity:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("layout", ["arena", "legacy"])
+@pytest.mark.parametrize("reference", ["arena", "legacy"])
 class TestSketchDeltaIdentity:
-    def test_delta_applied_index_matches_cold_rebuild(self, layout):
+    """``reference`` names the never-rebased sketch over the mutated
+    graph each delta-applied index must equal: a cold arena build or
+    the per-sample legacy sketch."""
+
+    def test_delta_applied_index_matches_cold_rebuild(self, reference):
         gen = np.random.default_rng(42)
         theta = 120
         for trial in range(5):
@@ -289,14 +296,14 @@ class TestSketchDeltaIdentity:
             seeds = [int(gen.integers(n))]
             parked = [v for v in range(min(3, n)) if v not in seeds][:2]
 
-            index = SketchIndex(graph.copy(), rng=7, layout=layout)
+            index = SketchIndex(graph.copy(), rng=7)
             # warm the view and park it on a non-empty blocker set so
             # the delta path exercises the rebase-to-base contract
             index.expected_spread(seeds, theta, parked)
             index.apply_delta(delta)
 
             mutated = delta.apply_to(graph.copy())
-            cold = SketchIndex(mutated, rng=7, layout=layout)
+            cold = reference_sketch(reference, SamplePool(mutated, rng=7))
             others = [v for v in range(n) if v not in seeds][:5]
             for blocked in ([], parked, others):
                 assert index.expected_spread(
@@ -311,29 +318,29 @@ class TestSketchDeltaIdentity:
             index.close()
             cold.close()
 
-    def test_sequential_deltas_accumulate(self, layout):
+    def test_sequential_deltas_accumulate(self, reference):
         gen = np.random.default_rng(11)
         graph = random_graph(gen, 20, 60)
         seeds = [0]
         theta = 80
-        index = SketchIndex(graph.copy(), rng=3, layout=layout)
+        index = SketchIndex(graph.copy(), rng=3)
         index.expected_spread(seeds, theta)
         for _ in range(3):
             delta = random_delta(gen, graph)
             index.apply_delta(delta)
             delta.apply_to(graph)
-        cold = SketchIndex(graph.copy(), rng=3, layout=layout)
+        cold = reference_sketch(reference, SamplePool(graph.copy(), rng=3))
         assert index.expected_spread(seeds, theta) == \
             cold.expected_spread(seeds, theta)
         assert index.stats.deltas == 3
         index.close()
         cold.close()
 
-    def test_delta_stats_accounting(self, layout):
+    def test_delta_stats_accounting(self, reference):
         gen = np.random.default_rng(23)
         graph = random_graph(gen, 16, 48)
         theta = 60
-        index = SketchIndex(graph.copy(), rng=5, layout=layout)
+        index = SketchIndex(graph.copy(), rng=5)
         index.expected_spread([1], theta)
         delta = random_delta(gen, graph)
         report = index.apply_delta(delta)
@@ -345,7 +352,15 @@ class TestSketchDeltaIdentity:
             == theta
         )
         assert index.stats.delta_trees_rebuilt <= report.touched_count
+        # skipping the untouched samples lost nothing
+        cold = reference_sketch(
+            reference, SamplePool(delta.apply_to(graph.copy()), rng=5)
+        )
+        assert index.expected_spread([1], theta) == cold.expected_spread(
+            [1], theta
+        )
         index.close()
+        cold.close()
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,8 @@ from repro import assign_weighted_cascade, EngineSpec
 from repro.engine import build_evaluator, SamplePool, SketchIndex
 from repro.graph.generators import barabasi_albert
 
+from .conftest import LegacySketch
+
 THETA = 48
 SEEDS = [0, 7]
 
@@ -138,18 +140,13 @@ class TestArtifactKeying:
         names = sketch_files(tmp_path)
         assert sum(n.endswith(".meta.json") for n in names) == 2
 
-    def test_legacy_layout_is_not_persisted(self, graph, tmp_path):
-        with build(graph, tmp_path, layout="legacy") as index:
-            index.expected_spread(SEEDS, THETA)
-            assert index.stats.persists == 0
-        assert sketch_files(tmp_path) == []
-
     def test_layouts_agree_bitwise(self, graph, tmp_path):
+        """The memory-mapped arena answers exactly like the per-sample
+        legacy sketch over the same pool."""
         with build(graph, tmp_path) as arena:
             arena.expected_spread(SEEDS, THETA)
-        with build(graph, tmp_path) as warm, build(
-            graph, tmp_path, layout="legacy"
-        ) as legacy:
+        with build(graph, tmp_path) as warm:
+            legacy = LegacySketch(warm.pool)
             assert np.array_equal(
                 warm.decrease_estimates(SEEDS, THETA),
                 legacy.decrease_estimates(SEEDS, THETA),

@@ -325,7 +325,7 @@ class TestBlockerService:
         [
             ({"graph": "nope"}, "unknown_graph", "unknown graph"),
             ({"model": "ic"}, "bad_params", "unknown model"),
-            ({"layout": "columnar"}, "bad_params", "unknown layout"),
+            ({"seed": "seven"}, "bad_params", "seed must be an integer"),
             ({"theta": -1}, "bad_params", "theta must be positive"),
             ({"theta": "many"}, "bad_params", "theta must be an integer"),
             ({"seeds": [99]}, "bad_params", "out of range"),
@@ -354,6 +354,21 @@ class TestBlockerService:
         assert response["ok"]
         assert response["result"]["blocked"] == [4]
         assert response["result"]["ignored_seed_blockers"] == [0]
+
+    def test_stale_layout_field_is_ignored(self, registry):
+        # artifacts have one sketch layout: a client still sending the
+        # old key field reaches the same artifact and the same answer
+        service = BlockerService(registry=registry)
+        request = {
+            "op": "spread", "graph": "toy", "theta": 100,
+            "seeds": [0], "blocked": [4],
+        }
+        plain = service.handle(request)
+        stale = service.handle({**request, "layout": "legacy"})
+        assert plain["ok"] and stale["ok"]
+        assert stale["result"] == plain["result"]
+        assert "layout" not in plain["result"]
+        assert len(service.cache) == 1
 
     def test_block_bad_algorithm(self, registry):
         service = BlockerService(registry=registry)

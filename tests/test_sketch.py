@@ -20,40 +20,18 @@ from repro.core import (
 )
 from repro.core.lazy import celf_select, make_gain_fn, supports_marginal_gain
 from repro.datasets.toy import figure1_graph, figure1_seed, V
-from repro.dominator import dominator_order_sizes
 from repro.engine import build_trees, make_evaluator, SketchIndex, TreeBuilder
 from repro.engine.pool import SamplePool
+from repro.engine.sketch import _MAX_VIEWS
 from repro.engine.treebuild import auto_build_workers
 from repro.graph import barabasi_albert, CSRGraph
 from repro.models import assign_weighted_cascade
-from repro.sampling import (
-    adjacency_from_edges,
-    ICSampler,
-    required_samples,
-    resolve_theta,
-)
+from repro.sampling import ICSampler, required_samples, resolve_theta
 from repro.spread.exact import exact_expected_spread
 
+from .conftest import legacy_sample_trees
+
 EPS = 0.3  # Theorem-5 relative error targeted by the cross-validation
-
-
-def legacy_sample_trees(csr, batch, seeds, blocked=frozenset()):
-    """The pre-refactor per-sample Python build: dict adjacency +
-    adjacency-based Lengauer–Tarjan, with blocked vertices filtered
-    out of the mapping.  The reference the array-native batched path
-    must match bit-for-bit."""
-    trees = []
-    for t in range(batch.theta):
-        succ = adjacency_from_edges(csr, batch.surviving(t))
-        succ[csr.n] = list(seeds)
-        if blocked:
-            succ = {
-                u: [v for v in nbrs if v not in blocked]
-                for u, nbrs in succ.items()
-                if u not in blocked
-            }
-        trees.append(dominator_order_sizes(succ, csr.n))
-    return trees
 
 
 @pytest.fixture
@@ -270,32 +248,27 @@ class TestArrayNativeBuild:
             auto_build_workers(0, 100, 100_000)
 
     def test_tree_bytes_gauge(self, toy):
-        sketch = SketchIndex(toy, rng=13, layout="legacy")
+        # the gauge is the sum over every cached view, and LRU eviction
+        # of a view gives its bytes back
+        sketch = SketchIndex(toy, rng=13)
         assert sketch.stats.tree_bytes == 0
-        sketch.expected_spread([figure1_seed], 80)
-        view = next(iter(sketch._views.values()))
-        expected = sum(
-            order.nbytes + sizes.nbytes
-            for order, sizes in zip(view._orders, view._sizes)
-        )
-        assert expected > 0
-        assert sketch.stats.tree_bytes == expected
-        assert sketch.nbytes == expected
-        # legacy views have no arena/postings state
-        assert sketch.stats.arena_bytes == 0
-        assert sketch.stats.postings_bytes == 0
-        # a rebase replaces arrays; the gauge must track the live set
-        sketch.expected_spread([figure1_seed], 80, [V(5)])
-        live = sum(
-            order.nbytes + sizes.nbytes
-            for order, sizes in zip(view._orders, view._sizes)
-        )
-        assert sketch.stats.tree_bytes == live
+
+        def resident():
+            return sum(
+                view._arena_nbytes() + view._postings_nbytes()
+                for view in sketch._views.values()
+            )
+
+        for seed in range(_MAX_VIEWS + 2):
+            sketch.expected_spread([seed], 80)
+            assert sketch.stats.tree_bytes == resident() > 0
+            assert sketch.nbytes == sketch.stats.tree_bytes
+        assert len(sketch._views) == _MAX_VIEWS
         sketch.close()
         assert sketch.stats.tree_bytes == 0
 
     def test_arena_bytes_gauge(self, toy):
-        sketch = SketchIndex(toy, rng=13, layout="arena")
+        sketch = SketchIndex(toy, rng=13)
         sketch.expected_spread([figure1_seed], 80)
         view = next(iter(sketch._views.values()))
         arena = view._arena_nbytes()
