@@ -32,7 +32,7 @@ import sys
 import time
 
 from repro.bench import format_table, pick_seeds
-from repro.engine import default_workers, EngineSpec, make_evaluator
+from repro.engine import build_evaluator, default_workers, EngineSpec
 from repro.graph import barabasi_albert
 from repro.models import assign_weighted_cascade
 from repro.spread import MonteCarloEngine
@@ -130,13 +130,13 @@ def run_throughput(
         )
         record(label, measure, per, est)
 
-    vectorized = make_evaluator(
+    vectorized = build_evaluator(
         graph, EngineSpec(engine="vectorized", seed=rng)
     )
     time_warmable("vectorized", vectorized)
     close(vectorized)
     for w in workers:
-        parallel = make_evaluator(
+        parallel = build_evaluator(
             graph, EngineSpec(engine="parallel", seed=rng, workers=w)
         )
         time_warmable(f"parallel[w={w}]", parallel)
@@ -151,7 +151,7 @@ def run_throughput(
         for _ in range(max(1, repeats)):
             if evaluator is not None:
                 close(evaluator)
-            evaluator = make_evaluator(
+            evaluator = build_evaluator(
                 graph, EngineSpec(engine=backend, seed=rng)
             )
             start = time.perf_counter()

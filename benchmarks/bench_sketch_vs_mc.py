@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.bench import format_table, pick_seeds
 from repro.core import advanced_greedy
-from repro.engine import EngineSpec, make_evaluator
+from repro.engine import build_evaluator, EngineSpec
 from repro.graph import barabasi_albert
 from repro.models import assign_weighted_cascade
 
@@ -76,7 +76,7 @@ def run_comparison(
     # ------------------------------------------------------------------
     # sketch: index build + the whole sweep (all candidates at once)
     # ------------------------------------------------------------------
-    sketch = make_evaluator(graph, EngineSpec(engine="sketch", seed=rng))
+    sketch = build_evaluator(graph, EngineSpec(engine="sketch", seed=rng))
     start = time.perf_counter()
     spread_sketch = sketch.expected_spread(seeds, theta)
     delta_sketch = sketch.decrease_estimates(seeds, theta)
@@ -86,7 +86,7 @@ def run_comparison(
     # vectorized MC: baseline + one blocked re-simulation per candidate,
     # measured on the probe set and extrapolated to the full sweep
     # ------------------------------------------------------------------
-    mc = make_evaluator(
+    mc = build_evaluator(
         graph, EngineSpec(engine="vectorized", seed=rng)
     )
     start = time.perf_counter()

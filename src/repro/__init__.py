@@ -77,8 +77,8 @@ from .core import (
 from .bench import evaluate_spread
 from .dominator import DominatorTree, immediate_dominators
 from .engine import (
+    build_evaluator,
     EngineSpec,
-    make_evaluator,
     ParallelEvaluator,
     SamplePool,
     SketchIndex,
@@ -126,7 +126,7 @@ __all__ = [
     # the evaluation engine
     "SpreadEvaluator",
     "EngineSpec",
-    "make_evaluator",
+    "build_evaluator",
     "VectorizedEvaluator",
     "ParallelEvaluator",
     "SamplePool",

@@ -86,7 +86,7 @@ def evaluate_spread(
     spread magnitudes.
 
     ``evaluator`` (built on ``graph``; see
-    :func:`repro.engine.make_evaluator`) routes the evaluation through
+    :func:`repro.engine.build_evaluator`) routes the evaluation through
     a vectorized/parallel/pooled backend; the default is a fresh
     scalar engine, reproducing historical fixed-seed values exactly.
     Precedence: when ``evaluator`` is given, ``rng`` is ignored — the

@@ -144,7 +144,7 @@ def advanced_greedy(
         statement asks for *at most* ``b`` blockers.
     evaluator:
         Optional spread evaluator built on the **original** graph (see
-        :func:`repro.engine.make_evaluator`).  When given, the returned
+        :func:`repro.engine.build_evaluator`).  When given, the returned
         ``estimated_spread`` is that evaluator's independent estimate
         of the final blocker set over ``theta`` rounds, instead of the
         selection's own sampled-graph estimate.  Selection itself is

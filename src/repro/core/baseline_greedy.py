@@ -59,7 +59,7 @@ def baseline_greedy(
         caps BG with a 24-hour timeout.
     evaluator:
         Spread oracle for the inner loop (see
-        :func:`repro.engine.make_evaluator`).  Defaults to a fresh
+        :func:`repro.engine.build_evaluator`).  Defaults to a fresh
         scalar :class:`~repro.spread.MonteCarloEngine`, which
         reproduces the historical fixed-seed results exactly; the
         vectorized/parallel/pooled backends trade the RNG stream for

@@ -80,7 +80,7 @@ def solve_imin(
         and the MCS fallback of ``exact``.
     evaluator:
         Optional spread evaluator built on ``graph`` (see
-        :func:`repro.engine.make_evaluator`).  ``baseline-greedy``
+        :func:`repro.engine.build_evaluator`).  ``baseline-greedy``
         uses it as its inner-loop oracle; the sampled-graph greedy
         methods use it to re-estimate the final spread.  Heuristics
         and ``exact`` ignore it.  Default ``None`` reproduces

@@ -2,7 +2,7 @@
 
 The paper's contribution is making the spread oracle cheap enough for
 greedy blocking at scale; this subsystem is that oracle's production
-form.  Four pieces:
+form.  Its pieces:
 
 :mod:`repro.engine.kernels`
     Vectorized batch simulation of independent cascades (one numpy
@@ -27,9 +27,13 @@ form.  Four pieces:
     marginal gains; each view keeps its trees in a pooled arena with
     an inverted membership index (vertex -> samples postings) for
     vectorized rebases.
+:mod:`repro.engine.spec`
+    :class:`EngineSpec`, the frozen value that names one engine
+    configuration (backend, model, theta, seed, workers, cache dir).
 :mod:`repro.engine.evaluator`
     The :class:`SpreadEvaluator` protocol, the backend implementations
-    and the :func:`make_evaluator` factory; the scalar
+    and :func:`build_evaluator`, the one factory, which builds the
+    backend an :class:`EngineSpec` names; the scalar
     :class:`~repro.spread.MonteCarloEngine` is the reference backend.
 
 Algorithms and the benchmark harness accept any
@@ -41,7 +45,6 @@ Algorithms and the benchmark harness accept any
 from .evaluator import (
     BACKENDS,
     build_evaluator,
-    make_evaluator,
     PooledEvaluator,
     ScalarEvaluator,
     SpreadEvaluator,
@@ -73,7 +76,6 @@ __all__ = [
     "BACKENDS",
     "MODELS",
     "EngineSpec",
-    "make_evaluator",
     "build_evaluator",
     "batch_cascades",
     "batch_spread",

@@ -5,7 +5,9 @@ final-quality evaluation of the benchmark harness, the CLI — needs the
 same one-method surface: *"expected spread of these seeds over this
 many rounds with these vertices blocked"*.  This module names that
 surface as a protocol and provides one constructor,
-:func:`make_evaluator`, over the four interchangeable backends:
+:func:`build_evaluator`, which builds whichever of the five
+interchangeable backends an :class:`~repro.engine.spec.EngineSpec`
+names:
 
 ``scalar``
     The original pure-Python :class:`~repro.spread.MonteCarloEngine`
@@ -35,7 +37,6 @@ identical across backends.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Protocol, runtime_checkable, Sequence
 
 import numpy as np
@@ -62,7 +63,6 @@ __all__ = [
     "PooledEvaluator",
     "BACKENDS",
     "EngineSpec",
-    "make_evaluator",
     "build_evaluator",
 ]
 
@@ -107,8 +107,8 @@ class _EvaluatorLifecycle:
 class ScalarEvaluator(_EvaluatorLifecycle, MonteCarloEngine):
     """The reference backend: the scalar Monte-Carlo engine, renamed.
 
-    Exists so ``make_evaluator(graph, "scalar")`` reads symmetrically
-    with the other backends; behaviour is exactly
+    Exists so ``EngineSpec(engine="scalar")`` builds a class that
+    reads symmetrically with the other backends; behaviour is exactly
     :class:`~repro.spread.MonteCarloEngine`.
     """
 
@@ -121,14 +121,10 @@ class VectorizedEvaluator(_EvaluatorLifecycle):
     backend = "vectorized"
 
     def __init__(
-        self,
-        graph: DiGraph | CSRGraph,
-        rng: RngLike = None,
-        batch_size: int | None = None,
+        self, graph: DiGraph | CSRGraph, rng: RngLike = None
     ) -> None:
         self.csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
         self._gen = ensure_rng(rng)
-        self.batch_size = batch_size
 
     def expected_spread(
         self,
@@ -136,9 +132,7 @@ class VectorizedEvaluator(_EvaluatorLifecycle):
         rounds: int,
         blocked: Iterable[int] = (),
     ) -> float:
-        return batch_spread(
-            self.csr, seeds, rounds, self._gen, blocked, self.batch_size
-        )
+        return batch_spread(self.csr, seeds, rounds, self._gen, blocked)
 
     def spread_samples(
         self,
@@ -147,9 +141,7 @@ class VectorizedEvaluator(_EvaluatorLifecycle):
         blocked: Iterable[int] = (),
     ) -> np.ndarray:
         """Per-round active counts (for confidence intervals)."""
-        return batch_cascades(
-            self.csr, seeds, rounds, self._gen, blocked, self.batch_size
-        )
+        return batch_cascades(self.csr, seeds, rounds, self._gen, blocked)
 
     def activation_frequencies(
         self,
@@ -159,7 +151,7 @@ class VectorizedEvaluator(_EvaluatorLifecycle):
     ) -> np.ndarray:
         """Per-vertex activation frequency estimate of ``P_G(x, S)``."""
         counts = batch_activation_counts(
-            self.csr, seeds, rounds, self._gen, blocked, self.batch_size
+            self.csr, seeds, rounds, self._gen, blocked
         )
         return counts / rounds
 
@@ -185,7 +177,6 @@ class PooledEvaluator(_EvaluatorLifecycle):
         pool: SamplePool | None = None,
         cache_dir=None,
         cache_key: str | None = None,
-        batch_size: int | None = None,
     ) -> None:
         if pool is not None:
             self.pool = pool
@@ -194,7 +185,6 @@ class PooledEvaluator(_EvaluatorLifecycle):
                 graph, rng, cache_dir=cache_dir, cache_key=cache_key
             )
         self.csr = self.pool.csr
-        self.batch_size = batch_size
 
     def apply_delta(self, delta):
         """Patch the pool for a batch of edge mutations
@@ -242,7 +232,7 @@ class PooledEvaluator(_EvaluatorLifecycle):
         batch = self.pool.get(rounds)
         seed_list = list(seeds)
         blocked_lists = [list(b) for b in blocked_sets]
-        step = auto_batch_size(max(self.csr.m, self.csr.n), self.batch_size)
+        step = auto_batch_size(max(self.csr.m, self.csr.n))
         totals = [0] * len(blocked_lists)
         for lo in range(0, rounds, step):
             hi = min(lo + step, rounds)
@@ -256,219 +246,60 @@ class PooledEvaluator(_EvaluatorLifecycle):
         return [total / rounds for total in totals]
 
 
-def _legacy_warning(factory: str) -> None:
-    warnings.warn(
-        f"passing a backend name and loose keywords to {factory}() is "
-        "deprecated; pass an EngineSpec "
-        "(repro.engine.EngineSpec) instead — see docs/api.md",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _make_evaluator(
-    graph: DiGraph | CSRGraph,
-    backend: str,
-    rng: RngLike = None,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    cache_dir=None,
-    cache_key: str | None = None,
-    pool: SamplePool | None = None,
-) -> SpreadEvaluator:
-    """Warning-free factory core shared by both calling conventions."""
-    name = backend.lower()
-    if name == "scalar":
-        return ScalarEvaluator(graph, rng)
-    if name == "vectorized":
-        return VectorizedEvaluator(graph, rng, batch_size=batch_size)
-    if name == "parallel":
-        return ParallelEvaluator(
-            graph, rng, workers=workers, batch_size=batch_size
-        )
-    if name == "pooled":
-        return PooledEvaluator(
-            graph,
-            rng,
-            pool=pool,
-            cache_dir=cache_dir,
-            cache_key=cache_key,
-            batch_size=batch_size,
-        )
-    if name == "sketch":
-        return SketchIndex(
-            graph,
-            rng,
-            pool=pool,
-            workers=workers,
-            cache_dir=cache_dir,
-            cache_key=cache_key,
-        )
-    raise ValueError(
-        f"unknown engine backend {backend!r}: expected one of "
-        + ", ".join(sorted(BACKENDS))
-        + " (see repro.engine.make_evaluator)"
-    )
-
-
-def make_evaluator(
-    graph: DiGraph | CSRGraph,
-    spec: EngineSpec | str = "scalar",
-    rng: RngLike = None,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    cache_dir=None,
-    cache_key: str | None = None,
-    pool: SamplePool | None = None,
-) -> SpreadEvaluator:
-    """Construct a spread evaluator for ``graph`` from an ``EngineSpec``.
-
-    Canonical form: ``make_evaluator(graph, spec)`` with ``spec`` an
-    :class:`~repro.engine.spec.EngineSpec` — the spec's ``seed`` seeds
-    the evaluator, ``workers``/``cache_dir`` configure it,
-    and its ``model``/``theta`` fields key artifacts (the factory
-    consumes an already-prepared graph and per-query ``rounds``, so it
-    does not read them).  Runtime-only knobs remain keywords: ``pool``
-    shares an existing :class:`~repro.engine.pool.SamplePool`,
-    ``batch_size`` tunes the vectorized family, and an explicit
-    ``rng`` generator overrides the spec seed.
-
-    The historical form — a backend **name** plus loose keywords
-    (``backend``, ``rng``, ``workers``, ``cache_dir``...) — still
-    works but emits :class:`DeprecationWarning`; migrate to the spec.
-
-    Parameters (legacy form)
-    ------------------------
-    spec:
-        One of :data:`BACKENDS` (as a string).
-    workers:
-        Worker processes: simulation chunks for the ``parallel``
-        backend (default: all cores), sharded dominator-tree
-        construction for the ``sketch`` backend (default: serial;
-        results are bit-identical either way).
-    batch_size:
-        Cascades simulated per numpy batch (vectorized family).
-    cache_dir / cache_key / pool:
-        Sample-pool persistence knobs (``pooled``/``sketch`` backends).
-    """
-    if isinstance(spec, EngineSpec):
-        resolved_dir = spec.cache_dir if cache_dir is None else cache_dir
-        if cache_key is None and resolved_dir is not None:
-            cache_key = spec.cache_key(stream=0)
-        return _make_evaluator(
-            graph,
-            spec.engine,
-            rng=spec.seed if rng is None else rng,
-            workers=spec.workers if workers is None else workers,
-            batch_size=batch_size,
-            cache_dir=resolved_dir,
-            cache_key=cache_key,
-            pool=pool,
-        )
-    _legacy_warning("make_evaluator")
-    return _make_evaluator(
-        graph,
-        spec,
-        rng=rng,
-        workers=workers,
-        batch_size=batch_size,
-        cache_dir=cache_dir,
-        cache_key=cache_key,
-        pool=pool,
-    )
-
-
-def _build_evaluator(
-    graph: DiGraph | CSRGraph,
-    backend: str,
-    rng: RngLike = None,
-    stream: int = 0,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    cache_dir=None,
-    cache_key: str | None = None,
-    pool: SamplePool | None = None,
-) -> SpreadEvaluator:
-    """Warning-free stream-discipline core (see :func:`build_evaluator`)."""
-    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
-        if cache_key is None:
-            cache_key = f"seed{int(rng)}-stream{int(stream)}"
-        rng = np.random.default_rng(
-            np.random.SeedSequence((int(rng), int(stream)))
-        )
-    return _make_evaluator(
-        graph,
-        backend,
-        rng=rng,
-        workers=workers,
-        batch_size=batch_size,
-        cache_dir=cache_dir,
-        cache_key=cache_key,
-        pool=pool,
-    )
-
-
 def build_evaluator(
     graph: DiGraph | CSRGraph,
-    spec: EngineSpec | str,
-    rng: RngLike = None,
+    spec: EngineSpec,
+    *,
     stream: int = 0,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    cache_dir=None,
-    cache_key: str | None = None,
     pool: SamplePool | None = None,
 ) -> SpreadEvaluator:
-    """:func:`make_evaluator` plus the RNG-stream discipline callers need.
+    """Construct the spread evaluator ``spec`` names, on ``graph``.
 
-    Canonical form: ``build_evaluator(graph, spec, stream=...)`` with
-    ``spec`` an :class:`~repro.engine.spec.EngineSpec`.  Every front
-    end (the CLI, the serving layer, benchmarks) wants the same two
-    things on top of the raw factory:
+    The one engine factory.  ``spec`` (an
+    :class:`~repro.engine.spec.EngineSpec`) selects the backend, seeds
+    it, and configures ``workers``/``cache_dir``; its ``model``/
+    ``theta`` fields key artifacts (the factory consumes an
+    already-prepared graph and per-query ``rounds``, so it does not
+    read them).  On top of the raw backends it adds:
 
-    * **independent streams from one seed** — ``stream`` derives a
-      child generator via ``SeedSequence((seed, stream))``, so e.g. a
-      selection loop (stream 0) and the final quality judge (stream 1)
-      never share random worlds (with pooled backends, sharing would
-      score a winner on the very samples that selected it);
+    * **independent streams from one seed** — ``stream`` derives the
+      generator ``default_rng(SeedSequence((seed, stream)))``, so e.g.
+      a selection loop (stream 0) and the final quality judge
+      (stream 1) never share random worlds (with pooled backends,
+      sharing would score a winner on the very samples that selected
+      it).  Stream 0 draws the same numbers as ``default_rng(seed)``,
+      so ``build_evaluator(g, EngineSpec(engine=e, seed=s))`` answers
+      exactly like the backend class constructed with ``rng=s``;
+    * **a stable on-disk identity** — persisted pools and sketch
+      artifacts are keyed by :meth:`EngineSpec.cache_key` (model +
+      seed + stream);
     * **a context manager** — every evaluator built here supports
       ``with``/``close()``, so worker pools are reliably shut down.
 
-    With a spec, the on-disk ``cache_key`` is
-    :meth:`EngineSpec.cache_key` (model + seed + stream), keeping
-    pools and sketch artifacts correctly keyed even though the factory
-    only sees the derived generator.  An explicit ``rng`` generator
-    overrides the spec seed (and ``stream`` is then ignored), and an
-    explicit ``pool`` bypasses pool creation entirely.
-
-    The historical form — a backend **name** plus an integer or
-    generator ``rng`` and loose keywords — still works but emits
-    :class:`DeprecationWarning`; it derives the legacy
-    ``seed{rng}-stream{stream}`` cache key for integer seeds.
+    ``pool`` shares an existing :class:`~repro.engine.pool.SamplePool`
+    with the ``pooled``/``sketch`` backends instead of drawing one.
     """
-    if isinstance(spec, EngineSpec):
-        if cache_key is None:
-            cache_key = spec.cache_key(stream)
-        return _build_evaluator(
-            graph,
-            spec.engine,
-            rng=spec.seed if rng is None else rng,
-            stream=stream,
-            workers=spec.workers if workers is None else workers,
-            batch_size=batch_size,
-            cache_dir=spec.cache_dir if cache_dir is None else cache_dir,
-            cache_key=cache_key,
-            pool=pool,
+    if not isinstance(spec, EngineSpec):
+        raise TypeError(
+            "build_evaluator() takes an EngineSpec "
+            f"(repro.engine.EngineSpec), not {type(spec).__name__}"
         )
-    _legacy_warning("build_evaluator")
-    return _build_evaluator(
-        graph,
-        spec,
-        rng=rng,
-        stream=stream,
-        workers=workers,
-        batch_size=batch_size,
-        cache_dir=cache_dir,
-        cache_key=cache_key,
-        pool=pool,
+    rng = np.random.default_rng(
+        np.random.SeedSequence((spec.seed, int(stream)))
+    )
+    if spec.engine == "scalar":
+        return ScalarEvaluator(graph, rng)
+    if spec.engine == "vectorized":
+        return VectorizedEvaluator(graph, rng)
+    if spec.engine == "parallel":
+        return ParallelEvaluator(graph, rng, workers=spec.workers)
+    cache_key = spec.cache_key(stream)
+    if spec.engine == "pooled":
+        return PooledEvaluator(
+            graph, rng, pool=pool, cache_dir=spec.cache_dir,
+            cache_key=cache_key,
+        )
+    return SketchIndex(
+        graph, rng, pool=pool, workers=spec.workers,
+        cache_dir=spec.cache_dir, cache_key=cache_key,
     )

@@ -173,11 +173,9 @@ def _init_worker(indptr, indices, probs, sample_paths=None) -> None:
 
 def _run_chunk(task) -> int:
     """Sum of active counts over one worker's chunk of rounds."""
-    seed_seq, rounds, seeds, blocked, batch_size = task
+    seed_seq, rounds, seeds, blocked = task
     gen = np.random.default_rng(seed_seq)
-    counts = batch_cascades(
-        _WORKER_CSR, seeds, rounds, gen, blocked, batch_size
-    )
+    counts = batch_cascades(_WORKER_CSR, seeds, rounds, gen, blocked)
     return int(counts.sum())
 
 
@@ -195,13 +193,11 @@ class ParallelEvaluator:
         graph: DiGraph | CSRGraph,
         rng: RngLike = None,
         workers: int | None = None,
-        batch_size: int | None = None,
     ) -> None:
         self.csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
         self.workers = default_workers() if workers is None else workers
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        self.batch_size = batch_size
         # one root seed drawn up front; per-call streams are spawned
         # from (root, call_index) so repeated queries differ but a
         # fresh evaluator with the same seed replays the sequence.
@@ -232,12 +228,11 @@ class ParallelEvaluator:
         if len(chunks) == 1:
             gen = np.random.default_rng(streams[0])
             counts = batch_cascades(
-                self.csr, seed_list, rounds, gen, blocked_list,
-                self.batch_size,
+                self.csr, seed_list, rounds, gen, blocked_list
             )
             return float(counts.sum()) / rounds
         tasks = [
-            (stream, chunk, seed_list, blocked_list, self.batch_size)
+            (stream, chunk, seed_list, blocked_list)
             for stream, chunk in zip(streams, chunks)
         ]
         totals = self._ensure_pool().map(_run_chunk, tasks)

@@ -18,13 +18,12 @@ The dataclass is frozen and hashable, so a spec can key caches and be
 shared across threads; :meth:`cache_key` derives the stable on-disk
 stream identity (model + seed + stream) that the pool and sketch
 persistence layers fingerprint.  ``theta`` (the Theorem-5 sample
-count) rides along because artifacts are keyed by it — evaluator
-factories accept per-query ``rounds`` and do not consume it directly.
+count) rides along because artifacts are keyed by it — the evaluator
+factory accepts per-query ``rounds`` and does not consume it directly.
 
-:func:`repro.engine.make_evaluator` / :func:`~repro.engine
-.build_evaluator` accept an ``EngineSpec`` as the canonical calling
-convention; the historical keyword signatures remain as thin
-deprecated wrappers.
+A spec is the only way to configure an engine:
+:func:`repro.engine.build_evaluator` takes one (plus the runtime-only
+``stream`` and a shared ``pool``) and nothing else.
 """
 
 from __future__ import annotations
@@ -79,8 +78,12 @@ class EngineSpec:
             raise ValueError("theta must be positive")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.workers is not None and (
+            isinstance(self.workers, bool)
+            or not isinstance(self.workers, int)
+            or self.workers < 1
+        ):
+            raise ValueError("workers must be an integer >= 1")
 
     # ------------------------------------------------------------------
     # derived identities

@@ -8,9 +8,9 @@ failures arrive as a structured error object ``{"code", "message",
 "op"}`` and are raised as *typed* exceptions — :class:`UnknownOpError`,
 :class:`UnknownGraphError`, :class:`BadParamsError`,
 :class:`OverloadedError` — all subclasses of :class:`ServiceError`, so
-``except ServiceError`` keeps catching everything.  Legacy plain-string
-errors (pre-v1 servers) are still accepted for one release and raised
-as bare :class:`ServiceError`.
+``except ServiceError`` keeps catching everything.  Unknown codes, and
+a malformed envelope whose ``error`` is not an object, are raised as
+bare :class:`ServiceError`.
 
 The query verbs (:meth:`ServiceClient.warm`, :meth:`~ServiceClient.
 spread`, :meth:`~ServiceClient.block`) take keyword-only, typed
@@ -57,7 +57,7 @@ class ServiceError(RuntimeError):
     """The server answered ``{"ok": false}`` (or not at all).
 
     ``code`` is the v1 error code when the server sent one (``None``
-    for transport failures and legacy string errors).
+    for transport failures and malformed error envelopes).
     """
 
     def __init__(self, message: str, code: str | None = None) -> None:
@@ -108,20 +108,18 @@ line, or a socket-level reset/refusal while the listener restarts."""
 
 
 def _raise_for_error(response: dict) -> None:
-    """Map a failure envelope to the matching typed exception.
+    """Map a v1 failure envelope to the matching typed exception.
 
-    v1 servers send ``error`` as ``{"code", "message", "op"}``; pre-v1
-    servers sent a plain string.  Both are accepted (the string form
-    for one release), unknown codes degrade to :class:`ServiceError`.
+    ``error`` is ``{"code", "message", "op"}``; unknown codes degrade
+    to :class:`ServiceError`.  An ``error`` that is not an object is a
+    malformed envelope: a bare :class:`ServiceError` with no code.
     """
     error = response.get("error")
-    if isinstance(error, dict):
-        code = error.get("code")
-        message = str(error.get("message", "unspecified server error"))
-        raise _CODE_EXCEPTIONS.get(code, ServiceError)(message, code)
-    raise ServiceError(
-        str(error) if error else "unspecified server error"
-    )
+    if not isinstance(error, dict):
+        error = {"message": f"malformed error envelope: {error!r}"}
+    code = error.get("code")
+    message = str(error.get("message", "unspecified server error"))
+    raise _CODE_EXCEPTIONS.get(code, ServiceError)(message, code)
 
 
 def _check_int(name: str, value, minimum: int | None = None) -> int:

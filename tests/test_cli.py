@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.toy import figure1_graph
-from repro.engine import BACKENDS, make_evaluator
+from repro.engine import BACKENDS, build_evaluator, EngineSpec
 
 
 class TestParser:
@@ -130,9 +130,9 @@ class TestEngineFlag:
             )
         assert "--workers must be >= 1" in capsys.readouterr().out
 
-    def test_make_evaluator_unknown_engine_lists_backends(self):
+    def test_unknown_engine_lists_backends(self):
         with pytest.raises(ValueError) as error:
-            make_evaluator(figure1_graph(), "quantum")
+            build_evaluator(figure1_graph(), EngineSpec(engine="quantum"))
         message = str(error.value)
         assert "quantum" in message
         for name in BACKENDS:

@@ -18,8 +18,9 @@ from repro.engine import (
     BACKENDS,
     batch_activation_counts,
     batch_cascades,
+    build_evaluator,
     default_workers,
-    make_evaluator,
+    EngineSpec,
     ParallelEvaluator,
     PooledEvaluator,
     ragged_arange,
@@ -98,7 +99,9 @@ class TestKernels:
 class TestParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_matches_exact_value(self, toy, backend):
-        evaluator = make_evaluator(toy, backend, rng=7, workers=2)
+        evaluator = build_evaluator(
+            toy, EngineSpec(engine=backend, seed=7, workers=2)
+        )
         try:
             estimate = evaluator.expected_spread([figure1_seed], ROUNDS)
         finally:
@@ -113,7 +116,9 @@ class TestParity:
         expected = exact_expected_spread(
             toy, [figure1_seed], blocked=blocked
         )
-        evaluator = make_evaluator(toy, backend, rng=11, workers=2)
+        evaluator = build_evaluator(
+            toy, EngineSpec(engine=backend, seed=11, workers=2)
+        )
         try:
             estimate = evaluator.expected_spread(
                 [figure1_seed], ROUNDS, blocked
@@ -391,89 +396,69 @@ class TestSharedEngine:
 # ----------------------------------------------------------------------
 class TestFactory:
     def test_unknown_backend_rejected(self, toy):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            make_evaluator(toy, "quantum")
+        with pytest.raises(ValueError, match="unknown engine 'quantum'"):
+            build_evaluator(toy, EngineSpec(engine="quantum"))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_factory_builds_protocol_instances(self, toy, backend):
-        evaluator = make_evaluator(toy, backend, rng=0, workers=1)
+        evaluator = build_evaluator(
+            toy, EngineSpec(engine=backend, seed=0, workers=1)
+        )
         assert isinstance(evaluator, SpreadEvaluator)
         assert evaluator.csr.n == toy.n
 
 
 class TestBuildEvaluator:
-    """The ``build_evaluator`` helper shared by CLI and service."""
+    """The ``build_evaluator`` factory shared by CLI and service."""
 
     def test_integer_seed_derives_stream(self, toy):
-        from repro.engine import build_evaluator
+        def spec_stream(stream):
+            return build_evaluator(
+                toy, EngineSpec(engine="vectorized", seed=42), stream=stream
+            )
 
-        a0 = build_evaluator(toy, "vectorized", rng=42, stream=0)
-        a0_again = build_evaluator(toy, "vectorized", rng=42, stream=0)
-        a1 = build_evaluator(toy, "vectorized", rng=42, stream=1)
-        same = a0.expected_spread([figure1_seed], 400)
-        replay = a0_again.expected_spread([figure1_seed], 400)
-        other = a1.expected_spread([figure1_seed], 400)
+        same = spec_stream(0).expected_spread([figure1_seed], 400)
+        replay = spec_stream(0).expected_spread([figure1_seed], 400)
+        other = spec_stream(1).expected_spread([figure1_seed], 400)
         assert same == replay  # same (seed, stream) replays exactly
         assert same != other  # different streams differ
 
     def test_matches_cli_seedsequence_derivation(self, toy):
-        from repro.engine import build_evaluator
-
-        derived = build_evaluator(toy, "vectorized", rng=7, stream=1)
-        explicit = make_evaluator(
-            toy,
-            "vectorized",
-            rng=np.random.default_rng(np.random.SeedSequence((7, 1))),
+        derived = build_evaluator(
+            toy, EngineSpec(engine="vectorized", seed=7), stream=1
+        )
+        explicit = VectorizedEvaluator(
+            toy, rng=np.random.default_rng(np.random.SeedSequence((7, 1)))
         )
         assert derived.expected_spread(
             [figure1_seed], 500
         ) == explicit.expected_spread([figure1_seed], 500)
 
-    def test_generator_passthrough_ignores_stream(self, toy):
-        from repro.engine import build_evaluator
-
-        gen = np.random.default_rng(3)
-        evaluator = build_evaluator(
-            toy, "vectorized", rng=gen, stream=99
-        )
-        assert evaluator._gen is gen
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_backend_is_a_context_manager(self, toy, backend):
-        from repro.engine import build_evaluator
-
         with build_evaluator(
-            toy, backend, rng=0, workers=1
+            toy, EngineSpec(engine=backend, seed=0, workers=1)
         ) as evaluator:
             assert evaluator.expected_spread([figure1_seed], 50) > 0
         evaluator.close()  # idempotent after __exit__
 
     def test_parallel_context_manager_reaps_pool(self, toy):
-        from repro.engine import build_evaluator
-
         with build_evaluator(
-            toy, "parallel", rng=0, workers=2
+            toy, EngineSpec(engine="parallel", seed=0, workers=2)
         ) as evaluator:
             evaluator.expected_spread([figure1_seed], 64)
             assert evaluator._pool is not None
         assert evaluator._pool is None
 
     def test_integer_seed_keys_disk_cache(self, toy, tmp_path):
-        from repro.engine import build_evaluator
-
-        first = build_evaluator(
-            toy, "pooled", rng=5, stream=0, cache_dir=tmp_path
-        )
+        spec = EngineSpec(engine="pooled", seed=5, cache_dir=tmp_path)
+        first = build_evaluator(toy, spec, stream=0)
         first.expected_spread([figure1_seed], 40)
         assert first.pool.stats.disk_saves == 1
-        second = build_evaluator(
-            toy, "pooled", rng=5, stream=0, cache_dir=tmp_path
-        )
+        second = build_evaluator(toy, spec, stream=0)
         assert second.pool.stats.disk_loads == 1
         # a different stream must not attach the stream-0 pool
-        other = build_evaluator(
-            toy, "pooled", rng=5, stream=1, cache_dir=tmp_path
-        )
+        other = build_evaluator(toy, spec, stream=1)
         assert other.pool.stats.disk_loads == 0
 
 
@@ -501,13 +486,15 @@ class TestExpectedSpreadMany:
             evaluator.expected_spread_many([figure1_seed], 0, [[]])
 
     def test_chunked_batch_still_matches(self, toy):
-        # force many small chunks so the batched loop crosses windows
-        evaluator = PooledEvaluator(toy, rng=2, batch_size=7)
+        # more rounds than one 1024-sample chunk, so the batched loop
+        # crosses chunk windows
+        rounds = 2500
+        evaluator = PooledEvaluator(toy, rng=2)
         batched = evaluator.expected_spread_many(
-            [figure1_seed], 100, [[], [4]]
+            [figure1_seed], rounds, [[], [4]]
         )
         singles = [
-            evaluator.expected_spread([figure1_seed], 100, blocked)
+            evaluator.expected_spread([figure1_seed], rounds, blocked)
             for blocked in ([], [4])
         ]
         assert batched == singles

@@ -1,17 +1,16 @@
-"""Tests for :class:`repro.engine.EngineSpec` and the deprecation of
-the loose-keyword factory signatures.
+"""Tests for :class:`repro.engine.EngineSpec` and the one engine
+factory, :func:`repro.engine.build_evaluator`.
 
-The spec is the one value every front end (factories, the serving
+The spec is the one value every front end (the factory, the serving
 layer's :class:`ArtifactKey`, the CLI) agrees on; these tests pin its
-validation, its cache-key discipline, and the golden behaviour of the
-legacy string-backend paths: they still work, produce bit-identical
-evaluators, and warn exactly once per call.
+validation, its cache-key discipline, the factory's refusal of
+anything but a spec, and the stream-0 identity: a spec-built engine
+answers exactly like its backend class constructed with ``rng=seed``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro import assign_weighted_cascade, EngineSpec
 from repro.datasets import figure1_graph
 from repro.engine import (
     build_evaluator,
-    make_evaluator,
     ParallelEvaluator,
     PooledEvaluator,
     ScalarEvaluator,
@@ -59,6 +57,9 @@ class TestEngineSpec:
             ({"seed": "seven"}, "seed"),
             ({"seed": False}, "seed"),
             ({"workers": 0}, "workers"),
+            ({"workers": 2.5}, "workers"),
+            ({"workers": True}, "workers"),
+            ({"workers": "2"}, "workers"),
         ],
     )
     def test_validation(self, patch, fragment):
@@ -96,40 +97,24 @@ class TestSpecFactories:
             ("sketch", SketchIndex),
         ],
     )
-    def test_make_evaluator_spec_no_warning(self, graph, engine, cls):
+    def test_spec_builds_class(self, graph, engine, cls):
         spec = EngineSpec(engine=engine, seed=5, workers=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with make_evaluator(graph, spec) as evaluator:
-                assert isinstance(evaluator, cls)
+        with build_evaluator(graph, spec) as evaluator:
+            assert isinstance(evaluator, cls)
 
     def test_build_evaluator_spec_stream_discipline(self, graph):
         spec = EngineSpec(engine="pooled", seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with build_evaluator(graph, spec, stream=0) as a, \
-                    build_evaluator(graph, spec, stream=0) as b, \
-                    build_evaluator(graph, spec, stream=1) as c:
-                # same stream replays the same worlds; an independent
-                # stream draws different ones
-                assert a.expected_spread([0], 64) == (
-                    b.expected_spread([0], 64)
-                )
-                assert a.pool.get(64).positions.tolist() != (
-                    c.pool.get(64).positions.tolist()
-                )
-
-    def test_spec_matches_legacy_bit_for_bit(self, graph):
-        """The spec path is a re-spelling, not a semantic change."""
-        spec = EngineSpec(engine="sketch", seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = build_evaluator(graph, "sketch", rng=5, stream=0)
-        with build_evaluator(graph, spec) as modern:
-            with legacy:
-                assert modern.expected_spread([0], 64) == (
-                    legacy.expected_spread([0], 64)
-                )
+        with build_evaluator(graph, spec, stream=0) as a, \
+                build_evaluator(graph, spec, stream=0) as b, \
+                build_evaluator(graph, spec, stream=1) as c:
+            # same stream replays the same worlds; an independent
+            # stream draws different ones
+            assert a.expected_spread([0], 64) == (
+                b.expected_spread([0], 64)
+            )
+            assert a.pool.get(64).positions.tolist() != (
+                c.pool.get(64).positions.tolist()
+            )
 
     def test_spec_cache_dir_persists_pool(self, graph, tmp_path):
         spec = EngineSpec(
@@ -142,53 +127,43 @@ class TestSpecFactories:
             second.expected_spread([0], 32)
             assert second.pool.stats.disk_loads == 1
 
+    @pytest.mark.parametrize(
+        "config, kwargs, fragment",
+        [
+            ("sketch", {}, "EngineSpec"),
+            (EngineSpec(), {"rng": 7}, "rng"),
+            (EngineSpec(), {"workers": 2}, "workers"),
+            (EngineSpec(), {"batch_size": 8}, "batch_size"),
+            (EngineSpec(), {"cache_dir": "artifacts"}, "cache_dir"),
+            (EngineSpec(), {"cache_key": "seed7-stream0"}, "cache_key"),
+        ],
+    )
+    def test_only_a_spec_configures_the_engine(
+        self, graph, config, kwargs, fragment
+    ):
+        """A backend name, or any removed factory keyword, is refused."""
+        with pytest.raises(TypeError, match=fragment):
+            build_evaluator(graph, config, **kwargs)
 
-class TestDeprecatedSignatures:
-    def test_make_evaluator_string_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="EngineSpec"):
-            make_evaluator(graph, "vectorized", rng=1)
-
-    def test_build_evaluator_string_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="EngineSpec"):
-            build_evaluator(graph, "vectorized", rng=1)
-
-    def test_legacy_default_backend_warns(self, graph):
-        with pytest.warns(DeprecationWarning):
-            make_evaluator(graph)
-
-    def test_legacy_answers_unchanged(self, graph):
-        """Golden: the deprecated path still returns the historical
-        numbers (warning only, no behaviour change)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = build_evaluator(graph, "pooled", rng=5, stream=0)
-        spec_built = build_evaluator(
-            graph, EngineSpec(engine="pooled", seed=5)
-        )
-        with legacy, spec_built:
-            assert legacy.expected_spread([0], 64) == (
-                spec_built.expected_spread([0], 64)
-            )
-
-    def test_legacy_cache_key_format_preserved(self, graph, tmp_path):
-        """Pool caches stay addressable: an integer rng on the legacy
-        path still derives seed{rng}-stream{stream}, prefixed by the
-        coin-scheme tag so pools drawn under a different sample
-        distribution can never attach."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with build_evaluator(
-                graph, "pooled", rng=5, stream=0, cache_dir=tmp_path
-            ) as ev:
-                ev.expected_spread([0], 32)
-                digest = ev.pool.cache_digest
-        import hashlib
-
-        import numpy as np
-
-        csr = ev.csr
-        key = hashlib.sha256()
-        key.update(f"{csr.n}:{csr.m}:coins2:seed5-stream0".encode())
-        for array in (csr.indptr, csr.indices, csr.probs):
-            key.update(np.ascontiguousarray(array).tobytes())
-        assert digest == key.hexdigest()[:16]
+    @pytest.mark.parametrize(
+        "engine, backend",
+        [
+            ("vectorized", VectorizedEvaluator),
+            ("pooled", PooledEvaluator),
+            ("sketch", SketchIndex),
+        ],
+    )
+    def test_stream_zero_matches_backend_seeded_directly(
+        self, graph, engine, backend
+    ):
+        """``SeedSequence((seed, 0))`` and ``default_rng(seed)`` draw the
+        same stream, so a spec-built engine answers bit-identically to
+        its backend class constructed with ``rng=seed``."""
+        blocked_sets = ([], [2], [3, 5])
+        spec = EngineSpec(engine=engine, seed=5)
+        with build_evaluator(graph, spec) as built, \
+                backend(graph, rng=5) as direct:
+            for blocked in blocked_sets:
+                assert built.expected_spread([0], 64, blocked) == (
+                    direct.expected_spread([0], 64, blocked)
+                )

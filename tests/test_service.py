@@ -765,13 +765,18 @@ class TestWireProtocolV1:
             client.warm(graph="")
         assert client._sock is None
 
-    def test_legacy_string_error_raises_bare_service_error(self):
+    def test_malformed_error_envelope_raises_bare_service_error(self):
         from repro.service.client import _raise_for_error
 
-        with pytest.raises(ServiceError, match="boom") as caught:
-            _raise_for_error({"ok": False, "error": "boom"})
-        assert caught.value.code is None
-        assert type(caught.value) is ServiceError
+        # a pre-v1 string error and a missing error object both fail
+        # as malformed envelopes, not as typed v1 errors
+        for envelope in ({"ok": False, "error": "boom"}, {"ok": False}):
+            with pytest.raises(
+                ServiceError, match="malformed error envelope"
+            ) as caught:
+                _raise_for_error(envelope)
+            assert caught.value.code is None
+            assert type(caught.value) is ServiceError
 
     def test_unknown_code_degrades_to_service_error(self):
         from repro.service.client import _raise_for_error

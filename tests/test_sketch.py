@@ -20,7 +20,13 @@ from repro.core import (
 )
 from repro.core.lazy import celf_select, make_gain_fn, supports_marginal_gain
 from repro.datasets.toy import figure1_graph, figure1_seed, V
-from repro.engine import build_trees, make_evaluator, SketchIndex, TreeBuilder
+from repro.engine import (
+    build_evaluator,
+    build_trees,
+    EngineSpec,
+    SketchIndex,
+    TreeBuilder,
+)
 from repro.engine.pool import SamplePool
 from repro.engine.sketch import _MAX_VIEWS
 from repro.engine.treebuild import auto_build_workers
@@ -46,8 +52,8 @@ class TestCrossValidation:
         exact = exact_expected_spread(toy, [figure1_seed])
         assert exact == pytest.approx(7.66)
         theta = required_samples(toy.n, EPS, opt_lower_bound=exact)
-        sketch = make_evaluator(toy, "sketch", rng=11)
-        vec = make_evaluator(toy, "vectorized", rng=11)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=11))
+        vec = build_evaluator(toy, EngineSpec(engine="vectorized", seed=11))
         assert sketch.expected_spread([figure1_seed], theta) == pytest.approx(
             exact, rel=EPS
         )
@@ -60,8 +66,8 @@ class TestCrossValidation:
         exact = exact_expected_spread(toy, [figure1_seed], blocked=blocked)
         assert exact == pytest.approx(3.0)
         theta = required_samples(toy.n, EPS, opt_lower_bound=exact)
-        sketch = make_evaluator(toy, "sketch", rng=11)
-        vec = make_evaluator(toy, "vectorized", rng=11)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=11))
+        vec = build_evaluator(toy, EngineSpec(engine="vectorized", seed=11))
         estimate = sketch.expected_spread([figure1_seed], theta, blocked)
         assert estimate == pytest.approx(exact, rel=EPS)
         estimate = vec.expected_spread([figure1_seed], theta, blocked)
@@ -71,7 +77,7 @@ class TestCrossValidation:
         # Theorem 6: on the *same* sampled worlds the subtree size is
         # exactly the blocked-off vertex count, so the identity holds
         # to float precision, not just statistically
-        sketch = make_evaluator(toy, "sketch", rng=11)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=11))
         theta = 120
         for v in (V(2), V(4), V(5), V(9)):
             gain = sketch.marginal_gain(v, [figure1_seed], theta)
@@ -80,7 +86,7 @@ class TestCrossValidation:
             assert gain == pytest.approx(before - after, abs=1e-9)
 
     def test_decrease_estimates_match_marginal_gains(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=11)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=11))
         theta = 90
         sweep = sketch.decrease_estimates([figure1_seed], theta)
         assert sweep.shape == (toy.n,)
@@ -94,8 +100,8 @@ class TestCrossValidation:
         # Lemma 1 two ways: reachability count (pooled) vs dominator
         # tree size (sketch) over the *same* sample pool — identical
         pool = SamplePool(toy, rng=5)
-        sketch = make_evaluator(toy, "sketch", pool=pool)
-        pooled = make_evaluator(toy, "pooled", pool=pool)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch"), pool=pool)
+        pooled = build_evaluator(toy, EngineSpec(engine="pooled"), pool=pool)
         for blocked in ([], [V(5)], [V(2), V(4)]):
             a = sketch.expected_spread([figure1_seed], 80, blocked)
             b = pooled.expected_spread([figure1_seed], 80, blocked)
@@ -103,8 +109,8 @@ class TestCrossValidation:
 
     def test_multi_seed_joint_reachability(self, toy):
         pool = SamplePool(toy, rng=5)
-        sketch = make_evaluator(toy, "sketch", pool=pool)
-        pooled = make_evaluator(toy, "pooled", pool=pool)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch"), pool=pool)
+        pooled = build_evaluator(toy, EngineSpec(engine="pooled"), pool=pool)
         seeds = [figure1_seed, V(9)]
         assert sketch.expected_spread(seeds, 80) == pooled.expected_spread(
             seeds, 80
@@ -318,7 +324,9 @@ class TestDeterminism:
                 [figure1_seed],
                 2,
                 theta=100,
-                evaluator=make_evaluator(toy, "sketch", rng=13),
+                evaluator=build_evaluator(
+                    toy, EngineSpec(engine="sketch", seed=13)
+                ),
             )
             for _ in range(2)
         ]
@@ -328,8 +336,10 @@ class TestDeterminism:
 
 class TestLazySelection:
     def test_supports_marginal_gain_detection(self, toy):
-        assert supports_marginal_gain(make_evaluator(toy, "sketch"))
-        assert not supports_marginal_gain(make_evaluator(toy, "vectorized"))
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch"))
+        vectorized = build_evaluator(toy, EngineSpec(engine="vectorized"))
+        assert supports_marginal_gain(sketch)
+        assert not supports_marginal_gain(vectorized)
         assert not supports_marginal_gain(None)
 
     def test_celf_matches_exhaustive_greedy_on_coverage(self):
@@ -364,7 +374,7 @@ class TestLazySelection:
         assert calls <= len(sets) * 3
 
     def test_lazy_equals_eager_baseline_greedy_on_sketch_worlds(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=3)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=3))
         lazy = baseline_greedy(
             toy, [figure1_seed], 2, rounds=200, evaluator=sketch
         )
@@ -386,7 +396,9 @@ class TestLazySelection:
                 [figure1_seed],
                 1,
                 theta=300,
-                evaluator=make_evaluator(toy, "sketch", rng=7),
+                evaluator=build_evaluator(
+                    toy, EngineSpec(engine="sketch", seed=7)
+                ),
             )
             assert result.blockers == [V(5)]
             assert result.estimated_spread == pytest.approx(3.0, abs=0.2)
@@ -395,7 +407,9 @@ class TestLazySelection:
             [figure1_seed],
             1,
             theta=300,
-            evaluator=make_evaluator(toy, "sketch", rng=7),
+            evaluator=build_evaluator(
+                toy, EngineSpec(engine="sketch", seed=7)
+            ),
         )
         assert result.blockers == [V(5)]
         assert result.estimated_spread == pytest.approx(3.0, abs=0.2)
@@ -403,7 +417,7 @@ class TestLazySelection:
     def test_table3_budget2_greedy_replace_finds_out_neighbours(self, toy):
         # Table III: blocking {v2, v4} leaves spread 1 — GR's
         # replacement phase finds it, plain greedy does not
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         gr = greedy_replace(
             toy, [figure1_seed], 2, theta=300, evaluator=sketch
         )
@@ -415,7 +429,7 @@ class TestLazySelection:
         assert gr.estimated_spread <= ag.estimated_spread
 
     def test_solve_imin_routes_lazy_flag(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         auto = solve_imin(
             toy, [figure1_seed], 1, algorithm="greedy-replace",
             theta=200, evaluator=sketch,
@@ -429,7 +443,7 @@ class TestLazySelection:
     def test_forced_lazy_works_with_mc_evaluator(self, toy):
         # the CELF machinery is evaluator-agnostic: forcing lazy on a
         # backend without marginal_gain uses the two-query fallback
-        vec = make_evaluator(toy, "vectorized", rng=5)
+        vec = build_evaluator(toy, EngineSpec(engine="vectorized", seed=5))
         result = advanced_greedy(
             toy, [figure1_seed], 1, theta=400, evaluator=vec, lazy=True
         )
@@ -441,7 +455,7 @@ class TestLazySelection:
                 solver(toy, [figure1_seed], 1, lazy=True)
 
     def test_lazy_rejects_sampler_factory(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         with pytest.raises(ValueError, match="sampler_factory"):
             advanced_greedy(
                 toy,
@@ -452,7 +466,7 @@ class TestLazySelection:
             )
 
     def test_budget_zero(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         result = advanced_greedy(
             toy, [figure1_seed], 0, theta=100, evaluator=sketch
         )
@@ -465,7 +479,7 @@ class TestLazySelection:
         calls = []
 
         class Spy:
-            csr = make_evaluator(toy, "scalar").csr
+            csr = build_evaluator(toy, EngineSpec(engine="scalar")).csr
 
             def expected_spread(self, seeds, rounds, blocked=()):
                 calls.append(tuple(blocked))
@@ -480,24 +494,24 @@ class TestLazySelection:
 
 class TestGuards:
     def test_seed_cannot_be_blocked(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         with pytest.raises(ValueError, match="cannot be blocked"):
             sketch.expected_spread([figure1_seed], 50, [figure1_seed])
 
     def test_seed_out_of_range(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         with pytest.raises(IndexError):
             sketch.expected_spread([toy.n], 50)
 
     def test_theta_must_be_positive(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         with pytest.raises(ValueError, match="theta"):
             sketch.expected_spread([figure1_seed], 0)
         with pytest.raises(ValueError, match="seed"):
             sketch.expected_spread([], 50)
 
     def test_stats_track_incremental_rebase(self, toy):
-        sketch = make_evaluator(toy, "sketch", rng=7)
+        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         theta = 100
         sketch.expected_spread([figure1_seed], theta)
         assert sketch.stats.trees_built == theta
