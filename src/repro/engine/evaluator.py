@@ -42,9 +42,11 @@ from typing import Iterable, Protocol, runtime_checkable, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph
+from ..native import native_reach_counts
 from ..rng import ensure_rng, RngLike
 from ..spread import MonteCarloEngine
 from .kernels import (
+    _blocked_mask,
     auto_batch_size,
     batch_activation_counts,
     batch_cascades,
@@ -52,7 +54,7 @@ from .kernels import (
     reach_counts_from_alive,
 )
 from .parallel import ParallelEvaluator
-from .pool import SamplePool
+from .pool import SampleBatch, SamplePool
 from .sketch import SketchIndex
 from .spec import BACKENDS, EngineSpec
 
@@ -214,16 +216,21 @@ class PooledEvaluator(_EvaluatorLifecycle):
         rounds: int,
         blocked_sets: Sequence[Iterable[int]],
     ) -> list[float]:
-        """One estimate per blocked set, sharing the sample traversal.
+        """One estimate per blocked set over the first ``rounds``
+        pooled samples.
 
-        The expensive part of a pooled query is materialising each
-        chunk's boolean aliveness matrix; a batch of queries that
-        differ only in their blocked sets (the service's coalesced
-        spread requests) pays that once per chunk instead of once per
-        query.  Results are bit-identical to ``len(blocked_sets)``
-        separate :meth:`expected_spread` calls — same samples, same
-        chunking, same integer sums — so batching is invisible to
-        callers comparing against serial execution.
+        Each estimate is an integer sum of per-sample reach counts
+        divided by ``rounds``.  The compiled reach kernel
+        (:func:`~repro.native.native_reach_counts`) counts straight
+        from the pool's flat sample arrays, one call per blocked set.
+        Without it, the fallback streams chunks of a boolean aliveness
+        matrix through :func:`reach_counts_from_alive`, materialising
+        each chunk once for the whole batch (the service's coalesced
+        spread requests) instead of once per query.  Both paths sum
+        the same integers, so results are bit-identical to
+        ``len(blocked_sets)`` separate :meth:`expected_spread` calls,
+        on either path — batching is invisible to callers comparing
+        against serial execution.
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")
@@ -232,18 +239,43 @@ class PooledEvaluator(_EvaluatorLifecycle):
         batch = self.pool.get(rounds)
         seed_list = list(seeds)
         blocked_lists = [list(b) for b in blocked_sets]
-        step = auto_batch_size(max(self.csr.m, self.csr.n))
-        totals = [0] * len(blocked_lists)
-        for lo in range(0, rounds, step):
-            hi = min(lo + step, rounds)
-            alive = batch.alive_matrix(lo, hi)
-            for i, blocked_list in enumerate(blocked_lists):
-                totals[i] += int(
-                    reach_counts_from_alive(
-                        self.csr, seed_list, alive, blocked_list
-                    ).sum()
-                )
+        totals = self._native_totals(batch, seed_list, blocked_lists)
+        if totals is None:
+            step = auto_batch_size(max(self.csr.m, self.csr.n))
+            totals = [0] * len(blocked_lists)
+            for lo in range(0, rounds, step):
+                hi = min(lo + step, rounds)
+                alive = batch.alive_matrix(lo, hi)
+                for i, blocked_list in enumerate(blocked_lists):
+                    totals[i] += int(
+                        reach_counts_from_alive(
+                            self.csr, seed_list, alive, blocked_list
+                        ).sum()
+                    )
         return [total / rounds for total in totals]
+
+    def _native_totals(
+        self,
+        batch: SampleBatch,
+        seed_list: list[int],
+        blocked_lists: list[list[int]],
+    ) -> list[int] | None:
+        """Reach-count totals from the compiled kernel, one per blocked
+        set, or ``None`` when it is unavailable."""
+        csr = self.pool.csr
+        seed_arr = np.asarray(seed_list, dtype=np.int64)
+        totals = []
+        for blocked_list in blocked_lists:
+            # validates every id before it can reach the kernel
+            mask = _blocked_mask(csr.n, blocked_list, seed_list)
+            counts = native_reach_counts(
+                csr.n, csr.indptr, csr.indices, batch.positions,
+                batch.offsets, batch.theta, seed_arr, mask.view(np.uint8),
+            )
+            if counts is None:
+                return None
+            totals.append(int(counts.sum()))
+        return totals
 
 
 def build_evaluator(

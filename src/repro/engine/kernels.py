@@ -24,9 +24,12 @@ touches.
 
 The same frontier machinery also evaluates *pre-drawn* live-edge
 samples (Definition 4): :func:`reach_counts_from_alive` replaces the
-coin flips with lookups into an aliveness matrix, which is how the
-:class:`~repro.engine.pool.SamplePool` reuses one set of samples across
-many blocked-set queries.
+coin flips with lookups into an aliveness matrix.  It is the reference
+for, and the fallback of, the compiled reach kernel
+(:func:`repro.native.native_reach_counts`), which counts straight from
+the :class:`~repro.engine.pool.SamplePool`'s flat sample arrays with no
+matrix; :func:`_blocked_mask` checks the ids and builds the blocked
+mask for both.
 """
 
 from __future__ import annotations
@@ -114,11 +117,26 @@ def _coin_survive(gen: np.random.Generator, probs32: np.ndarray):
 def _blocked_mask(
     n: int, blocked: Iterable[int], seeds: Sequence[int]
 ) -> np.ndarray:
+    """``bool[n]`` mask of ``blocked``, after checking every id.
+
+    Out-of-range ids raise the sketch index's errors (``ValueError``
+    for a blocked id, ``IndexError`` for a seed) instead of letting
+    numpy wrap a negative id onto another vertex — or, in the native
+    reach kernel, read out of bounds.
+    """
     mask = np.zeros(n, dtype=bool)
-    blocked_list = list(blocked)
-    if blocked_list:
-        mask[np.asarray(blocked_list, dtype=np.int64)] = True
+    blocked_arr = np.asarray(list(blocked), dtype=np.int64)
+    if blocked_arr.size:
+        bad = (blocked_arr < 0) | (blocked_arr >= n)
+        if bad.any():
+            raise ValueError(
+                f"blocked vertex {int(blocked_arr[bad][0])} out of range "
+                f"[0, {n})"
+            )
+        mask[blocked_arr] = True
     for s in seeds:
+        if not 0 <= s < n:
+            raise IndexError(f"seed {s} is not a vertex")
         if mask[s]:
             raise ValueError(f"seed {s} cannot be blocked")
     return mask

@@ -12,9 +12,12 @@ and — optionally — processes:
   enough samples exist (a *hit*) and triggers incremental generation of
   only the shortfall otherwise (a *miss* grows the pool, it never
   regenerates);
-* blocking is applied at traversal time by the consumer (see
-  :func:`~repro.engine.kernels.reach_counts_from_alive`), so the same
-  samples serve every blocked-set query;
+* blocking is applied at traversal time by the consumer, so the same
+  samples serve every blocked-set query: the compiled reach kernel
+  (:func:`~repro.native.native_reach_counts`) and the tree-build
+  kernel read the flat arrays in place, and the numpy fallback streams
+  :meth:`SampleBatch.alive_matrix` windows through
+  :func:`~repro.engine.kernels.reach_counts_from_alive`;
 * with a ``cache_dir`` the arrays are persisted as ``.npy`` files keyed
   by a fingerprint of the graph, probabilities and seed, and are loaded
   back **memory-mapped** — a second process (or a later run) pays no
@@ -176,7 +179,8 @@ class SampleBatch:
 
         Materialises only the requested window so callers can stream
         the pool through :func:`reach_counts_from_alive` chunk by
-        chunk without ever holding ``theta * m`` bools.
+        chunk without ever holding ``theta * m`` bools — the pooled
+        evaluator's path when no compiled reach kernel is available.
         """
         if not 0 <= lo <= hi <= self.theta:
             raise ValueError(f"bad sample window [{lo}, {hi})")

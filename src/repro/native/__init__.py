@@ -1,24 +1,27 @@
 """repro.native — optional compiled kernels, loaded via ``ctypes``.
 
-The sketch estimator's irreducible per-sample cost is the
-Lengauer–Tarjan walk, which no amount of numpy vectorisation removes
-(every step is data-dependent).  This package ships the batched
-tree-build kernel as plain C (``lt_kernel.c``), compiled **on demand**
-with whatever ``cc``/``gcc`` the host already has and loaded through
-the standard library's ``ctypes`` — no build-time dependency, no
-compiled artifact in the repository, and a clean fallback: when no
+Two per-sample costs no amount of numpy vectorisation removes, because
+every step is data-dependent: the sketch estimator's Lengauer–Tarjan
+walk and the pooled estimator's reachability count.  This package ships
+both kernels as plain C in one file (``lt_kernel.c``), compiled **on
+demand** with whatever ``cc``/``gcc`` the host already has and loaded
+through the standard library's ``ctypes`` — no build-time dependency,
+no compiled artifact in the repository, and a clean fallback: when no
 compiler is available (or ``REPRO_NATIVE=0`` is set) every caller uses
-the pure-Python path and produces bit-identical results, just slower.
+its numpy/Python path and produces bit-identical results, just slower.
 
 Compiled objects are cached under a per-user temp directory keyed by a
 hash of the C source, so a source change triggers exactly one
 recompile and concurrent processes race benignly (atomic rename).
 
-The only consumer today is
-:meth:`repro.engine.treebuild.TreeBuilder.build_packed`; anything else
-wanting a native kernel should follow the same pattern: ship C next to
-this file, add a loader entry, keep the Python path as the semantic
-reference.
+The consumers are
+:meth:`repro.engine.treebuild.TreeBuilder.build_packed`
+(:func:`native_build_trees`) and
+:meth:`repro.engine.evaluator.PooledEvaluator.expected_spread_many`
+(:func:`native_reach_counts`).  A further kernel follows the same
+pattern: add its C to ``lt_kernel.c`` (one shared object, so it
+compiles with the others before any timed work), add a loader entry,
+keep the Python path as the semantic reference.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "native_build_available",
     "native_build_trees",
     "native_cache_dir",
+    "native_reach_counts",
 ]
 
 
@@ -136,7 +140,8 @@ def _compile() -> Path | None:
         tmp.replace(so_path)  # atomic: concurrent compiles race benignly
         _count(
             "repro_native_compiles_total",
-            "On-demand compiles of the batched LT kernel",
+            "On-demand compiles of the native kernels (LT tree build "
+            "and reach counts)",
         )
         return so_path
     except (OSError, subprocess.SubprocessError):
@@ -176,6 +181,19 @@ def _load() -> "ctypes.CDLL | bool":
                         _I64P,  # out_sizes
                         _I64P,  # out_lengths
                     ]
+                    lib.repro_reach_counts.restype = ctypes.c_int64
+                    lib.repro_reach_counts.argtypes = [
+                        ctypes.c_int64,  # n
+                        _I64P,  # indptr
+                        _I64P,  # edge_dst
+                        _I64P,  # positions
+                        _I64P,  # offsets
+                        ctypes.c_int64,  # rounds
+                        _I64P,  # seeds
+                        ctypes.c_int64,  # num_seeds
+                        _U8P,  # blocked
+                        _I64P,  # out_counts
+                    ]
                     _lib = lib
                 except OSError:
                     _lib = False
@@ -183,7 +201,8 @@ def _load() -> "ctypes.CDLL | bool":
 
 
 def native_build_available() -> bool:
-    """True when the compiled tree-build kernel is loadable here."""
+    """True when the compiled kernels (tree build and reach counts,
+    one shared object) are loadable here; the first call compiles."""
     return _load() is not False
 
 
@@ -254,3 +273,68 @@ def native_build_trees(
         out_order[:total].copy(),
         out_sizes[:total].copy(),
     )
+
+
+def native_reach_counts(
+    n: int,
+    indptr: np.ndarray,
+    edge_dst: np.ndarray,
+    positions: np.ndarray,
+    offsets: np.ndarray,
+    rounds: int,
+    seeds: np.ndarray,
+    blocked_mask: np.ndarray,
+) -> np.ndarray | None:
+    """Per-sample reach counts ``int64[rounds]`` of ``seeds`` over the
+    pool's samples ``[0, rounds)``, or ``None`` when the kernel is
+    unavailable (callers fall back to the aliveness-matrix path of
+    :func:`~repro.engine.kernels.reach_counts_from_alive` — the counts
+    are identical either way).
+
+    ``offsets``/``positions`` are the pool's flat sample arrays, read in
+    place (a memory-mapped pool is never copied); ``indptr``/
+    ``edge_dst`` are the base graph's CSR arrays and ``blocked_mask`` a
+    ``uint8[n]`` mask.  Counts include the seeds, each once.  The GIL
+    is released for the count.
+    """
+    lib = _load()
+    if lib is False:
+        _count(
+            "repro_native_reach_fallbacks_total",
+            "Pooled spread batches the compiled kernel could not answer "
+            "(the aliveness-matrix path answers them)",
+        )
+        return None
+    _count(
+        "repro_native_reach_calls_total",
+        "Pooled reach counts (one per blocked set) answered by the "
+        "compiled kernel",
+    )
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
+    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+    blocked_mask = np.ascontiguousarray(blocked_mask, dtype=np.uint8)
+    rounds = int(rounds)
+    # the kernel trusts every index it is handed: check the shapes
+    # and the caller-supplied ids here, before any pointer crosses
+    if indptr.shape[0] != n + 1 or blocked_mask.shape[0] != n:
+        raise ValueError("indptr and blocked_mask must cover n vertices")
+    if not 0 <= rounds < offsets.shape[0]:
+        raise ValueError(
+            f"rounds {rounds} outside the {offsets.shape[0] - 1} "
+            "samples the offsets describe"
+        )
+    if positions.shape[0] < offsets[rounds]:
+        raise ValueError("positions shorter than the sample window")
+    if seeds.shape[0] and (seeds.min() < 0 or seeds.max() >= n):
+        raise IndexError(f"seeds must be vertices in [0, {n})")
+    out = np.empty(max(rounds, 1), dtype=np.int64)
+    status = lib.repro_reach_counts(
+        n, indptr, edge_dst, positions, offsets, rounds,
+        seeds, int(seeds.shape[0]), blocked_mask, out,
+    )
+    if status < 0:  # pragma: no cover - scratch malloc failure
+        raise MemoryError("native reach kernel out of memory")
+    return out[:rounds]

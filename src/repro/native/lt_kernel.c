@@ -1,7 +1,8 @@
-/* Batched dominator-tree construction over pooled live-edge samples.
+/* Native kernels over pooled live-edge samples.
  *
- * One call builds the (preorder, subtree-size) payload of Algorithm 2
- * for a whole batch of samples, straight from the sample pool's flat
+ * repro_build_trees: batched dominator-tree construction.  One call
+ * builds the (preorder, subtree-size) payload of Algorithm 2 for a
+ * whole batch of samples, straight from the sample pool's flat
  * arrays: per sample it walks the reachable subgraph from the virtual
  * super-source, runs the simple O(m log n) Lengauer-Tarjan variant
  * with an iterative DFS and path-compressed union-find, and
@@ -27,6 +28,9 @@
  * - per-sample state is reset through the preorder list (O(reachable)
  *   per sample, not O(n)), and all scratch lives in one malloc per
  *   call.
+ *
+ * repro_reach_counts: per-sample reach counts of one seed set, the
+ * pooled spread estimator's traversal, with the same row lookup.
  */
 
 #include <stdint.h>
@@ -323,4 +327,87 @@ int64_t repro_build_trees(
     free(live_seeds);
     free(scratch);
     return out_pos;
+}
+
+/* Reach counts of one seed set over the pool's first `rounds` samples.
+ *
+ * The native form of the aliveness-matrix traversal in
+ * repro/engine/kernels.py::reach_counts_from_alive: per sample t it
+ * runs a DFS from the unblocked seeds over the surviving edges
+ * positions[offsets[t]:offsets[t+1]] (ascending) and counts every
+ * vertex reached, seeds included, duplicates once.  Reach counts do
+ * not depend on visiting order, so this DFS counts exactly what the
+ * fallback's level-synchronous BFS counts.
+ *
+ * A vertex's surviving out-edges are found as in repro_build_trees:
+ * lower_bound for indptr[u] on the sample's slice, then a forward
+ * scan while positions stay below indptr[u + 1].  No per-sample
+ * aliveness row exists, so work per sample scales with the reached
+ * subgraph.  Visited marks are stamped with the sample id (t + 1, 0
+ * meaning never), so samples need no reset pass.
+ *
+ * blocked: byte mask over the n vertices; blocked vertices are never
+ *     entered, blocked seeds included (callers reject those first).
+ * out_counts[t]: reached-vertex count of sample t, for t < rounds.
+ *
+ * Returns 0, or -1 when scratch allocation fails.
+ */
+int64_t repro_reach_counts(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *edge_dst,
+    const int64_t *positions,
+    const int64_t *offsets,
+    int64_t rounds,
+    const int64_t *seeds,
+    int64_t num_seeds,
+    const uint8_t *blocked,
+    int64_t *out_counts) {
+    if (rounds <= 0) {
+        return 0;
+    }
+    /* mark[n] plus a DFS stack[n]: a vertex is pushed at most once
+     * per sample */
+    int64_t *scratch =
+        (int64_t *)malloc((size_t)(2 * n + 1) * sizeof(int64_t));
+    if (scratch == NULL) {
+        return -1;
+    }
+    int64_t *mark = scratch;
+    int64_t *stack = scratch + n;
+    for (int64_t v = 0; v < n; v++) {
+        mark[v] = 0;
+    }
+    for (int64_t t = 0; t < rounds; t++) {
+        const int64_t stamp = t + 1;
+        const int64_t slice_lo = offsets[t];
+        const int64_t slice_hi = offsets[t + 1];
+        int64_t top = 0;
+        int64_t count = 0;
+        for (int64_t k = 0; k < num_seeds; k++) {
+            int64_t s = seeds[k];
+            if (!blocked[s] && mark[s] != stamp) {
+                mark[s] = stamp;
+                stack[top++] = s;
+                count++;
+            }
+        }
+        while (top > 0) {
+            int64_t u = stack[--top];
+            int64_t row_end = indptr[u + 1];
+            for (int64_t j = lower_bound(positions, slice_lo, slice_hi,
+                                         indptr[u]);
+                 j < slice_hi && positions[j] < row_end; j++) {
+                int64_t v = edge_dst[positions[j]];
+                if (!blocked[v] && mark[v] != stamp) {
+                    mark[v] = stamp;
+                    stack[top++] = v;
+                    count++;
+                }
+            }
+        }
+        out_counts[t] = count;
+    }
+    free(scratch);
+    return 0;
 }

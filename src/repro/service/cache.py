@@ -315,12 +315,14 @@ class Artifact:
         blocked_sets: Sequence[Iterable[int]],
         theta: int | None = None,
     ) -> list[float]:
-        """Pooled estimates for many blocked sets in one traversal.
+        """Pooled estimates for many blocked sets in one call.
 
-        This is the call the server's request coalescing funnels into:
+        This is the call the server's request coalescing funnels into,
         bit-identical to evaluating each blocked set alone (same
-        samples, same chunking), but the per-chunk aliveness matrix is
-        materialised once for the whole batch.
+        samples, same integer sums).  The compiled reach kernel counts
+        each blocked set straight from the pool's flat samples; only
+        the fallback builds aliveness-matrix chunks, once for the
+        whole batch.
         """
         with self._lock:
             return self.pooled.expected_spread_many(

@@ -13,7 +13,7 @@ Two layers:
     drains its whole queue and answers every same-``(seeds, theta)``
     spread query with one
     :meth:`~repro.engine.evaluator.PooledEvaluator.expected_spread_many`
-    call — one aliveness-matrix materialisation for the whole batch,
+    call, made under one artifact-lock hold for the whole batch and
     bit-identical to serial execution.
 :class:`ServiceServer`
     A ``socketserver.ThreadingTCPServer`` speaking JSON lines: each

@@ -103,9 +103,16 @@ class MonteCarloEngine:
         self._stamp += 1
         stamp = self._stamp
         block_mark = self._block_mark
+        n = self.csr.n
+        # range checks first: a negative id would silently wrap onto
+        # another vertex's mark
         for v in blocked:
+            if not 0 <= v < n:
+                raise ValueError(f"blocked vertex {v} out of range [0, {n})")
             block_mark[v] = stamp
         for s in seeds:
+            if not 0 <= s < n:
+                raise IndexError(f"seed {s} is not a vertex")
             if block_mark[s] == stamp:
                 raise ValueError(f"seed {s} cannot be blocked")
         return stamp

@@ -11,7 +11,8 @@ import pytest
 from repro.datasets import figure1_graph, figure1_seed
 from repro.dominator import dominator_order_sizes
 from repro.engine import SamplePool, SketchIndex
-from repro.graph import DiGraph
+from repro.graph import barabasi_albert, CSRGraph, DiGraph
+from repro.models import assign_weighted_cascade
 from repro.sampling import adjacency_from_edges
 
 
@@ -30,6 +31,17 @@ def toy_seed() -> int:
 def diamond_graph() -> DiGraph:
     """0 -> {1, 2} -> 3: the smallest graph with a non-trivial idom."""
     return DiGraph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+@pytest.fixture(scope="module")
+def wc_setup():
+    """``(graph, csr, pool)``: a WC-weighted BA graph (n=400) with 120
+    pooled samples.  Shared per module — tests must not mutate it."""
+    graph = assign_weighted_cascade(barabasi_albert(400, 4, rng=11))
+    csr = CSRGraph(graph)
+    pool = SamplePool(csr, rng=11)
+    pool.get(120)
+    return graph, csr, pool
 
 
 def random_digraph(

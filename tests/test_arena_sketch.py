@@ -27,8 +27,7 @@ from repro.datasets.toy import figure1_graph, figure1_seed, V
 from repro.engine import postings_csr, SketchIndex
 from repro.engine.pool import SamplePool
 from repro.engine.treebuild import TreeBuilder
-from repro.graph import barabasi_albert, CSRGraph, DiGraph
-from repro.models import assign_weighted_cascade
+from repro.graph import CSRGraph, DiGraph
 from repro.native import native_build_available, native_build_trees
 from repro.rng import ensure_rng
 from repro.spread import exact_expected_spread
@@ -39,15 +38,6 @@ from .conftest import LegacySketch, reference_sketch
 @pytest.fixture
 def toy():
     return figure1_graph()
-
-
-@pytest.fixture(scope="module")
-def wc_setup():
-    graph = assign_weighted_cascade(barabasi_albert(400, 4, rng=11))
-    csr = CSRGraph(graph)
-    pool = SamplePool(csr, rng=11)
-    pool.get(120)
-    return graph, csr, pool
 
 
 def random_digraph(n, m, rng):

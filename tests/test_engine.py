@@ -408,6 +408,32 @@ class TestFactory:
         assert evaluator.csr.n == toy.n
 
 
+class TestOutOfRangeIds:
+    """Every backend rejects ids outside ``[0, n)`` with the sketch
+    index's errors, instead of numpy wrapping ``-1`` onto vertex
+    ``n - 1`` or a bare ``IndexError`` from an array lookup."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "seeds, blocked, error, message",
+        [
+            ([0], [-1], ValueError, r"blocked vertex -1 out of range \[0, 5\)"),
+            ([0], [5], ValueError, r"blocked vertex 5 out of range \[0, 5\)"),
+            ([-1], [], IndexError, "seed -1 is not a vertex"),
+            ([5], [], IndexError, "seed 5 is not a vertex"),
+        ],
+        ids=["blocked-negative", "blocked-n", "seed-negative", "seed-n"],
+    )
+    def test_rejected(self, backend, seeds, blocked, error, message):
+        path = DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with build_evaluator(
+            path, EngineSpec(engine=backend, seed=1, workers=1)
+        ) as evaluator:
+            with pytest.raises(error, match=message):
+                evaluator.expected_spread(seeds, 10, blocked)
+            assert evaluator.expected_spread([0], 10, [2]) == 2.0
+
+
 class TestBuildEvaluator:
     """The ``build_evaluator`` factory shared by CLI and service."""
 
