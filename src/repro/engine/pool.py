@@ -11,7 +11,10 @@ and — optionally — processes:
 * a request for ``theta`` samples is served from the pool's prefix when
   enough samples exist (a *hit*) and triggers incremental generation of
   only the shortfall otherwise (a *miss* grows the pool, it never
-  regenerates);
+  regenerates).  The compiled coin kernel
+  (:func:`~repro.native.native_draw_samples`) draws the shortfall
+  straight into one preallocated positions array; the chunked numpy
+  draw is the fallback and the reference;
 * blocking is applied at traversal time by the consumer, so the same
   samples serve every blocked-set query: the compiled reach kernel
   (:func:`~repro.native.native_reach_counts`) and the tree-build
@@ -36,12 +39,14 @@ from pathlib import Path
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph, GraphDelta
+from ..native import native_draw_samples
 from ..obs import span, track
 from ..rng import ensure_rng, RngLike
 
 __all__ = ["PoolDeltaReport", "SampleBatch", "SamplePool", "PoolStats"]
 
-# cap on the (chunk, m) hash matrix materialised per generation step
+# cap on the (chunk, m) hash matrix the numpy draw and the delta patch
+# materialise per step; the coin kernel allocates no such matrix
 _COIN_CELL_BUDGET = 8_000_000
 
 # tag mixed into the disk fingerprint: bump when the coin scheme
@@ -91,6 +96,27 @@ def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sure = thr_f >= np.float64(2.0**64)
     thr = np.where(sure, 0.0, thr_f).astype(np.uint64)
     return thr, sure
+
+
+def _well_formed(offsets: np.ndarray, positions: np.ndarray) -> bool:
+    """Structural check of a persisted ``(offsets, positions)`` pair.
+
+    Both arrays are 1-D int64, the offsets start at 0 and never
+    decrease, and the positions cover the last window (a longer
+    positions file is a consistent prefix, see :meth:`SamplePool._persist`).
+    O(theta): the positions are never scanned, so a damaged position
+    *value* inside a well-shaped file passes.
+    """
+    return (
+        offsets.ndim == 1
+        and positions.ndim == 1
+        and offsets.dtype == np.int64
+        and positions.dtype == np.int64
+        and offsets.shape[0] >= 1
+        and offsets[0] == 0
+        and not np.any(offsets[1:] < offsets[:-1])
+        and offsets[-1] <= positions.shape[0]
+    )
 
 
 def _sample_counters(lo: int, hi: int) -> np.ndarray:
@@ -583,13 +609,40 @@ class SamplePool:
     # generation
     # ------------------------------------------------------------------
     def _grow(self, extra: int) -> None:
-        m = self.csr.m
-        chunk = self._chunk
+        """Draw samples ``theta .. theta + extra - 1`` onto the pool.
+
+        The compiled coin kernel (:func:`~repro.native.native_draw_samples`)
+        counts each new sample's survivors, then fills one preallocated
+        positions array; without it, :meth:`_draw_chunked` answers.
+        Both evaluate the same keyed stream, so the samples are
+        bit-identical either way.
+        """
         target = self._theta + extra
-        chunks_pos: list[np.ndarray] = [np.asarray(self._positions)]
-        chunks_counts: list[np.ndarray] = []
         keys = _edge_keys(self._root, self.csr.src, self.csr.indices)
         thr, sure = _thresholds(self.csr.probs)
+        grown = native_draw_samples(
+            keys, thr, sure, self._offsets, self._positions,
+            self._theta, target,
+        )
+        if grown is None:
+            grown = self._draw_chunked(keys, thr, sure, target)
+        self._offsets, self._positions = grown
+        self._theta = target
+        self.stats.generated += extra
+
+    def _draw_chunked(
+        self,
+        keys: np.ndarray,
+        thr: np.ndarray,
+        sure: np.ndarray,
+        target: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The numpy draw: the fallback and the bit-identity reference
+        of the coin kernel."""
+        m = self.csr.m
+        chunk = self._chunk
+        chunks_pos: list[np.ndarray] = [np.asarray(self._positions)]
+        chunks_counts: list[np.ndarray] = []
         for lo in range(self._theta, target, chunk):
             # one (window, m) hash matrix per step, bounded by the
             # cell budget; sample content is per-(edge, sample) and
@@ -607,14 +660,11 @@ class SamplePool:
             else:
                 chunks_counts.append(np.zeros(hi - lo, dtype=np.int64))
         counts = np.concatenate(chunks_counts)
-        new_offsets = np.empty(self._theta + extra + 1, dtype=np.int64)
+        new_offsets = np.empty(target + 1, dtype=np.int64)
         new_offsets[: self._theta + 1] = self._offsets
         np.cumsum(counts, out=new_offsets[self._theta + 1:])
         new_offsets[self._theta + 1:] += self._offsets[self._theta]
-        self._offsets = new_offsets
-        self._positions = np.concatenate(chunks_pos)
-        self._theta += extra
-        self.stats.generated += extra
+        return new_offsets, np.concatenate(chunks_pos)
 
     # ------------------------------------------------------------------
     # persistence
@@ -640,7 +690,7 @@ class SamplePool:
             positions = np.load(pos_path, mmap_mode="r")
         except (OSError, ValueError):  # corrupt/partial cache: ignore
             return
-        if offsets.ndim != 1 or offsets.shape[0] < 1:
+        if not _well_formed(offsets, positions):  # damaged: re-draw
             return
         self._offsets = offsets
         self._positions = positions

@@ -1,14 +1,18 @@
 """repro.native — optional compiled kernels, loaded via ``ctypes``.
 
-Two per-sample costs no amount of numpy vectorisation removes, because
-every step is data-dependent: the sketch estimator's Lengauer–Tarjan
-walk and the pooled estimator's reachability count.  This package ships
-both kernels as plain C in one file (``lt_kernel.c``), compiled **on
-demand** with whatever ``cc``/``gcc`` the host already has and loaded
-through the standard library's ``ctypes`` — no build-time dependency,
-no compiled artifact in the repository, and a clean fallback: when no
-compiler is available (or ``REPRO_NATIVE=0`` is set) every caller uses
-its numpy/Python path and produces bit-identical results, just slower.
+Three per-sample costs numpy serves badly.  Two are data-dependent at
+every step, so no vectorisation removes them: the sketch estimator's
+Lengauer–Tarjan walk and the pooled estimator's reachability count.
+The third is the sample pool's live-edge draw: numpy can vectorise its
+θ×m coin flips only by materialising them as (chunk × m) hash
+matrices, which cost more time and memory than the pool they produce.
+This package ships all three kernels as plain C in one file
+(``lt_kernel.c``), compiled **on demand** with whatever ``cc``/``gcc``
+the host already has and loaded through the standard library's
+``ctypes`` — no build-time dependency, no compiled artifact in the
+repository, and a clean fallback: when no compiler is available (or
+``REPRO_NATIVE=0`` is set) every caller uses its numpy/Python path and
+produces bit-identical results, just slower.
 
 Compiled objects are cached under a per-user temp directory keyed by a
 hash of the C source, so a source change triggers exactly one
@@ -16,12 +20,14 @@ recompile and concurrent processes race benignly (atomic rename).
 
 The consumers are
 :meth:`repro.engine.treebuild.TreeBuilder.build_packed`
-(:func:`native_build_trees`) and
+(:func:`native_build_trees`),
 :meth:`repro.engine.evaluator.PooledEvaluator.expected_spread_many`
-(:func:`native_reach_counts`).  A further kernel follows the same
-pattern: add its C to ``lt_kernel.c`` (one shared object, so it
-compiles with the others before any timed work), add a loader entry,
-keep the Python path as the semantic reference.
+(:func:`native_reach_counts`) and the growth step of
+:class:`repro.engine.pool.SamplePool` (:func:`native_draw_samples`).
+A further kernel follows the same pattern: add its C to
+``lt_kernel.c`` (one shared object, so it compiles with the others
+before any timed work), add a loader entry, keep the Python path as
+the semantic reference.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "native_build_available",
     "native_build_trees",
     "native_cache_dir",
+    "native_draw_samples",
     "native_reach_counts",
 ]
 
@@ -140,8 +147,8 @@ def _compile() -> Path | None:
         tmp.replace(so_path)  # atomic: concurrent compiles race benignly
         _count(
             "repro_native_compiles_total",
-            "On-demand compiles of the native kernels (LT tree build "
-            "and reach counts)",
+            "On-demand compiles of the native kernels (LT tree build, "
+            "reach counts and coin draw)",
         )
         return so_path
     except (OSError, subprocess.SubprocessError):
@@ -153,6 +160,7 @@ def _compile() -> Path | None:
 
 
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
 
@@ -194,6 +202,23 @@ def _load() -> "ctypes.CDLL | bool":
                         _U8P,  # blocked
                         _I64P,  # out_counts
                     ]
+                    coin_args = [
+                        ctypes.c_int64,  # m
+                        _U64P,  # keys
+                        _U64P,  # thr
+                        _U8P,  # sure
+                        ctypes.c_int64,  # lo
+                        ctypes.c_int64,  # hi
+                    ]
+                    lib.repro_coin_counts.restype = None
+                    lib.repro_coin_counts.argtypes = coin_args + [
+                        _I64P,  # out_counts
+                    ]
+                    lib.repro_coin_fill.restype = None
+                    lib.repro_coin_fill.argtypes = coin_args + [
+                        _I64P,  # offsets
+                        _I64P,  # positions
+                    ]
                     _lib = lib
                 except OSError:
                     _lib = False
@@ -201,8 +226,9 @@ def _load() -> "ctypes.CDLL | bool":
 
 
 def native_build_available() -> bool:
-    """True when the compiled kernels (tree build and reach counts,
-    one shared object) are loadable here; the first call compiles."""
+    """True when the compiled kernels (tree build, reach counts and
+    coin draw, one shared object) are loadable here; the first call
+    compiles."""
     return _load() is not False
 
 
@@ -237,30 +263,47 @@ def native_build_trees(
         "repro_native_calls_total",
         "Batched tree builds answered by the compiled kernel",
     )
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
+    positions = np.ascontiguousarray(positions, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     sample_idx = np.ascontiguousarray(sample_idx, dtype=np.int64)
+    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+    blocked_mask = np.ascontiguousarray(blocked_mask, dtype=np.uint8)
     batch = sample_idx.shape[0]
+    # the kernel trusts every index it is handed: check the shapes,
+    # the sample windows and the caller-supplied ids here, before any
+    # pointer crosses
+    if indptr.shape[0] != n + 1 or blocked_mask.shape[0] != n:
+        raise ValueError("indptr and blocked_mask must cover n vertices")
+    window = 0
+    if batch:
+        if sample_idx.min() < 0 or sample_idx.max() + 1 >= offsets.shape[0]:
+            raise ValueError(
+                f"sample_idx outside the {offsets.shape[0] - 1} samples "
+                "the offsets describe"
+            )
+        starts = offsets[sample_idx]
+        ends = offsets[sample_idx + 1]
+        if (
+            starts.min() < 0
+            or np.any(ends < starts)
+            or ends.max() > positions.shape[0]
+        ):
+            raise ValueError("positions shorter than the sample window")
+        window = int((ends - starts).sum())
+    if seeds.shape[0] and (seeds.min() < 0 or seeds.max() >= n):
+        raise IndexError(f"seeds must be vertices in [0, {n})")
     lengths = np.empty(max(batch, 1), dtype=np.int64)
     # every non-root reachable vertex is a seed or has a surviving
     # in-edge, so the payload is bounded by edges + roots + seeds
-    window = int((offsets[sample_idx + 1] - offsets[sample_idx]).sum())
     cap = window + batch * (1 + int(seeds.shape[0])) + 1
     out_order = np.empty(cap, dtype=np.int64)
     out_sizes = np.empty(cap, dtype=np.int64)
     total = lib.repro_build_trees(
-        n,
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(edge_dst, dtype=np.int64),
-        np.ascontiguousarray(positions, dtype=np.int64),
-        offsets,
-        sample_idx,
-        batch,
-        np.ascontiguousarray(seeds, dtype=np.int64),
-        int(seeds.shape[0]),
-        np.ascontiguousarray(blocked_mask, dtype=np.uint8),
-        out_order,
-        out_sizes,
-        lengths,
+        n, indptr, edge_dst, positions, offsets, sample_idx, batch,
+        seeds, int(seeds.shape[0]), blocked_mask,
+        out_order, out_sizes, lengths,
     )
     if total < 0:  # pragma: no cover - scratch malloc failure
         raise MemoryError("native tree-build kernel out of memory")
@@ -338,3 +381,74 @@ def native_reach_counts(
     if status < 0:  # pragma: no cover - scratch malloc failure
         raise MemoryError("native reach kernel out of memory")
     return out[:rounds]
+
+
+def native_draw_samples(
+    keys: np.ndarray,
+    thr: np.ndarray,
+    sure: np.ndarray,
+    offsets: np.ndarray,
+    positions: np.ndarray,
+    theta: int,
+    target: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A pool's flat sample arrays grown from ``theta`` to ``target``
+    samples, as new ``(offsets, positions)``, or ``None`` when the
+    kernel is unavailable (callers fall back to the chunked numpy draw,
+    :meth:`~repro.engine.pool.SamplePool._draw_chunked` — the samples
+    are identical either way).
+
+    ``keys``/``thr``/``sure`` are the per-edge stream keys, uint64
+    thresholds and always-survive mask of ``repro.engine.pool``;
+    ``offsets``/``positions`` hold the ``theta`` samples drawn so far
+    (a memory-mapped pool is read, never written).  A count pass sizes
+    one int64 positions array of old + new survivors; the first
+    ``offsets[theta]`` entries are copied from ``positions`` and a fill
+    pass writes each new sample's survivors after them, ascending.
+    Nothing else of size θ×m or θ×survivors is allocated.  The GIL is
+    released for both passes.
+    """
+    lib = _load()
+    if lib is False:
+        _count(
+            "repro_native_coin_fallbacks_total",
+            "Sample-pool draws answered by the chunked numpy path",
+        )
+        return None
+    _count(
+        "repro_native_coin_calls_total",
+        "Sample-pool draws (one per pool growth) answered by the "
+        "compiled kernel",
+    )
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    thr = np.ascontiguousarray(thr, dtype=np.uint64)
+    sure = np.ascontiguousarray(sure, dtype=np.bool_).view(np.uint8)
+    m = keys.shape[0]
+    theta, target = int(theta), int(target)
+    # the kernel reads m entries of each per-edge array and writes only
+    # arrays allocated here; check what it is handed before it crosses
+    if keys.ndim != 1 or thr.shape != (m,) or sure.shape != (m,):
+        raise ValueError("keys, thr and sure must be 1-D with m entries")
+    if not 0 <= theta <= target:
+        raise ValueError(f"cannot grow {theta} samples to {target}")
+    if offsets.ndim != 1 or positions.ndim != 1:
+        raise ValueError("offsets and positions must be 1-D")
+    if offsets.shape[0] < theta + 1:
+        raise ValueError(
+            f"offsets describe fewer than the {theta} samples drawn"
+        )
+    drawn = int(offsets[theta])
+    if not 0 <= drawn <= positions.shape[0]:
+        raise ValueError("positions shorter than the sample window")
+    counts = np.empty(target - theta, dtype=np.int64)
+    lib.repro_coin_counts(m, keys, thr, sure, theta, target, counts)
+    new_offsets = np.empty(target + 1, dtype=np.int64)
+    new_offsets[: theta + 1] = offsets[: theta + 1]
+    np.cumsum(counts, out=new_offsets[theta + 1:])
+    new_offsets[theta + 1:] += drawn
+    new_positions = np.empty(int(new_offsets[target]), dtype=np.int64)
+    new_positions[:drawn] = positions[:drawn]
+    lib.repro_coin_fill(
+        m, keys, thr, sure, theta, target, new_offsets, new_positions
+    )
+    return new_offsets, new_positions

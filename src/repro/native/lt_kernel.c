@@ -31,6 +31,10 @@
  *
  * repro_reach_counts: per-sample reach counts of one seed set, the
  * pooled spread estimator's traversal, with the same row lookup.
+ *
+ * repro_coin_counts / repro_coin_fill: the sample pool's live-edge
+ * draw, in two passes over the same coins so the caller can size one
+ * output array exactly before anything is written.
  */
 
 #include <stdint.h>
@@ -410,4 +414,75 @@ int64_t repro_reach_counts(
     }
     free(scratch);
     return 0;
+}
+
+/* The keyed coin stream of repro/engine/pool.py: edge j survives in
+ * sample t iff mix64(keys[j] + (t + 1) * GOLDEN) < thr[j], or sure[j].
+ * mix64 is the splitmix64 finalizer (pool.py::_mix64); the constants
+ * must match pool.py's _GOLDEN, _MIX_A and _MIX_B.  Unsigned overflow
+ * wraps mod 2^64, exactly like numpy's uint64 arithmetic. */
+#define COIN_GOLDEN 0x9E3779B97F4A7C15ULL
+
+static inline uint64_t mix64(uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/* Surviving-edge count of each sample t in [lo, hi), written to
+ * out_counts[t - lo].
+ *
+ * keys / thr: per-edge stream keys and uint64 survival thresholds
+ *     (pool.py::_edge_keys, _thresholds), m entries each.
+ * sure: byte mask over the m edges that survive unconditionally.
+ */
+void repro_coin_counts(
+    int64_t m,
+    const uint64_t *keys,
+    const uint64_t *thr,
+    const uint8_t *sure,
+    int64_t lo,
+    int64_t hi,
+    int64_t *out_counts) {
+    for (int64_t t = lo; t < hi; t++) {
+        const uint64_t step = (uint64_t)(t + 1) * COIN_GOLDEN;
+        int64_t count = 0;
+        for (int64_t j = 0; j < m; j++) {
+            count += (mix64(keys[j] + step) < thr[j]) | sure[j];
+        }
+        out_counts[t - lo] = count;
+    }
+}
+
+/* Surviving edge positions of each sample t in [lo, hi), ascending,
+ * written to positions[offsets[t]:offsets[t + 1]].
+ *
+ * offsets must hold the counts repro_coin_counts returned for the same
+ * inputs, so each sample's window is exactly its survivor count.  The
+ * store is branchless: every edge is written to the next free slot and
+ * the slot advances only when the edge survives.  The scan stops as
+ * soon as the window is full, so no store lands past it.
+ */
+void repro_coin_fill(
+    int64_t m,
+    const uint64_t *keys,
+    const uint64_t *thr,
+    const uint8_t *sure,
+    int64_t lo,
+    int64_t hi,
+    const int64_t *offsets,
+    int64_t *positions) {
+    for (int64_t t = lo; t < hi; t++) {
+        const uint64_t step = (uint64_t)(t + 1) * COIN_GOLDEN;
+        int64_t *out = positions + offsets[t];
+        const int64_t need = offsets[t + 1] - offsets[t];
+        int64_t k = 0;
+        for (int64_t j = 0; j < m && k < need; j++) {
+            out[k] = j;
+            k += (mix64(keys[j] + step) < thr[j]) | sure[j];
+        }
+    }
 }

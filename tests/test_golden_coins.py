@@ -1,0 +1,86 @@
+"""Absolute pins on the sample pools' coin stream.
+
+Every identity contract elsewhere in the suite (pooled == sketch,
+delta == cold rebuild, mmap == cold, native == numpy) compares two
+paths that share the coin code, so a changed stream passes all of
+them.  These pins do not: they hold the sha256 of two pools' flat
+arrays and two answers drawn from the email-core stand-in, as the
+numpy draw produced them.  Both draw paths must reproduce them — the
+compiled coin kernel, and the numpy fallback under ``REPRO_NATIVE=0``.
+
+A deliberate change of the stream bumps ``_COIN_SCHEME`` in
+``repro/engine/pool.py`` and re-pins every value here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.bench import pick_seeds, prepare_graph
+from repro.core import solve_imin
+from repro.datasets import load_dataset
+from repro.engine import build_evaluator, EngineSpec
+from repro.graph import barabasi_albert
+
+EMAIL_OFFSETS = (
+    "75c0c017ec7d315610cf4c5db4c997fddc8b3abbb832732a8872e1f9f1282ad3"
+)
+EMAIL_POSITIONS = (
+    "7c4bb811c39277cf8411be26dfeb60e8fc0226a9f514ee98da284f2e2c339eb7"
+)
+BA_OFFSETS = (
+    "ccc26bf2172825a4ea40410bd6c226033ffd833621e418a2f88f3ccd1d3b93e4"
+)
+BA_POSITIONS = (
+    "c6d14332b0faf9ffaaf5851cdf003dd428d39e6f27edc5e1668ea66f33211ab1"
+)
+EMAIL_SPREAD = "0x1.5e1eb851eb852p+6"  # 87.53
+EMAIL_BLOCKERS = [176, 300, 958]
+
+
+def sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(array, dtype=np.int64).tobytes()
+    ).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def email():
+    """The email-core stand-in under WC and its five pinned seeds."""
+    graph = prepare_graph(load_dataset("email-core"), "wc")
+    return graph, pick_seeds(graph, 5, rng=7)
+
+
+def test_email_core_pool(email):
+    graph, seeds = email
+    pooled = build_evaluator(
+        graph, EngineSpec(engine="pooled", theta=200, seed=7)
+    )
+    batch = pooled.pool.get(200)
+    assert sha256(batch.offsets) == EMAIL_OFFSETS
+    assert sha256(batch.positions) == EMAIL_POSITIONS
+    assert pooled.expected_spread(seeds, 200, []).hex() == EMAIL_SPREAD
+
+
+def test_grown_ba_pool():
+    graph = prepare_graph(barabasi_albert(2000, 4, rng=7), "wc")
+    pool = build_evaluator(graph, EngineSpec(engine="pooled", seed=7)).pool
+    pool.get(7)
+    batch = pool.get(300)
+    assert sha256(batch.offsets) == BA_OFFSETS
+    assert sha256(batch.positions) == BA_POSITIONS
+
+
+def test_greedy_replace_blockers(email):
+    graph, seeds = email
+    sketch = build_evaluator(
+        graph, EngineSpec(engine="sketch", theta=200, seed=7)
+    )
+    result = solve_imin(
+        graph, seeds, 3, algorithm="greedy-replace", theta=200, rng=7,
+        evaluator=sketch,
+    )
+    assert sorted(result.blockers) == EMAIL_BLOCKERS

@@ -5,12 +5,17 @@ rehydrated from disk is *bit-identical* to the cold-built one — same
 spread, same marginal gains, same blocker selections — including after
 the copy-on-write promotion a rebase triggers, and the on-disk
 artifact itself is never dirtied by mutation.  Identity failures here
-are hard failures (never tolerance-based comparisons).
+are hard failures (never tolerance-based comparisons).  A persisted
+sample pool that is structurally damaged is re-drawn, never attached.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +285,126 @@ class TestWorkerPoolSampleHandoff:
             assert index.builder.sample_paths is None
         finally:
             index.close()
+
+
+# Runs in a fresh interpreter: damages the persisted stream-0 pool in
+# ``cache_dir`` one way, then asks the sketch engine and (after damaging
+# the re-persisted files again) the pooled engine, and finally a third
+# evaluator that must attach the repaired files.  Prints the answers.
+DAMAGED_POOL_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from repro import assign_weighted_cascade, EngineSpec
+from repro.engine import build_evaluator
+from repro.graph.generators import barabasi_albert
+
+kind, cache_dir = sys.argv[1], sys.argv[2]
+
+
+def decreasing(offsets):
+    offsets = offsets.copy()
+    offsets[10], offsets[20] = offsets[20], offsets[10]
+    return offsets
+
+
+DAMAGE = {
+    "truncated": lambda off, pos: (off, pos[: pos.shape[0] // 10]),
+    "offsets-float": lambda off, pos: (off.astype(np.float64), pos),
+    "offsets-2d": lambda off, pos: (off[None, :], pos),
+    "offsets-shifted": lambda off, pos: (off + 1, pos),
+    "offsets-decreasing": lambda off, pos: (decreasing(off), pos),
+    "positions-int32": lambda off, pos: (off, pos.astype(np.int32)),
+}
+
+
+def damage():
+    (off_path,) = Path(cache_dir).glob("pool-*.offsets.npy")
+    pos_path = off_path.with_name(
+        off_path.name.replace(".offsets.", ".positions.")
+    )
+    off, pos = DAMAGE[kind](np.load(off_path), np.load(pos_path))
+    np.save(off_path, off)
+    np.save(pos_path, pos)
+
+
+graph = assign_weighted_cascade(barabasi_albert(500, 3, rng=1))
+
+
+def ask(engine):
+    evaluator = build_evaluator(graph, EngineSpec(
+        engine=engine, theta=50, seed=7, cache_dir=cache_dir,
+    ))
+    return evaluator, [
+        evaluator.expected_spread([0, 1], 50, blocked)
+        for blocked in ([], [2, 3])
+    ]
+
+
+damage()
+sketch_engine, sketch = ask("sketch")
+damage()
+pooled_engine, pooled = ask("pooled")
+repaired, again = ask("pooled")
+answers = {
+    "sketch": sketch,
+    "pooled": pooled,
+    "repaired": again,
+    "disk_loads": [
+        sketch_engine.pool.stats.disk_loads,
+        pooled_engine.pool.stats.disk_loads,
+        repaired.pool.stats.disk_loads,
+    ],
+}
+print(json.dumps(answers))
+"""
+
+
+class TestDamagedPoolFiles:
+    """A persisted sample pool that fails the structural check on
+    attach is ignored, re-drawn and re-persisted; no engine crashes
+    on it.  Each kind of damage runs in its own interpreter, so a
+    crash fails the test instead of the test process."""
+
+    @pytest.fixture(scope="class")
+    def ba_graph(self):
+        return assign_weighted_cascade(barabasi_albert(500, 3, rng=1))
+
+    @pytest.fixture(scope="class")
+    def undamaged(self, ba_graph):
+        cold = build_evaluator(
+            ba_graph, EngineSpec(engine="pooled", theta=50, seed=7)
+        )
+        return [
+            cold.expected_spread([0, 1], 50, blocked)
+            for blocked in ([], [2, 3])
+        ]
+
+    @pytest.mark.parametrize("kind", [
+        "truncated", "offsets-float", "offsets-2d", "offsets-shifted",
+        "offsets-decreasing", "positions-int32",
+    ])
+    def test_both_engines_answer_as_cold(
+        self, kind, ba_graph, undamaged, tmp_path
+    ):
+        persisted = build_evaluator(ba_graph, EngineSpec(
+            engine="pooled", theta=50, seed=7, cache_dir=tmp_path,
+        ))
+        assert persisted.expected_spread([0, 1], 50, []) == undamaged[0]
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        result = subprocess.run(
+            [sys.executable, "-X", "faulthandler", "-c",
+             DAMAGED_POOL_SCRIPT, kind, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        answers = json.loads(result.stdout)
+        assert answers["sketch"] == undamaged
+        assert answers["pooled"] == undamaged
+        assert answers["repaired"] == undamaged
+        # damaged files are never attached; the re-persisted pair is
+        assert answers["disk_loads"] == [0, 0, 1]

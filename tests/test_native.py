@@ -1,9 +1,11 @@
 """Native kernels (repro.native): loader gating, caching, fallback,
-and the reach kernel against its aliveness-matrix fallback."""
+the reach kernel against its aliveness-matrix fallback, and the coin
+kernel against the chunked numpy draw."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,9 @@ import pytest
 
 from repro import native
 from repro.engine import PooledEvaluator, reach_counts_from_alive, SamplePool
-from repro.graph import DiGraph, GraphDelta
+from repro.engine.pool import _thresholds
+from repro.graph import barabasi_albert, CSRGraph, DiGraph, GraphDelta
+from repro.models import assign_trivalency, assign_weighted_cascade
 from repro.native import (
     native_build_available,
     native_cache_dir,
@@ -37,8 +41,9 @@ def test_disabled_env_gate(monkeypatch):
 
 
 def test_disabled_process_falls_back():
-    # a fresh interpreter with REPRO_NATIVE=0 must report the kernel
-    # unavailable and still build trees through the Python path
+    # a fresh interpreter with REPRO_NATIVE=0 must report the kernels
+    # unavailable and still build trees and draw samples through the
+    # Python paths
     code = (
         "from repro.native import native_build_available, "
         "native_build_trees\n"
@@ -51,6 +56,14 @@ def test_disabled_process_falls_back():
         "assert native_reach_counts(0, np.zeros(1, dtype=np.int64), "
         "empty, empty, np.zeros(1, dtype=np.int64), 0, empty, "
         "np.zeros(0, dtype=np.uint8)) is None\n"
+        "from repro.native import native_draw_samples\n"
+        "assert native_draw_samples(empty.view(np.uint64), "
+        "empty.view(np.uint64), np.zeros(0, dtype=bool), "
+        "np.zeros(1, dtype=np.int64), empty, 0, 3) is None\n"
+        "from repro.engine import SamplePool\n"
+        "from repro.graph import DiGraph\n"
+        "pool = SamplePool(DiGraph.from_edges(3, [(0, 1), (1, 2)]), rng=1)\n"
+        "assert pool.get(4).positions.tolist() == [0, 1] * 4\n"
         "print('fallback-ok')\n"
     )
     env = dict(os.environ, REPRO_NATIVE="0")
@@ -90,6 +103,44 @@ def test_kernel_empty_batch():
     )
     assert lengths.shape[0] == 0
     assert orders.shape[0] == 0 and sizes.shape[0] == 0
+
+
+def test_tree_wrapper_rejects_bad_windows(wc_setup):
+    # a damaged pool must raise here, never reach the kernel
+    if not native_build_available():
+        pytest.skip("no compiler on this host")
+    graph, csr, pool = wc_setup
+    batch = pool.get(120)
+    mask = np.zeros(csr.n, dtype=np.uint8)
+    idx = np.arange(120, dtype=np.int64)
+    seeds = np.asarray([0, 5])
+
+    def build(**overrides):
+        args = dict(
+            n=csr.n, indptr=csr.indptr, edge_dst=csr.indices,
+            positions=batch.positions, offsets=batch.offsets,
+            sample_idx=idx, seeds=seeds, blocked_mask=mask,
+        )
+        args.update(overrides)
+        return native.native_build_trees(**args)
+
+    assert build()[0].shape == (120,)
+    short = batch.positions[: batch.positions.shape[0] // 10]
+    shifted = batch.offsets - 1
+    for bad in (
+        dict(positions=short),
+        dict(offsets=shifted),
+        dict(offsets=batch.offsets[::-1].copy()),
+        dict(sample_idx=np.asarray([0, 120])),
+        dict(sample_idx=np.asarray([-1])),
+        dict(indptr=csr.indptr[:-1]),
+        dict(blocked_mask=mask[:-1]),
+    ):
+        with pytest.raises(ValueError):
+            build(**bad)
+    for seed in (-1, csr.n):
+        with pytest.raises(IndexError):
+            build(seeds=np.asarray([0, seed]))
 
 
 # ----------------------------------------------------------------------
@@ -245,3 +296,183 @@ class TestReachKernel:
                 csr.n, csr.indptr, csr.indices, batch.positions,
                 batch.offsets, 121, np.asarray([0]), mask,
             )
+
+
+# ----------------------------------------------------------------------
+# coin kernel: native draws == chunked numpy draws, bit for bit
+# ----------------------------------------------------------------------
+def numpy_draws(patch):
+    """Force the numpy draw, as a host without the kernel would."""
+    patch.setattr(
+        "repro.engine.pool.native_draw_samples",
+        lambda *args, **kwargs: None,
+    )
+
+
+def grown_pool(graph, steps, rng=5, cache_dir=None):
+    """A pool grown through ``steps``, returned with its last batch."""
+    pool = SamplePool(graph, rng=rng, cache_dir=cache_dir)
+    for theta in steps:
+        batch = pool.get(theta)
+    return pool, batch
+
+
+def assert_same_samples(a, b):
+    assert a.theta == b.theta
+    assert a.offsets.dtype == b.offsets.dtype == np.int64
+    assert a.positions.dtype == b.positions.dtype == np.int64
+    assert np.array_equal(a.offsets, b.offsets)
+    assert np.array_equal(a.positions, b.positions)
+
+
+def assert_draws_match(graph, steps, monkeypatch, rng=5):
+    """Native and numpy pools grown through ``steps`` are identical."""
+    _, native_batch = grown_pool(graph, steps, rng)
+    with monkeypatch.context() as patch:
+        numpy_draws(patch)
+        _, numpy_batch = grown_pool(graph, steps, rng)
+    assert_same_samples(native_batch, numpy_batch)
+    return native_batch
+
+
+def ba_graph(model):
+    graph = barabasi_albert(300, 3, rng=2)
+    if model == "wc":
+        return assign_weighted_cascade(graph)
+    return assign_trivalency(graph, rng=3)
+
+
+@needs_kernel
+class TestCoinKernel:
+    @pytest.mark.parametrize("model", ["wc", "tr"])
+    def test_models_one_shot_and_grown(self, model, monkeypatch):
+        graph = ba_graph(model)
+        one_shot = assert_draws_match(graph, [150], monkeypatch)
+        grown = assert_draws_match(graph, [3, 40, 150], monkeypatch)
+        assert_same_samples(one_shot, grown)
+        assert one_shot.positions.shape[0] > 0
+
+    def test_sure_and_never_edges(self, monkeypatch):
+        probs = (1.0, 0.0, 0.5, 1.0 - 2.0**-53, 2.0**-64)
+        edges = [
+            (u, (u + k) % 40, probs[(u + k) % len(probs)])
+            for u in range(40)
+            for k in (1, 3, 7)
+        ]
+        graph = DiGraph.from_edges(40, edges)
+        csr = CSRGraph(graph)
+        assert _thresholds(csr.probs)[1].any()  # the sure mask is live
+        batch = assert_draws_match(graph, [1, 60, 200], monkeypatch)
+        hits = np.bincount(batch.positions, minlength=csr.m)
+        assert (hits[csr.probs == 1.0] == 200).all()
+        assert not hits[csr.probs == 0.0].any()
+
+    def test_graph_without_edges(self, monkeypatch):
+        batch = assert_draws_match(DiGraph(6), [1, 9], monkeypatch)
+        assert np.array_equal(batch.offsets, np.zeros(10, dtype=np.int64))
+        assert batch.positions.shape[0] == 0
+
+    def test_one_shot_equals_growth_steps(self, monkeypatch):
+        graph = ba_graph("wc")
+        _, one_shot = grown_pool(graph, [1000])
+        grown = assert_draws_match(graph, [1, 7, 300, 1000], monkeypatch)
+        assert_same_samples(one_shot, grown)
+
+    def test_grow_memory_mapped_pool(self, tmp_path, monkeypatch):
+        graph = ba_graph("wc")
+        with monkeypatch.context() as patch:
+            numpy_draws(patch)
+            grown_pool(graph, [40], cache_dir=tmp_path)
+            _, reference = grown_pool(graph, [130])
+        attached = SamplePool(graph, rng=5, cache_dir=tmp_path)
+        assert attached.stats.disk_loads == 1
+        assert isinstance(attached.get(40).positions, np.memmap)
+        assert_same_samples(attached.get(130), reference)
+        # the grown pool was re-persisted: a third process attaches it
+        again = SamplePool(graph, rng=5, cache_dir=tmp_path)
+        assert again.theta == 130
+        assert_same_samples(again.get(130), reference)
+
+    def test_grow_after_delta(self, monkeypatch):
+        graph = ba_graph("wc")
+        csr = CSRGraph(graph)
+        edges = [
+            (u, int(csr.indices[j]))
+            for u in (0, 5, 9)
+            for j in range(csr.indptr[u], csr.indptr[u] + 2)
+        ]
+        delta = GraphDelta(
+            inserts=[(0, 299, 0.9), (299, 5, 1.0)],
+            deletes=edges[:3],
+            reweights=[(u, v, 0.0) for u, v in edges[3:]],
+        )
+
+        def patched_then_grown():
+            pool = SamplePool(graph, rng=5)
+            pool.get(60)
+            pool.apply_delta(delta)
+            return pool.get(170)
+
+        native_batch = patched_then_grown()
+        with monkeypatch.context() as patch:
+            numpy_draws(patch)
+            numpy_batch = patched_then_grown()
+        assert_same_samples(native_batch, numpy_batch)
+        # ... and both equal a cold draw over the mutated graph
+        mutated = graph.copy()
+        delta.apply_to(mutated)
+        _, cold = grown_pool(mutated, [170])
+        assert_same_samples(native_batch, cold)
+
+    def test_draw_holds_no_hash_matrix(self):
+        # beyond O(m) per-edge arrays, a draw allocates only the grown
+        # pool: the numpy draw's (chunk x m) hash matrices peak at
+        # ~12x the pool here
+        pool = SamplePool(ba_graph("wc"), rng=5)
+        tracemalloc.start()
+        try:
+            pool.get(400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pool.nbytes + 128 * pool.csr.m
+
+    def test_draws_and_fallbacks_are_counted(self, monkeypatch):
+        graph = ba_graph("wc")
+        registry = global_registry()
+        grown_pool(graph, [2])
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.native._lib", False)
+            grown_pool(graph, [2])
+        calls = registry.counter("repro_native_coin_calls_total")
+        fallbacks = registry.counter("repro_native_coin_fallbacks_total")
+        before = (calls.value, fallbacks.value)
+        grown_pool(graph, [3, 9, 9, 20])  # a hit draws nothing
+        assert calls.value == before[0] + 3
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.native._lib", False)
+            grown_pool(graph, [4, 8])
+        assert fallbacks.value == before[1] + 2
+
+    def test_wrapper_rejects_bad_shapes(self):
+        keys = np.arange(5, dtype=np.uint64)
+        thr = np.full(5, 2**63, dtype=np.uint64)
+        sure = np.zeros(5, dtype=bool)
+        offsets = np.zeros(3, dtype=np.int64)
+        positions = np.zeros(0, dtype=np.int64)
+        draw = native.native_draw_samples
+        with pytest.raises(ValueError):
+            draw(keys, thr[:4], sure, offsets, positions, 2, 4)
+        with pytest.raises(ValueError):
+            draw(keys, thr, sure[:4], offsets, positions, 2, 4)
+        with pytest.raises(ValueError):
+            draw(keys, thr, sure, offsets, positions, 3, 4)
+        with pytest.raises(ValueError):
+            draw(keys, thr, sure, offsets, positions, 2, 1)
+        with pytest.raises(ValueError):
+            draw(keys, thr, sure, np.asarray([0, 4, 9]), positions, 2, 4)
+        grown_offsets, grown_positions = draw(
+            keys, thr, sure, offsets, positions, 2, 4
+        )
+        assert grown_offsets.shape == (5,)
+        assert grown_positions.shape == (grown_offsets[-1],)
