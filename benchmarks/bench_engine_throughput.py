@@ -1,13 +1,11 @@
-"""Engine throughput: scalar vs vectorized vs parallel vs pooled vs sketch.
+"""Engine throughput: scalar vs vectorized vs pooled vs sketch.
 
 The acceptance bar for ``repro.engine``: on a synthetic graph with
 >= 10k vertices at 1000 evaluation rounds, the vectorized backend must
-beat the scalar ``MonteCarloEngine`` by >= 5x, with the parallel
-backend scaling further with worker count (visible on multi-core
-hosts; on a single core it degenerates to the vectorized kernel plus
-process overhead).  The sketch backend is timed cold (index build —
-one dominator tree per sample) and warm (cached-index queries, where
-its per-round cost collapses to an array read).
+beat the scalar ``MonteCarloEngine`` by >= 5x.  The pooled and sketch
+backends are timed cold (pool draw, plus for the sketch one dominator
+tree per sample) and warm (queries against the cached pool or index;
+the warm sketch's per-round cost collapses to an array read).
 
 ``--json PATH`` additionally writes a machine-readable report
 (``BENCH_engine.json``): per backend the measured ms/round and the
@@ -32,7 +30,7 @@ import sys
 import time
 
 from repro.bench import format_table, pick_seeds
-from repro.engine import build_evaluator, default_workers, EngineSpec
+from repro.engine import build_evaluator, EngineSpec
 from repro.graph import barabasi_albert
 from repro.models import assign_weighted_cascade
 from repro.spread import MonteCarloEngine
@@ -58,7 +56,6 @@ def run_throughput(
     rounds: int = 1000,
     num_seeds: int = 10,
     rng: int = 7,
-    workers: tuple[int, ...] = (),
     scalar_rounds: int | None = None,
     sketch_rounds: int | None = None,
     repeats: int = 3,
@@ -78,8 +75,6 @@ def run_throughput(
     """
     graph = build_graph(n, attach, rng)
     seeds = pick_seeds(graph, num_seeds, rng=rng)
-    if not workers:
-        workers = (default_workers(),)
 
     records: list[dict[str, object]] = []
 
@@ -123,24 +118,14 @@ def run_throughput(
             }
         )
 
-    def time_warmable(label: str, evaluator, measure: int = rounds) -> None:
-        evaluator.expected_spread(seeds, min(measure, 16))  # warm-up
-        per, est = best_of(
-            lambda: evaluator.expected_spread(seeds, measure), measure
-        )
-        record(label, measure, per, est)
-
     vectorized = build_evaluator(
         graph, EngineSpec(engine="vectorized", seed=rng)
     )
-    time_warmable("vectorized", vectorized)
-    close(vectorized)
-    for w in workers:
-        parallel = build_evaluator(
-            graph, EngineSpec(engine="parallel", seed=rng, workers=w)
-        )
-        time_warmable(f"parallel[w={w}]", parallel)
-        close(parallel)
+    vectorized.expected_spread(seeds, min(rounds, 16))  # warm-up
+    per, est = best_of(
+        lambda: vectorized.expected_spread(seeds, rounds), rounds
+    )
+    record("vectorized", rounds, per, est)
 
     def time_cold_warm(
         backend: str, measure: int, query_rounds: int
@@ -240,13 +225,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--rng", type=int, default=7)
     parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="*",
-        default=[],
-        help="parallel worker counts to sweep (default: all cores)",
-    )
-    parser.add_argument(
         "--scalar-rounds",
         type=int,
         default=None,
@@ -281,7 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         rounds=args.rounds,
         num_seeds=args.seeds,
         rng=args.rng,
-        workers=tuple(args.workers),
         scalar_rounds=args.scalar_rounds,
         sketch_rounds=args.sketch_rounds,
         repeats=args.repeats,
@@ -294,7 +271,6 @@ def main(argv: list[str] | None = None) -> int:
             "rounds": args.rounds,
             "seeds": args.seeds,
             "rng": args.rng,
-            "workers": list(args.workers),
             "scalar_rounds": args.scalar_rounds,
             "sketch_rounds": args.sketch_rounds,
             "repeats": args.repeats,

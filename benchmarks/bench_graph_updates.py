@@ -114,15 +114,12 @@ def run_update_benchmark(
     num_seeds: int = 10,
     rng: int = 7,
     fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    workers: int | None = None,
 ) -> dict[str, object]:
     """Apply the delta ladder to one warm index, cold-rebuilding at
     every rung for the timing contrast and the identity check."""
     graph = assign_weighted_cascade(barabasi_albert(n, attach, rng=rng))
     seeds = pick_seeds(graph, num_seeds, rng=rng)
-    spec = EngineSpec(
-        engine="sketch", theta=theta, seed=rng, workers=workers
-    )
+    spec = EngineSpec(engine="sketch", theta=theta, seed=rng)
 
     start = time.perf_counter()
     index = build_evaluator(CSRGraph(graph), spec)
@@ -305,13 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         "is the gated one)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard tree builds across processes "
-        "(default: serial; results bit-identical either way)",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
@@ -334,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         num_seeds=args.seeds,
         rng=args.rng,
         fractions=tuple(args.fractions),
-        workers=args.workers,
     )
     emit(RESULT_FILE, render(result))
     if args.json is not None:
@@ -345,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
             "seeds": args.seeds,
             "rng": args.rng,
             "fractions": list(args.fractions),
-            "workers": args.workers,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(to_json(result, params), handle, indent=2)

@@ -85,7 +85,6 @@ def run_mmap_benchmark(
     num_seeds: int = 10,
     rng: int = 7,
     budget: int = 3,
-    workers: int | None = None,
     repeats: int = 3,
     query_repeats: int = 5,
     cache_dir: str | Path | None = None,
@@ -102,7 +101,6 @@ def run_mmap_benchmark(
         engine="sketch",
         theta=theta,
         seed=rng,
-        workers=workers,
         cache_dir=cache_dir,
     )
     try:
@@ -255,13 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rng", type=int, default=7)
     parser.add_argument("--budget", type=int, default=3)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the cold tree build across processes "
-        "(default: serial; results bit-identical either way)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=3,
@@ -303,7 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         num_seeds=args.seeds,
         rng=args.rng,
         budget=args.budget,
-        workers=args.workers,
         repeats=args.repeats,
         query_repeats=args.query_repeats,
         cache_dir=args.cache_dir,
@@ -317,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             "seeds": args.seeds,
             "rng": args.rng,
             "budget": args.budget,
-            "workers": args.workers,
             "repeats": args.repeats,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

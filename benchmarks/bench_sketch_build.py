@@ -13,9 +13,9 @@ pooled samples:
 * **legacy** — the pre-refactor per-sample path, reproduced verbatim:
   ``adjacency_from_edges`` + the adjacency-based
   ``dominator_order_sizes`` per sample;
-* **batched** — ``repro.engine.build_trees`` over the same batch
-  (``--workers`` additionally fans it out across processes; results
-  are bit-identical, which the benchmark asserts tree by tree).
+* **batched** — ``repro.engine.TreeBuilder.build`` over the same
+  batch (results are bit-identical, which the benchmark asserts tree
+  by tree).
 
 Sampling cost is excluded from both sides (the pool is shared and
 chunk-seeded), so the ratio isolates construction mechanics and
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.bench import format_table, pick_seeds
 from repro.dominator import dominator_order_sizes
-from repro.engine import build_trees, SketchIndex
+from repro.engine import SketchIndex, TreeBuilder
 from repro.engine.pool import SamplePool
 from repro.graph import barabasi_albert, CSRGraph
 from repro.models import assign_weighted_cascade
@@ -75,7 +75,6 @@ def run_build_benchmark(
     theta: int = 200,
     num_seeds: int = 10,
     rng: int = 7,
-    workers: int | None = None,
     repeats: int = 3,
 ) -> dict[str, object]:
     """Time legacy vs batched construction on shared pooled samples."""
@@ -99,9 +98,7 @@ def run_build_benchmark(
         lambda: legacy_build(csr, batch, seeds)
     )
     t_batched, batched_trees = best_of(
-        lambda: build_trees(
-            csr, batch, range(theta), seeds, workers=workers
-        )
+        lambda: TreeBuilder(csr).build(batch, range(theta), seeds)
     )
 
     # the refactor's compatibility bar: identical trees, sample by
@@ -114,7 +111,7 @@ def run_build_benchmark(
 
     # end-to-end cold index: sampling + batched build + aggregation
     start = time.perf_counter()
-    with SketchIndex(csr, rng=rng, workers=workers) as index:
+    with SketchIndex(csr, rng=rng) as index:
         index.expected_spread(seeds, theta)
         t_cold_index = time.perf_counter() - start
 
@@ -207,12 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--rng", type=int, default=7)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan the batched build out across processes (default: serial)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=3,
@@ -239,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
         theta=args.theta,
         num_seeds=args.seeds,
         rng=args.rng,
-        workers=args.workers,
         repeats=args.repeats,
     )
     emit(RESULT_FILE, render(result))
@@ -250,7 +240,6 @@ def main(argv: list[str] | None = None) -> int:
             "theta": args.theta,
             "seeds": args.seeds,
             "rng": args.rng,
-            "workers": args.workers,
             "repeats": args.repeats,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -80,7 +80,7 @@ the trail).
 Usage::
 
     python benchmarks/bench_engine_throughput.py --n 2000 --rounds 200 \\
-        --workers 2 --json BENCH_engine.json
+        --json BENCH_engine.json
     python benchmarks/check_bench_regression.py BENCH_engine.json \\
         --baseline benchmarks/BENCH_engine.json --tolerance 0.25
 
@@ -105,7 +105,6 @@ _IDENTITY_PARAMS = (
     "rounds",
     "seeds",
     "rng",
-    "workers",
     "scalar_rounds",
     "sketch_rounds",
     "repeats",
@@ -132,7 +131,6 @@ _SKETCH_BUILD_IDENTITY_PARAMS = (
     "theta",
     "seeds",
     "rng",
-    "workers",
     "repeats",
 )
 
@@ -170,7 +168,6 @@ _MMAP_IDENTITY_PARAMS = (
     "seeds",
     "budget",
     "rng",
-    "workers",
     "repeats",
 )
 
@@ -182,7 +179,6 @@ _GRAPH_UPDATES_IDENTITY_PARAMS = (
     "seeds",
     "rng",
     "fractions",
-    "workers",
 )
 
 

@@ -31,8 +31,7 @@ Package map
 ``repro.engine``
     The production spread-evaluation engine: vectorized batch
     kernels, a persistent (optionally disk-backed) live-edge sample
-    pool, a multi-core executor with deterministic per-worker RNG
-    streams, the dominator-tree sketch index (the paper's estimator
+    pool, the dominator-tree sketch index (the paper's estimator
     as a persistent backend with O(1) marginal gains), and the
     pluggable ``SpreadEvaluator`` protocol the algorithms and
     benchmarks accept.
@@ -79,7 +78,6 @@ from .dominator import DominatorTree, immediate_dominators
 from .engine import (
     build_evaluator,
     EngineSpec,
-    ParallelEvaluator,
     SamplePool,
     SketchIndex,
     SpreadEvaluator,
@@ -128,7 +126,6 @@ __all__ = [
     "EngineSpec",
     "build_evaluator",
     "VectorizedEvaluator",
-    "ParallelEvaluator",
     "SamplePool",
     "SketchIndex",
     "exact_expected_spread",

@@ -110,7 +110,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
         Experiment(
             "engine-throughput", "(extension)",
-            "scalar vs vectorized vs parallel vs pooled spread oracle",
+            "scalar vs vectorized vs pooled vs sketch spread oracle",
             "bench_engine_throughput.py",
         ),
         Experiment(

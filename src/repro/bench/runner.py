@@ -87,7 +87,7 @@ def evaluate_spread(
 
     ``evaluator`` (built on ``graph``; see
     :func:`repro.engine.build_evaluator`) routes the evaluation through
-    a vectorized/parallel/pooled backend; the default is a fresh
+    a vectorized/pooled backend; the default is a fresh
     scalar engine, reproducing historical fixed-seed values exactly.
     Precedence: when ``evaluator`` is given, ``rng`` is ignored — the
     evaluator's own stream (fixed at its construction) is used, and a

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 
@@ -145,14 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "persist sample pools here so evicted artifacts rehydrate "
             "from disk (mmapped)"
-        ),
-    )
-    serve.add_argument(
-        "--build-workers", type=int, default=None,
-        help=(
-            "worker processes for each artifact's batched sketch-tree "
-            "builds (default: serial; answers are bit-identical either "
-            "way)"
         ),
     )
     serve.add_argument(
@@ -428,16 +421,6 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes: simulation chunks for --engine parallel, "
-            "batched sketch-tree builds for --engine sketch (default: "
-            "all cores / serial)"
-        ),
-    )
-    sub.add_argument(
         "--cache-dir",
         default=None,
         help=(
@@ -553,7 +536,6 @@ def _engine_spec(args, theta: int | None = None) -> EngineSpec:
         model=args.model,
         theta=theta if theta is not None else 200,
         seed=args.rng,
-        workers=args.workers,
         cache_dir=getattr(args, "cache_dir", None),
     )
 
@@ -568,13 +550,6 @@ def _make_engine(args, graph, stream: int = 0, theta: int | None = None):
     they never share random worlds (with the pooled backend, sharing
     would score the winner on the very samples that selected it).
     """
-    if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be >= 1")
-            raise SystemExit(2)
-        if args.engine not in ("parallel", "sketch"):
-            print("error: --workers requires --engine parallel or sketch")
-            raise SystemExit(2)
     if args.engine == "scalar":
         return None
     return build_evaluator(
@@ -679,12 +654,15 @@ def _cmd_serve(args) -> int:
             print(f"error: --edge-list expects NAME=PATH, got {spec!r}")
             return 2
         edge_pairs.append((name, path))
+    if args.cache_entries < 1:
+        print("error: --cache-entries must be >= 1")
+        return 2
+    if args.cache_mb is not None and not 0 < args.cache_mb < math.inf:
+        print("error: --cache-mb must be a positive, finite size")
+        return 2
     max_bytes = (
         None if args.cache_mb is None else int(args.cache_mb * 2**20)
     )
-    if args.build_workers is not None and args.build_workers < 1:
-        print("error: --build-workers must be >= 1")
-        return 2
     if args.max_pending is not None and args.max_pending < 0:
         print("error: --max-pending must be >= 0")
         return 2
@@ -703,7 +681,6 @@ def _cmd_serve(args) -> int:
         max_entries=args.cache_entries,
         max_bytes=max_bytes,
         cache_dir=args.cache_dir,
-        build_workers=args.build_workers,
     )
     log = EventLog(json_mode=args.log_json)
     try:
@@ -778,7 +755,6 @@ def _cmd_serve_sharded(
         cache_entries=args.cache_entries,
         cache_bytes=max_bytes,
         cache_dir=args.cache_dir,
-        build_workers=args.build_workers,
         slow_ms=args.slow_ms,
         profile_hz=args.profile_hz,
         slo_specs=tuple(args.slo),

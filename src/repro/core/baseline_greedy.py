@@ -62,7 +62,7 @@ def baseline_greedy(
         :func:`repro.engine.build_evaluator`).  Defaults to a fresh
         scalar :class:`~repro.spread.MonteCarloEngine`, which
         reproduces the historical fixed-seed results exactly; the
-        vectorized/parallel/pooled backends trade the RNG stream for
+        vectorized/pooled backends trade the RNG stream for
         throughput.
     lazy:
         CELF-style lazy evaluation (see :mod:`repro.core.lazy`):

@@ -11,16 +11,11 @@ form.  Its pieces:
     Persistent, optionally disk-backed (mmapped) live-edge sample pool
     with hit/miss stats — the paper's sample-reuse trick generalised
     across queries and processes.
-:mod:`repro.engine.parallel`
-    Worker-pool executor with deterministic per-worker RNG streams,
-    plus the shared ship-the-CSR-once pool infrastructure
-    (:func:`make_worker_pool`) other parallel components reuse.
 :mod:`repro.engine.treebuild`
     Batched, array-native construction of per-sample dominator trees
     straight from the pooled sample arrays — through the compiled
     batched kernel (:mod:`repro.native`) when the host can build it,
-    serial Python or worker fan-out otherwise, bit-identical every
-    way.
+    serial Python otherwise, bit-identical either way.
 :mod:`repro.engine.sketch`
     The dominator-tree sketch index — the paper's Algorithm 2
     estimator as a persistent, incrementally-rebased backend with O(1)
@@ -29,7 +24,7 @@ form.  Its pieces:
     vectorized rebases.
 :mod:`repro.engine.spec`
     :class:`EngineSpec`, the frozen value that names one engine
-    configuration (backend, model, theta, seed, workers, cache dir).
+    configuration (backend, model, theta, seed, cache dir).
 :mod:`repro.engine.evaluator`
     The :class:`SpreadEvaluator` protocol, the backend implementations
     and :func:`build_evaluator`, the one factory, which builds the
@@ -59,10 +54,9 @@ from .kernels import (
     ragged_arange,
     reach_counts_from_alive,
 )
-from .parallel import default_workers, ParallelEvaluator, split_rounds
 from .pool import PoolStats, SampleBatch, SamplePool
 from .sketch import SketchIndex, SketchStats
-from .treebuild import build_sample_tree, build_trees, TreeBuilder
+from .treebuild import build_sample_tree, TreeBuilder
 
 __all__ = [
     "SketchIndex",
@@ -71,7 +65,6 @@ __all__ = [
     "SpreadEvaluator",
     "ScalarEvaluator",
     "VectorizedEvaluator",
-    "ParallelEvaluator",
     "PooledEvaluator",
     "BACKENDS",
     "MODELS",
@@ -85,9 +78,6 @@ __all__ = [
     "SamplePool",
     "SampleBatch",
     "PoolStats",
-    "default_workers",
-    "split_rounds",
     "build_sample_tree",
-    "build_trees",
     "TreeBuilder",
 ]

@@ -5,7 +5,7 @@ final-quality evaluation of the benchmark harness, the CLI — needs the
 same one-method surface: *"expected spread of these seeds over this
 many rounds with these vertices blocked"*.  This module names that
 surface as a protocol and provides one constructor,
-:func:`build_evaluator`, which builds whichever of the five
+:func:`build_evaluator`, which builds whichever of the four
 interchangeable backends an :class:`~repro.engine.spec.EngineSpec`
 names:
 
@@ -15,8 +15,6 @@ names:
     implementation every other backend is tested against.
 ``vectorized``
     The numpy batch kernel of :mod:`repro.engine.kernels`.
-``parallel``
-    The multi-core executor of :mod:`repro.engine.parallel`.
 ``pooled``
     Reuses one persistent set of live-edge samples
     (:mod:`repro.engine.pool`) across every query; ``rounds`` selects
@@ -53,7 +51,6 @@ from .kernels import (
     batch_spread,
     reach_counts_from_alive,
 )
-from .parallel import ParallelEvaluator
 from .pool import SampleBatch, SamplePool
 from .sketch import SketchIndex
 from .spec import BACKENDS, EngineSpec
@@ -87,17 +84,17 @@ class SpreadEvaluator(Protocol):
 
 
 class _EvaluatorLifecycle:
-    """Uniform close/context-manager surface for in-process backends.
+    """Uniform close/context-manager surface for the Monte-Carlo backends.
 
-    The parallel backend owns real OS resources (a worker pool) and
-    must be closed; the in-process backends have nothing to release
-    but gain the same ``with build_evaluator(...) as ev:`` shape so
-    callers — the CLI, the service, benchmarks — never special-case
-    the backend when tearing down.
+    The sketch index drops its cached views on ``close()``; these
+    backends have nothing to release but gain the same
+    ``with build_evaluator(...) as ev:`` shape so callers — the CLI,
+    the service, benchmarks — never special-case the backend when
+    tearing down.
     """
 
     def close(self) -> None:
-        """Release backend resources (no-op for in-process backends)."""
+        """No-op: these backends hold nothing to release."""
 
     def __enter__(self):
         return self
@@ -289,7 +286,7 @@ def build_evaluator(
 
     The one engine factory.  ``spec`` (an
     :class:`~repro.engine.spec.EngineSpec`) selects the backend, seeds
-    it, and configures ``workers``/``cache_dir``; its ``model``/
+    it, and configures ``cache_dir``; its ``model``/
     ``theta`` fields key artifacts (the factory consumes an
     already-prepared graph and per-query ``rounds``, so it does not
     read them).  On top of the raw backends it adds:
@@ -306,7 +303,8 @@ def build_evaluator(
       artifacts are keyed by :meth:`EngineSpec.cache_key` (model +
       seed + stream);
     * **a context manager** — every evaluator built here supports
-      ``with``/``close()``, so worker pools are reliably shut down.
+      ``with``/``close()``, so cached sketch views are reliably
+      dropped.
 
     ``pool`` shares an existing :class:`~repro.engine.pool.SamplePool`
     with the ``pooled``/``sketch`` backends instead of drawing one.
@@ -323,8 +321,6 @@ def build_evaluator(
         return ScalarEvaluator(graph, rng)
     if spec.engine == "vectorized":
         return VectorizedEvaluator(graph, rng)
-    if spec.engine == "parallel":
-        return ParallelEvaluator(graph, rng, workers=spec.workers)
     cache_key = spec.cache_key(stream)
     if spec.engine == "pooled":
         return PooledEvaluator(
@@ -332,6 +328,6 @@ def build_evaluator(
             cache_key=cache_key,
         )
     return SketchIndex(
-        graph, rng, pool=pool, workers=spec.workers,
-        cache_dir=spec.cache_dir, cache_key=cache_key,
+        graph, rng, pool=pool, cache_dir=spec.cache_dir,
+        cache_key=cache_key,
     )

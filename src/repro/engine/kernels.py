@@ -114,31 +114,41 @@ def _coin_survive(gen: np.random.Generator, probs32: np.ndarray):
     return make_survive
 
 
-def _blocked_mask(
-    n: int, blocked: Iterable[int], seeds: Sequence[int]
-) -> np.ndarray:
-    """``bool[n]`` mask of ``blocked``, after checking every id.
+def _checked_ids(
+    n: int, seeds: Iterable[int], blocked: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(seeds, blocked)`` as int64 arrays, after checking every id.
 
     Out-of-range ids raise the sketch index's errors (``ValueError``
     for a blocked id, ``IndexError`` for a seed) instead of letting
-    numpy wrap a negative id onto another vertex — or, in the native
-    reach kernel, read out of bounds.
+    numpy wrap a negative id onto another vertex — or, in a native
+    kernel, read out of bounds.
     """
-    mask = np.zeros(n, dtype=bool)
     blocked_arr = np.asarray(list(blocked), dtype=np.int64)
-    if blocked_arr.size:
-        bad = (blocked_arr < 0) | (blocked_arr >= n)
-        if bad.any():
-            raise ValueError(
-                f"blocked vertex {int(blocked_arr[bad][0])} out of range "
-                f"[0, {n})"
-            )
-        mask[blocked_arr] = True
-    for s in seeds:
-        if not 0 <= s < n:
-            raise IndexError(f"seed {s} is not a vertex")
-        if mask[s]:
-            raise ValueError(f"seed {s} cannot be blocked")
+    bad = (blocked_arr < 0) | (blocked_arr >= n)
+    if bad.any():
+        raise ValueError(
+            f"blocked vertex {int(blocked_arr[bad][0])} out of range "
+            f"[0, {n})"
+        )
+    seed_arr = np.asarray(list(seeds), dtype=np.int64)
+    bad = (seed_arr < 0) | (seed_arr >= n)
+    if bad.any():
+        raise IndexError(f"seed {int(seed_arr[bad][0])} is not a vertex")
+    return seed_arr, blocked_arr
+
+
+def _blocked_mask(
+    n: int, blocked: Iterable[int], seeds: Sequence[int]
+) -> np.ndarray:
+    """``bool[n]`` mask of ``blocked``, after :func:`_checked_ids` and
+    a check that no seed is blocked."""
+    seed_arr, blocked_arr = _checked_ids(n, seeds, blocked)
+    mask = np.zeros(n, dtype=bool)
+    mask[blocked_arr] = True
+    blocked_seeds = seed_arr[mask[seed_arr]]
+    if blocked_seeds.size:
+        raise ValueError(f"seed {int(blocked_seeds[0])} cannot be blocked")
     return mask
 
 

@@ -179,27 +179,6 @@ class SampleBatch:
         """Surviving edge positions of sample ``t``."""
         return self.positions[self.offsets[t]: self.offsets[t + 1]]
 
-    def pack(self, sample_indices) -> tuple[np.ndarray, np.ndarray]:
-        """``(offsets, positions)`` of an arbitrary subset of samples.
-
-        The contiguous analogue of calling :meth:`surviving` per
-        index: ``positions[offsets[i]:offsets[i + 1]]`` is the
-        surviving-edge array of ``sample_indices[i]``.  One pair of
-        flat arrays, so a batched consumer (the sketch tree builder's
-        worker tasks) ships a whole chunk as two cheap pickles —
-        and a memory-mapped pool materialises only the packed window.
-        """
-        idx = np.asarray(list(sample_indices), dtype=np.int64)
-        lengths = self.offsets[idx + 1] - self.offsets[idx]
-        offsets = np.zeros(idx.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        if idx.shape[0] == 0:
-            return offsets, np.zeros(0, dtype=np.int64)
-        positions = np.concatenate(
-            [self.surviving(int(t)) for t in idx]
-        )
-        return offsets, positions
-
     def alive_matrix(self, lo: int, hi: int) -> np.ndarray:
         """Boolean ``(hi - lo, m)`` aliveness matrix of a sample slice.
 
@@ -328,8 +307,7 @@ class SamplePool:
         ``None`` for a memory-only pool.  Consumers that derive their
         own persistent artifacts from these samples (the sketch
         index's arena views) anchor their files next to — and key them
-        by — the pool's, and worker processes attach the same files
-        memory-mapped instead of receiving pickled sample windows."""
+        by — the pool's."""
         return self._cache_paths
 
     @property

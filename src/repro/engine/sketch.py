@@ -845,11 +845,6 @@ class SketchIndex:
     pool:
         Share an existing :class:`SamplePool` (e.g. with a pooled
         Monte-Carlo evaluator) instead of creating one.
-    workers:
-        Fan the pure-Python tree construction out across this many
-        worker processes (only relevant when the compiled batched
-        kernel is unavailable; any value yields bit-identical
-        results, so the knob is pure throughput).
     cache_dir / cache_key:
         Sample-pool persistence knobs, forwarded verbatim.
 
@@ -866,7 +861,6 @@ class SketchIndex:
         graph: DiGraph | CSRGraph,
         rng: RngLike = None,
         pool: SamplePool | None = None,
-        workers: int | None = None,
         cache_dir=None,
         cache_key: str | None = None,
     ) -> None:
@@ -877,14 +871,7 @@ class SketchIndex:
                 graph, rng, cache_dir=cache_dir, cache_key=cache_key
             )
         self.csr = self.pool.csr
-        self.workers = workers
-        # when the pool persists its samples, hand the worker pool the
-        # .npy paths: sharded builds then ship sample *indices* only
-        # and read the pooled samples via a shared read-only mapping
-        self.builder = TreeBuilder(
-            self.csr, workers=workers,
-            sample_paths=self.pool.cache_paths,
-        )
+        self.builder = TreeBuilder(self.csr)
         self.stats = SketchStats()
         self._views: dict[tuple[tuple[int, ...], int], _ArenaSketchView] = {}
 
@@ -981,21 +968,14 @@ class SketchIndex:
         """
         with span("sketch.delta"):
             # park every view at the unblocked base while the OLD
-            # pool state is still live (sharded builds read the
-            # persisted pre-delta pool through worker mmaps); after
-            # this, current trees == base trees in every view, the
-            # contract the per-view delta path relies on
+            # pool and CSR are still live: after this, current trees
+            # == base trees in every view, the contract the per-view
+            # delta path relies on
             for view in self._views.values():
                 view.rebase(frozenset())
             report = self.pool.apply_delta(delta)
             self.csr = self.pool.csr
-            # the builder (and its forked worker pools) shipped the
-            # pre-delta CSR and sample paths: replace, don't patch
-            self.builder.close()
-            self.builder = TreeBuilder(
-                self.csr, workers=self.workers,
-                sample_paths=self.pool.cache_paths,
-            )
+            self.builder = TreeBuilder(self.csr)
             touched_hist, rebuilt_counter = _delta_metrics()
             touched_hist.observe(report.touched_count)
             for (seed_tuple, theta), view in self._views.items():
@@ -1014,13 +994,11 @@ class SketchIndex:
             return report
 
     def close(self) -> None:
-        """Drop the cached views and reap the tree-build worker pool
-        (and join the evaluator lifecycle)."""
+        """Drop the cached views (and join the evaluator lifecycle)."""
         views = list(self._views.values())
         self._views.clear()
         for view in views:
             view.drop()
-        self.builder.close()
 
     def __enter__(self) -> "SketchIndex":
         return self

@@ -2,17 +2,16 @@
 
 Every layer that constructs a spread evaluator — the CLI, the serving
 layer's artifact cache, benchmarks — used to thread the same loose
-keywords (``backend``, ``rng``, ``workers``, ``cache_dir``...)
-through its own signatures, and each layer invented its own partial
-subset.  :class:`EngineSpec` names the full identity of an engine once:
+keywords (``backend``, ``rng``, ``cache_dir``...) through its own
+signatures, and each layer invented its own partial subset.
+:class:`EngineSpec` names the full identity of an engine once:
 
 * **what** is estimated — ``engine`` (one of :data:`BACKENDS`);
 * **which randomness** — ``model`` (edge-probability model, one of
   :data:`MODELS`) and the integer ``seed`` that keys both the RNG
   streams and the on-disk artifact cache;
-* **how it runs** — ``workers`` (process fan-out) and ``cache_dir``
-  (persistent sample pools + sketch artifacts, memory-mapped on
-  rehydrate).
+* **where artifacts live** — ``cache_dir`` (persistent sample pools +
+  sketch artifacts, memory-mapped on rehydrate).
 
 The dataclass is frozen and hashable, so a spec can key caches and be
 shared across threads; :meth:`cache_key` derives the stable on-disk
@@ -33,9 +32,7 @@ from pathlib import Path
 
 __all__ = ["BACKENDS", "MODELS", "EngineSpec"]
 
-BACKENDS: tuple[str, ...] = (
-    "scalar", "vectorized", "parallel", "pooled", "sketch",
-)
+BACKENDS: tuple[str, ...] = ("scalar", "vectorized", "pooled", "sketch")
 
 MODELS: tuple[str, ...] = ("tr", "wc")
 
@@ -54,9 +51,6 @@ class EngineSpec:
     """Sample count the artifact is sized for (the Theorem-5 knob)."""
     seed: int = 7
     """Integer root seed: keys RNG streams and the disk cache."""
-    workers: int | None = None
-    """Worker processes (parallel spread chunks / sharded sketch
-    builds); ``None`` = serial, results bit-identical either way."""
     cache_dir: str | Path | None = None
     """Directory for persistent, memory-mappable artifacts (sample
     pools and arena sketch views); ``None`` = memory only."""
@@ -78,12 +72,6 @@ class EngineSpec:
             raise ValueError("theta must be positive")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
-        if self.workers is not None and (
-            isinstance(self.workers, bool)
-            or not isinstance(self.workers, int)
-            or self.workers < 1
-        ):
-            raise ValueError("workers must be an integer >= 1")
 
     # ------------------------------------------------------------------
     # derived identities
@@ -107,7 +95,6 @@ class EngineSpec:
             "model": self.model,
             "theta": self.theta,
             "seed": self.seed,
-            "workers": self.workers,
             "cache_dir": (
                 None if self.cache_dir is None else str(self.cache_dir)
             ),

@@ -10,20 +10,13 @@ fraction of the graph.  This module is the flat-array replacement:
   pooled ``positions`` array with numpy (:func:`~repro.engine.kernels
   .sample_csr`) and runs the array-native Lengauer–Tarjan core on it —
   Python-level work scales with the *reachable* subgraph only;
-* :class:`TreeBuilder` batches that over many samples and, when
-  asked, fans the batch out across cores through the shared
-  worker-pool infrastructure of :mod:`repro.engine.parallel` (the
-  same ship-the-CSR-once initializer the parallel spread evaluator
-  uses).  The pool is created lazily on the first fan-out and reused
-  across builds — a long-lived :class:`~repro.engine.sketch
-  .SketchIndex` pays worker startup once, not per rebase — and is
-  reaped by :meth:`TreeBuilder.close` (the index's ``close()`` calls
-  it).  :func:`build_trees` wraps a throwaway builder around one call
-  for one-shot consumers (benchmarks, tests).
+* :class:`TreeBuilder` batches that over many samples, through the
+  compiled batched kernel (:mod:`repro.native`) when the host can
+  build it and the per-sample Python path otherwise.
 
 Every tree is a pure function of its sample, and the aggregation the
 sketch index performs over trees is exact integer arithmetic in
-float64, so results are bit-identical for any ``workers`` value — and
+float64, so the native and Python paths are bit-identical — and
 bit-identical to the historical per-sample Python path, which is what
 lets the refactor keep blocker selections and spread estimates
 unchanged at fixed seeds (pinned by ``tests/test_sketch.py`` and the
@@ -40,40 +33,13 @@ from ..dominator import dominator_order_sizes_csr
 from ..graph import CSRGraph
 from ..native import native_build_trees
 from ..obs import span
-from .kernels import sample_csr
-from .parallel import make_worker_pool, worker_csr, worker_samples
+from .kernels import _checked_ids, sample_csr
 from .pool import SampleBatch
 
 __all__ = [
     "build_sample_tree",
-    "build_trees",
-    "auto_build_workers",
     "TreeBuilder",
 ]
-
-# fan out only when the batch is worth a worker pool: below these
-# bounds the fork/teardown cost exceeds the Python work being split
-_MIN_PARALLEL_TREES = 64
-_MIN_PARALLEL_VERTICES = 2048
-
-
-def auto_build_workers(
-    workers: int | None, trees: int, n: int
-) -> int:
-    """Resolve a ``workers`` request to an effective worker count.
-
-    ``None`` keeps the build serial (the safe default for library
-    callers and tiny test graphs); an explicit count is honoured but
-    capped at one tree per worker, and collapses to serial when the
-    batch is too small for process fan-out to pay for itself.
-    """
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if trees < _MIN_PARALLEL_TREES or n < _MIN_PARALLEL_VERTICES:
-        return 1
-    return min(workers, trees)
 
 
 def build_sample_tree(
@@ -93,138 +59,23 @@ def build_sample_tree(
     return dominator_order_sizes_csr(indptr, indices, csr.n)
 
 
-def _build_packed(
-    csr: CSRGraph,
-    offsets: np.ndarray,
-    positions: np.ndarray,
-    seeds: Sequence[int],
-    blocked: Iterable[int],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [
-        build_sample_tree(
-            csr, positions[offsets[t]: offsets[t + 1]], seeds, blocked
-        )
-        for t in range(offsets.shape[0] - 1)
-    ]
-
-
-def _build_trees_task(task):
-    """Worker-side chunk build: unpack, build, re-pack flat.
-
-    Returns ``(lengths, orders, sizes)`` — per-tree lengths plus the
-    concatenated payloads — so one chunk costs one pickle each way.
-    """
-    offsets, positions, seeds, blocked = task
-    trees = _build_packed(worker_csr(), offsets, positions, seeds, blocked)
-    lengths = np.asarray([o.shape[0] for o, _ in trees], dtype=np.int64)
-    if trees:
-        orders = np.concatenate([o for o, _ in trees])
-        sizes = np.concatenate([s for _, s in trees])
-    else:  # pragma: no cover - chunks are never empty
-        orders = sizes = np.zeros(0, dtype=np.int64)
-    return lengths, orders, sizes
-
-
-def _packed_payload(
-    csr: CSRGraph,
-    offsets: np.ndarray,
-    positions: np.ndarray,
-    idx: np.ndarray,
-    seed_arr: np.ndarray,
-    blocked: list,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(lengths, orders, sizes, used_native)`` for one sample range.
-
-    The native-kernel-or-Python core shared by the parent's serial
-    path and the sharded worker tasks: tries the compiled batched
-    kernel first, falls back to the per-sample Python build.  Both
-    paths are bit-identical (each tree is a pure function of its
-    sample), so where a range is built — parent, worker, C or
-    Python — never changes the payload.
-    """
-    n = csr.n
-    if n > 0:
-        mask = np.zeros(n, dtype=np.uint8)
-        if blocked:
-            mask[np.asarray(blocked, dtype=np.int64)] = 1
-        native = native_build_trees(
-            n, csr.indptr, csr.indices, positions, offsets, idx,
-            seed_arr, mask,
-        )
-        if native is not None:
-            return native + (True,)
-    trees = [
-        build_sample_tree(
-            csr,
-            positions[offsets[t]: offsets[t + 1]],
-            seed_arr,
-            blocked,
-        )
-        for t in idx
-    ]
-    lengths = np.asarray(
-        [order.shape[0] for order, _ in trees], dtype=np.int64
-    )
-    orders = np.concatenate([order for order, _ in trees])
-    sizes = np.concatenate([sizes for _, sizes in trees])
-    return lengths, orders, sizes, False
-
-
-def _packed_shard_task(task):
-    """Worker-side packed shard: one contiguous sample range.
-
-    Two handoff modes: ``"mmap"`` tasks carry only sample indices —
-    the worker reads the persisted pool through its own read-only
-    memory mapping (:func:`worker_samples`), so the samples are never
-    pickled; ``"window"`` tasks fall back to shipping the packed
-    sample window inline (memory-only pools).
-    """
-    if task[0] == "mmap":
-        _, idx, seed_arr, blocked, min_theta = task
-        offsets, positions = worker_samples(min_theta)
-    else:
-        _, offsets, positions, seed_arr, blocked = task
-        idx = np.arange(offsets.shape[0] - 1, dtype=np.int64)
-    return _packed_payload(
-        worker_csr(), offsets, positions, idx, seed_arr, list(blocked)
-    )
-
-
 class TreeBuilder:
-    """Batched tree construction with a reusable worker pool.
+    """Batched tree construction over one frozen graph.
 
     The batched entry point of the sketch construction pipeline:
-    :meth:`build` consumes the pooled sample arrays directly and
-    returns trees aligned with ``sample_indices``.  With ``workers``
-    > 1 (and a batch large enough to amortise process startup) the
-    samples are split into one contiguous chunk per worker; results
-    are bit-identical to the serial build because every tree depends
-    only on its own sample.
-
-    The worker pool is created lazily on the first fan-out and kept
-    for later builds — a greedy loop's rebases and repeated cold view
-    builds share it — so owners must :meth:`close` the builder (the
-    sketch index ties this to its own ``close()``).
+    :meth:`build` (the per-sample Python reference) and
+    :meth:`build_packed` (native kernel or Python) consume the pooled
+    sample arrays directly and return trees aligned with
+    ``sample_indices``.  Seeds and blocked ids are checked against
+    ``[0, n)`` before either path runs, so an out-of-range id raises
+    instead of wrapping onto another vertex.  A blocked seed is
+    allowed: it stays unreachable through the virtual source.
     """
 
-    def __init__(
-        self,
-        csr: CSRGraph,
-        workers: int | None = None,
-        sample_paths=None,
-    ) -> None:
+    def __init__(self, csr: CSRGraph) -> None:
         self.csr = csr
-        self.workers = workers
-        # (offsets, positions) .npy files of a persisted SamplePool:
-        # when present (and on disk), sharded packed builds hand the
-        # workers these paths once and ship only sample indices per
-        # task — every worker reads the one read-only mapping instead
-        # of receiving pickled sample windows
-        self.sample_paths = sample_paths
-        self._pool = None
-        self._pool_size = 0
         # True when the last build_packed() call ran the native kernel
-        # in every shard (observability for tests and bench reports)
+        # (observability for tests and bench reports)
         self._packed_native = False
 
     def build(
@@ -235,42 +86,13 @@ class TreeBuilder:
         blocked: Iterable[int] = (),
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """One ``(order, sizes)`` dominator payload per requested sample."""
-        sample_indices = list(sample_indices)
-        blocked = list(blocked)
-        effective = auto_build_workers(
-            self.workers, len(sample_indices), self.csr.n
-        )
-        if effective <= 1:
-            return [
-                build_sample_tree(
-                    self.csr, batch.surviving(int(t)), seeds, blocked
-                )
-                for t in sample_indices
-            ]
-
-        chunks = np.array_split(
-            np.asarray(sample_indices, dtype=np.int64), effective
-        )
-        chunks = [chunk for chunk in chunks if chunk.shape[0]]
-        tasks = [
-            batch.pack(chunk) + (tuple(seeds), blocked)
-            for chunk in chunks
+        seed_arr, blocked_arr = _checked_ids(self.csr.n, seeds, blocked)
+        return [
+            build_sample_tree(
+                self.csr, batch.surviving(int(t)), seed_arr, blocked_arr
+            )
+            for t in sample_indices
         ]
-        results = self._ensure_pool(len(tasks)).map(
-            _build_trees_task, tasks
-        )
-        trees: list[tuple[np.ndarray, np.ndarray]] = []
-        for lengths, orders, sizes in results:
-            bounds = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
-            np.cumsum(lengths, out=bounds[1:])
-            for t in range(lengths.shape[0]):
-                trees.append(
-                    (
-                        orders[bounds[t]: bounds[t + 1]],
-                        sizes[bounds[t]: bounds[t + 1]],
-                    )
-                )
-        return trees
 
     def build_packed(
         self,
@@ -289,131 +111,31 @@ class TreeBuilder:
         array appends — and the shape the native batched kernel
         (:mod:`repro.native`) emits directly: when the compiled kernel
         is available the whole batch is one C call; otherwise the
-        per-sample Python build runs and is concatenated.  Results are
-        bit-identical across all three paths (native, serial Python,
-        worker fan-out), pinned by the cross-check tests.
+        per-sample Python build runs and is concatenated.  Both paths
+        are bit-identical, pinned by the cross-check tests.
         """
+        n = self.csr.n
+        seed_arr, blocked_arr = _checked_ids(n, seeds, blocked)
         idx = np.asarray(list(sample_indices), dtype=np.int64)
-        blocked = list(blocked)
-        seed_arr = np.asarray(list(seeds), dtype=np.int64)
         if idx.shape[0] == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty.copy(), empty.copy()
         with span("sketch.treebuild"):
-            effective = auto_build_workers(
-                self.workers, idx.shape[0], self.csr.n
-            )
-            if effective > 1:
-                return self._build_packed_sharded(
-                    batch, idx, seed_arr, blocked, effective
+            if n > 0:
+                mask = np.zeros(n, dtype=np.uint8)
+                mask[blocked_arr] = 1
+                native = native_build_trees(
+                    n, self.csr.indptr, self.csr.indices, batch.positions,
+                    batch.offsets, idx, seed_arr, mask,
                 )
-            lengths, orders, sizes, used_native = _packed_payload(
-                self.csr, batch.offsets, batch.positions, idx,
-                seed_arr, blocked,
+                if native is not None:
+                    self._packed_native = True
+                    return native
+            self._packed_native = False
+            trees = self.build(batch, idx, seed_arr, blocked_arr)
+            lengths = np.asarray(
+                [order.shape[0] for order, _ in trees], dtype=np.int64
             )
-            self._packed_native = used_native
+            orders = np.concatenate([order for order, _ in trees])
+            sizes = np.concatenate([sizes for _, sizes in trees])
             return lengths, orders, sizes
-
-    def _build_packed_sharded(
-        self,
-        batch: SampleBatch,
-        idx: np.ndarray,
-        seed_arr: np.ndarray,
-        blocked: list,
-        effective: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Theta sharded across builder processes, arena-order output.
-
-        Each worker builds one contiguous range of the requested
-        samples into its own packed segment (running the native kernel
-        when it compiles there — the shared object cache is
-        cross-process); the parent concatenates segments in shard
-        order, which is exactly the offset fix-up the arena layout
-        needs: lengths/orders/sizes are position-aligned with ``idx``
-        regardless of which process built what.  Workers read the
-        samples through a shared read-only mmap of the persisted pool
-        when available, falling back to pickled packed windows.
-        """
-        chunks = [
-            chunk
-            for chunk in np.array_split(idx, effective)
-            if chunk.shape[0]
-        ]
-        if self._sample_files_ready():
-            min_theta = int(idx.max()) + 1
-            tasks = [
-                ("mmap", chunk, seed_arr, blocked, min_theta)
-                for chunk in chunks
-            ]
-        else:
-            tasks = [
-                ("window",) + batch.pack(chunk) + (seed_arr, blocked)
-                for chunk in chunks
-            ]
-        results = self._ensure_pool(len(tasks)).map(
-            _packed_shard_task, tasks
-        )
-        self._packed_native = all(native for *_, native in results)
-        lengths = np.concatenate([r[0] for r in results])
-        orders = np.concatenate([r[1] for r in results])
-        sizes = np.concatenate([r[2] for r in results])
-        return lengths, orders, sizes
-
-    def _sample_files_ready(self) -> bool:
-        if self.sample_paths is None:
-            return False
-        off_path, pos_path = self.sample_paths
-        return off_path.is_file() and pos_path.is_file()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self, workers: int):
-        # a pool with spare workers serves a smaller task batch fine;
-        # only grow (never shrink) so rebases after a cold build reuse
-        # the cold build's pool
-        if self._pool is None or self._pool_size < workers:
-            self.close()
-            self._pool = make_worker_pool(
-                self.csr, workers, sample_paths=self.sample_paths
-            )
-            self._pool_size = workers
-        return self._pool
-
-    def close(self) -> None:
-        """Terminate the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_size = 0
-
-    def __enter__(self) -> "TreeBuilder":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def build_trees(
-    csr: CSRGraph,
-    batch: SampleBatch,
-    sample_indices: Sequence[int],
-    seeds: Sequence[int],
-    blocked: Iterable[int] = (),
-    workers: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One-shot :meth:`TreeBuilder.build` with a throwaway pool.
-
-    Convenience for single-build consumers (benchmarks, tests, ad-hoc
-    scripts); anything building repeatedly over the same graph should
-    hold a :class:`TreeBuilder` to reuse its worker pool.
-    """
-    with TreeBuilder(csr, workers=workers) as builder:
-        return builder.build(batch, sample_indices, seeds, blocked)

@@ -78,9 +78,9 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Rebuild a CSR snapshot directly from its flat arrays.
 
-        Used to rehydrate graphs shipped across process boundaries
-        (the parallel spread engine) without round-tripping through a
-        ``DiGraph``.  Arrays are adopted, not copied.
+        Used by the sample pool's delta path to adopt the post-delta
+        arrays without round-tripping through a ``DiGraph``.  Arrays
+        are adopted, not copied.
         """
         self = cls.__new__(cls)
         self.n = int(indptr.shape[0]) - 1

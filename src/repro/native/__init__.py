@@ -16,7 +16,9 @@ produces bit-identical results, just slower.
 
 Compiled objects are cached under a per-user temp directory keyed by a
 hash of the C source, so a source change triggers exactly one
-recompile and concurrent processes race benignly (atomic rename).
+recompile and concurrent processes (the service's shard workers, say)
+race benignly (atomic rename).  Every kernel runs in the calling
+process.
 
 The consumers are
 :meth:`repro.engine.treebuild.TreeBuilder.build_packed`

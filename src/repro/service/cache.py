@@ -73,14 +73,13 @@ class ArtifactKey:
         """Key the artifact an :class:`EngineSpec` would build."""
         return cls(graph, spec.model, spec.theta, spec.seed)
 
-    def spec(self, cache_dir=None, workers=None) -> EngineSpec:
+    def spec(self, cache_dir=None) -> EngineSpec:
         """The :class:`EngineSpec` this key pins (engine ``sketch``)."""
         return EngineSpec(
             engine="sketch",
             model=self.model,
             theta=self.theta,
             seed=self.seed,
-            workers=workers,
             cache_dir=cache_dir,
         )
 
@@ -245,11 +244,10 @@ class Artifact:
         key: ArtifactKey,
         graph,
         cache_dir=None,
-        build_workers: int | None = None,
     ) -> None:
         self.key = key
         self.graph = graph
-        spec = key.spec(cache_dir=cache_dir, workers=build_workers)
+        spec = key.spec(cache_dir=cache_dir)
         self.pool = SamplePool(
             graph,
             rng=key.seed,
@@ -259,9 +257,6 @@ class Artifact:
         self.pooled = build_evaluator(
             graph, spec.with_engine("pooled"), pool=self.pool
         )
-        # build_workers fans the sketch's batched dominator-tree
-        # construction (the expensive half of a cold block query)
-        # across processes; answers are bit-identical at any setting.
         # With a cache_dir, the index persists each warm arena view
         # next to the pool snapshot and rehydrates it memory-mapped on
         # rebuild — the executor threads then share one read-only
@@ -465,7 +460,6 @@ class ArtifactCache:
         max_entries: int = 8,
         max_bytes: int | None = None,
         cache_dir=None,
-        build_workers: int | None = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -473,9 +467,6 @@ class ArtifactCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.cache_dir = cache_dir
-        self.build_workers = build_workers
-        """Worker processes for each artifact's batched sketch-tree
-        builds (``None`` = serial; answers identical either way)."""
         self.stats = CacheStats()
         self.journal = DeltaJournal(cache_dir)
         """Per-graph delta history; replayed in :meth:`_build` so a
@@ -540,12 +531,7 @@ class ArtifactCache:
             # the patched pool and trees, never a stale pre-delta copy
             with self.journal.graph_lock(key.graph):
                 self.journal.replay(key.graph, prepared)
-                artifact = Artifact(
-                    key,
-                    prepared,
-                    cache_dir=self.cache_dir,
-                    build_workers=self.build_workers,
-                )
+                artifact = Artifact(key, prepared, cache_dir=self.cache_dir)
                 artifact.applied_seq = self.journal.last_seq(key.graph)
         self.stats.builds += 1
         if artifact.pool.stats.disk_loads:

@@ -53,7 +53,6 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..engine.parallel import _start_method as _mp_start_method
 from ..obs import (
     EventLog,
     install_build_info,
@@ -79,6 +78,26 @@ the front end's global admission bound.  ``update`` routes like a
 query: the owning shard's executor serialises the delta against that
 graph's in-flight work, and the shared ``cache_dir`` journal makes the
 mutation survive that worker's restart."""
+
+
+def _start_method() -> str:
+    """The safest available start method for a shard worker.
+
+    ``fork`` is the cheapest but is only safe while the parent is
+    single-threaded: forking with live threads can snapshot a lock
+    held by another thread (malloc arena, gzip, logging) and deadlock
+    the child.  The front end restarts workers from supervisor
+    threads, so under threads we fall back to ``forkserver``/``spawn``,
+    where workers start from a clean process at the cost of pickling
+    the :class:`WorkerSpec` once per worker.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods and threading.active_count() == 1:
+        return "fork"
+    for method in ("forkserver", "spawn"):
+        if method in methods:
+            return method
+    return methods[0]
 
 
 def shard_for(graph: str, workers: int) -> int:
@@ -111,7 +130,6 @@ class WorkerSpec:
     cache_entries: int = 8
     cache_bytes: int | None = None
     cache_dir: str | None = None
-    build_workers: int | None = None
     max_pending: int | None = None
     slow_ms: float | None = None
     profile_hz: float | None = None
@@ -137,7 +155,6 @@ def _build_service(index: int, spec: WorkerSpec):
         max_entries=spec.cache_entries,
         max_bytes=spec.cache_bytes,
         cache_dir=spec.cache_dir,
-        build_workers=spec.build_workers,
     )
     # a fresh registry per worker: the merged exposition relies on
     # each process reporting only its own series
@@ -201,13 +218,11 @@ class WorkerHandle:
     def start(self, timeout: float = 120.0) -> None:
         """Spawn the worker and wait for its ready handshake.
 
-        The start method follows :mod:`repro.engine.parallel`'s
-        policy: ``fork`` only while the parent is single-threaded
-        (cheap, COW), ``forkserver``/``spawn`` otherwise — the front
-        end restarts workers from supervisor threads, where forking
-        could snapshot another thread's held lock.
+        The start method follows :func:`_start_method`: ``fork`` only
+        while the parent is single-threaded, ``forkserver``/``spawn``
+        otherwise.
         """
-        ctx = multiprocessing.get_context(_mp_start_method())
+        ctx = multiprocessing.get_context(_start_method())
         recv, send = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,

@@ -27,7 +27,8 @@ from repro.datasets.toy import figure1_graph, figure1_seed, V
 from repro.engine import postings_csr, SketchIndex
 from repro.engine.pool import SamplePool
 from repro.engine.treebuild import TreeBuilder
-from repro.graph import CSRGraph, DiGraph
+from repro.graph import barabasi_albert, CSRGraph, DiGraph
+from repro.models import assign_weighted_cascade
 from repro.native import native_build_available, native_build_trees
 from repro.rng import ensure_rng
 from repro.spread import exact_expected_spread
@@ -147,6 +148,66 @@ class TestBuildPacked:
         np.cumsum(lengths[:-1], out=starts[1:])
         assert (orders[starts] == csr.n).all()
         assert not np.isin(orders, [3, 9]).any()
+
+
+class TestBuilderIdChecks:
+    """Every ``TreeBuilder`` path checks ids against ``[0, n)`` with the
+    sketch index's errors: numpy would wrap ``-1`` onto vertex
+    ``n - 1`` in the native path's mask, while the Python paths
+    silently ignored it."""
+
+    THETA = 20
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        graph = assign_weighted_cascade(barabasi_albert(300, 2, rng=1))
+        csr = CSRGraph(graph)
+        return csr, SamplePool(csr, 3).get(self.THETA)
+
+    def payload(self, path, setup, seeds, blocked, monkeypatch):
+        csr, batch = setup
+        builder = TreeBuilder(csr)
+        if path == "build":
+            trees = builder.build(batch, range(self.THETA), seeds, blocked)
+            return (
+                np.asarray([order.shape[0] for order, _ in trees]),
+                np.concatenate([order for order, _ in trees]),
+                np.concatenate([sizes for _, sizes in trees]),
+            )
+        if path == "fallback":
+            monkeypatch.setattr(
+                "repro.engine.treebuild.native_build_trees",
+                lambda *args, **kwargs: None,
+            )
+        elif not native_build_available():
+            pytest.skip("no compiled kernel on this host")
+        return builder.build_packed(
+            batch, range(self.THETA), seeds, blocked
+        )
+
+    @pytest.mark.parametrize("path", ["native", "fallback", "build"])
+    @pytest.mark.parametrize(
+        "seeds, blocked, error, message",
+        [
+            ([0], [-1], ValueError, r"blocked vertex -1 out of range \[0, 300\)"),
+            ([0], [300], ValueError, r"blocked vertex 300 out of range"),
+            ([-1], [], IndexError, "seed -1 is not a vertex"),
+            ([300], [], IndexError, "seed 300 is not a vertex"),
+        ],
+        ids=["blocked-negative", "blocked-n", "seed-negative", "seed-n"],
+    )
+    def test_rejected(
+        self, setup, monkeypatch, path, seeds, blocked, error, message
+    ):
+        with pytest.raises(error, match=message):
+            self.payload(path, setup, seeds, blocked, monkeypatch)
+
+    @pytest.mark.parametrize("path", ["native", "fallback"])
+    def test_last_vertex_matches_reference(self, setup, monkeypatch, path):
+        reference = self.payload("build", setup, [0], [299], monkeypatch)
+        got = self.payload(path, setup, [0], [299], monkeypatch)
+        for a, b in zip(got, reference):
+            assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

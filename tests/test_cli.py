@@ -104,31 +104,24 @@ class TestEngineFlag:
     def test_engine_defaults_to_scalar(self):
         args = build_parser().parse_args(["block"])
         assert args.engine == "scalar"
-        assert args.workers is None
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["block", "--engine", "quantum"])
 
-    def test_workers_requires_parallel_engine(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["block", "--workers", "2"],
+            ["spread", "--workers", "2"],
+            ["serve", "--build-workers", "2"],
+            ["block", "--engine", "parallel"],
+        ],
+        ids=["block-workers", "spread-workers", "build-workers", "parallel"],
+    )
+    def test_process_pool_flags_rejected(self, argv):
         with pytest.raises(SystemExit):
-            main(
-                [
-                    "spread", "--dataset", "email-core", "--scale", "0.06",
-                    "--seeds", "2", "--workers", "2",
-                ]
-            )
-        assert "--workers requires --engine parallel" in capsys.readouterr().out
-
-    def test_workers_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "spread", "--dataset", "email-core", "--scale", "0.06",
-                    "--seeds", "2", "--engine", "parallel", "--workers", "0",
-                ]
-            )
-        assert "--workers must be >= 1" in capsys.readouterr().out
+            build_parser().parse_args(argv)
 
     def test_unknown_engine_lists_backends(self):
         with pytest.raises(ValueError) as error:
@@ -197,6 +190,45 @@ class TestServeQueryVerbs:
     def test_serve_rejects_malformed_edge_list(self, capsys):
         assert main(["serve", "--edge-list", "nopath"]) == 2
         assert "NAME=PATH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cache-entries", "0"], "--cache-entries must be >= 1"),
+            (["--cache-mb", "-1"], "--cache-mb must be a positive"),
+            (["--cache-mb", "0"], "--cache-mb must be a positive"),
+            (["--cache-mb", "nan"], "--cache-mb must be a positive"),
+        ],
+        ids=["entries-0", "mb-negative", "mb-0", "mb-nan"],
+    )
+    def test_serve_rejects_bad_cache_bounds(
+        self, capsys, monkeypatch, flags, message
+    ):
+        def registry(*args, **kwargs):
+            raise AssertionError("registry built before validation")
+
+        monkeypatch.setattr("repro.service.default_registry", registry)
+        assert main(["serve", "--port", "0", *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().out
+
+    def test_sharded_serve_rejects_bad_cache_bounds_before_spawning(
+        self, capsys, monkeypatch
+    ):
+        from repro.service.frontend import WorkerHandle
+
+        spawned = []
+
+        def spawn(handle, *args, **kwargs):
+            spawned.append(handle.index)
+            raise RuntimeError("shard worker spawned")
+
+        monkeypatch.setattr(WorkerHandle, "start", spawn)
+        argv = ["serve", "--port", "0", "--serve-workers", "1"]
+        assert main([*argv, "--cache-entries", "0"]) == 2
+        assert "error: --cache-entries must be >= 1" in (
+            capsys.readouterr().out
+        )
+        assert spawned == []
 
     def test_query_against_unreachable_server(self, capsys):
         code = main(

@@ -4,8 +4,7 @@ Statistical parity: every backend estimates Definition 3's
 ``E(S, G[V \\ blocked])``, so on the Figure 1 toy graph each must agree
 with the closed-form ``exact_expected_spread`` (7.66, Example 1) and
 with the scalar reference engine within Monte-Carlo tolerance.
-Determinism: fixed seeds (and, for the parallel backend, fixed worker
-counts) must reproduce results bit-for-bit.
+Determinism: fixed seeds must reproduce results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ from repro.engine import (
     batch_activation_counts,
     batch_cascades,
     build_evaluator,
-    default_workers,
     EngineSpec,
-    ParallelEvaluator,
     PooledEvaluator,
     ragged_arange,
     SamplePool,
     SpreadEvaluator,
-    split_rounds,
     VectorizedEvaluator,
 )
 from repro.graph import CSRGraph, DiGraph
@@ -100,7 +96,7 @@ class TestParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backend_matches_exact_value(self, toy, backend):
         evaluator = build_evaluator(
-            toy, EngineSpec(engine=backend, seed=7, workers=2)
+            toy, EngineSpec(engine=backend, seed=7)
         )
         try:
             estimate = evaluator.expected_spread([figure1_seed], ROUNDS)
@@ -117,7 +113,7 @@ class TestParity:
             toy, [figure1_seed], blocked=blocked
         )
         evaluator = build_evaluator(
-            toy, EngineSpec(engine=backend, seed=11, workers=2)
+            toy, EngineSpec(engine=backend, seed=11)
         )
         try:
             estimate = evaluator.expected_spread(
@@ -153,33 +149,6 @@ class TestDeterminism:
         b = VectorizedEvaluator(toy, 42).expected_spread([figure1_seed], 500)
         assert a == b
 
-    def test_parallel_fixed_seed_and_workers(self, toy):
-        with ParallelEvaluator(toy, 42, workers=2) as a, \
-                ParallelEvaluator(toy, 42, workers=2) as b:
-            ra = a.expected_spread([figure1_seed], 64)
-            rb = b.expected_spread([figure1_seed], 64)
-        assert ra == rb
-
-    def test_parallel_per_call_streams_differ(self, toy):
-        with ParallelEvaluator(toy, 42, workers=2) as ev:
-            first = ev.expected_spread([figure1_seed], 256)
-            second = ev.expected_spread([figure1_seed], 256)
-        # independent streams per call: a repeat is a fresh estimate
-        assert first != second
-
-    def test_parallel_inline_matches_pool_path_structure(self, toy):
-        # workers=1 short-circuits in-process; same protocol semantics
-        with ParallelEvaluator(toy, 9, workers=1) as ev:
-            value = ev.expected_spread([figure1_seed], 200)
-        assert value == pytest.approx(EXACT, abs=4 * TOL)
-
-    def test_split_rounds(self):
-        assert split_rounds(10, 3) == [4, 3, 3]
-        assert split_rounds(2, 8) == [1, 1]
-        assert sum(split_rounds(1000, default_workers())) == 1000
-        with pytest.raises(ValueError):
-            split_rounds(0, 2)
-
 
 # ----------------------------------------------------------------------
 # the sample pool
@@ -210,21 +179,6 @@ class TestSamplePool:
         t = 17
         assert np.array_equal(np.flatnonzero(alive[t]),
                               np.sort(batch.surviving(t)))
-
-    def test_pack_matches_per_sample_surviving(self, toy):
-        pool = SamplePool(toy, rng=4)
-        batch = pool.get(40)
-        picks = [3, 0, 17, 39]  # arbitrary order, duplicates of layout
-        offsets, positions = batch.pack(picks)
-        assert offsets.shape == (len(picks) + 1,)
-        for i, t in enumerate(picks):
-            assert np.array_equal(
-                positions[offsets[i]: offsets[i + 1]],
-                batch.surviving(t),
-            )
-        empty_offsets, empty_positions = batch.pack([])
-        assert empty_offsets.shape == (1,)
-        assert empty_positions.shape == (0,)
 
     def test_disk_cache_roundtrip(self, toy, tmp_path):
         pool = SamplePool(toy, rng=5, cache_dir=tmp_path)
@@ -402,7 +356,7 @@ class TestFactory:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_factory_builds_protocol_instances(self, toy, backend):
         evaluator = build_evaluator(
-            toy, EngineSpec(engine=backend, seed=0, workers=1)
+            toy, EngineSpec(engine=backend, seed=0)
         )
         assert isinstance(evaluator, SpreadEvaluator)
         assert evaluator.csr.n == toy.n
@@ -427,7 +381,7 @@ class TestOutOfRangeIds:
     def test_rejected(self, backend, seeds, blocked, error, message):
         path = DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with build_evaluator(
-            path, EngineSpec(engine=backend, seed=1, workers=1)
+            path, EngineSpec(engine=backend, seed=1)
         ) as evaluator:
             with pytest.raises(error, match=message):
                 evaluator.expected_spread(seeds, 10, blocked)
@@ -463,18 +417,10 @@ class TestBuildEvaluator:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_backend_is_a_context_manager(self, toy, backend):
         with build_evaluator(
-            toy, EngineSpec(engine=backend, seed=0, workers=1)
+            toy, EngineSpec(engine=backend, seed=0)
         ) as evaluator:
             assert evaluator.expected_spread([figure1_seed], 50) > 0
         evaluator.close()  # idempotent after __exit__
-
-    def test_parallel_context_manager_reaps_pool(self, toy):
-        with build_evaluator(
-            toy, EngineSpec(engine="parallel", seed=0, workers=2)
-        ) as evaluator:
-            evaluator.expected_spread([figure1_seed], 64)
-            assert evaluator._pool is not None
-        assert evaluator._pool is None
 
     def test_integer_seed_keys_disk_cache(self, toy, tmp_path):
         spec = EngineSpec(engine="pooled", seed=5, cache_dir=tmp_path)

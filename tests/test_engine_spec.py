@@ -18,7 +18,6 @@ from repro import assign_weighted_cascade, EngineSpec
 from repro.datasets import figure1_graph
 from repro.engine import (
     build_evaluator,
-    ParallelEvaluator,
     PooledEvaluator,
     ScalarEvaluator,
     SketchIndex,
@@ -38,7 +37,6 @@ class TestEngineSpec:
         assert spec.model == "wc"
         assert spec.theta == 200
         assert spec.seed == 7
-        assert spec.workers is None
         assert spec.cache_dir is None
 
     def test_frozen(self):
@@ -56,6 +54,7 @@ class TestEngineSpec:
             ({"theta": True}, "theta"),
             ({"seed": "seven"}, "seed"),
             ({"seed": False}, "seed"),
+            # not a field either: TypeError
             ({"workers": 0}, "workers"),
             ({"workers": 2.5}, "workers"),
             ({"workers": True}, "workers"),
@@ -82,7 +81,7 @@ class TestEngineSpec:
         assert spec.engine == "sketch"  # original untouched
 
     def test_as_dict_round_trips(self):
-        spec = EngineSpec(model="tr", theta=50, seed=9, workers=2)
+        spec = EngineSpec(model="tr", theta=50, seed=9)
         assert EngineSpec(**spec.as_dict()) == spec
 
 
@@ -92,13 +91,12 @@ class TestSpecFactories:
         [
             ("scalar", ScalarEvaluator),
             ("vectorized", VectorizedEvaluator),
-            ("parallel", ParallelEvaluator),
             ("pooled", PooledEvaluator),
             ("sketch", SketchIndex),
         ],
     )
     def test_spec_builds_class(self, graph, engine, cls):
-        spec = EngineSpec(engine=engine, seed=5, workers=1)
+        spec = EngineSpec(engine=engine, seed=5)
         with build_evaluator(graph, spec) as evaluator:
             assert isinstance(evaluator, cls)
 

@@ -32,9 +32,12 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import multiprocessing
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -62,8 +65,10 @@ from repro.service import (
     ShardedFrontend,
     WorkerSpec,
 )
+from repro.service.frontend import _start_method
 
 SPEC = WorkerSpec(scale=0.05)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _client(frontend: ShardedFrontend, **kwargs) -> ServiceClient:
@@ -152,6 +157,60 @@ class TestShardFor:
         assert all(
             shard_for(f"g{i}", 1) == 0 for i in range(10)
         )
+
+
+# ----------------------------------------------------------------------
+# shard-worker start method
+# ----------------------------------------------------------------------
+def _fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter with only its main
+    thread — the state a fresh ``serve`` process is in."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+class TestStartMethod:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork is not offered on this platform",
+    )
+    def test_fork_while_single_threaded(self):
+        assert _fresh_interpreter(
+            "from repro.service.frontend import _start_method\n"
+            "print(_start_method())"
+        ) == "fork"
+
+    def test_no_fork_while_another_thread_is_alive(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, daemon=True)
+        thread.start()
+        try:
+            method = _start_method()
+        finally:
+            release.set()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        assert method != "fork"
+        assert method in multiprocessing.get_all_start_methods()
+
+
+def test_engine_import_leaves_multiprocessing_unloaded():
+    # the engine runs every kernel in process; only the service's
+    # shard workers are processes
+    assert _fresh_interpreter(
+        "import sys\n"
+        "import repro.engine\n"
+        "print('multiprocessing' in sys.modules)"
+    ) == "False"
 
 
 # ----------------------------------------------------------------------

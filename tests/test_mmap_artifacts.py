@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import assign_weighted_cascade, EngineSpec
-from repro.engine import build_evaluator, SamplePool, SketchIndex
+from repro.engine import build_evaluator, SketchIndex
 from repro.graph.generators import barabasi_albert
 
 from .conftest import LegacySketch
@@ -214,77 +214,6 @@ class TestCorruptionFallback:
         with build(graph, tmp_path) as index:
             assert index.expected_spread(SEEDS, THETA) == spread
             assert index.stats.rehydrations == 0
-
-
-class TestShardedBuilds:
-    @pytest.fixture(scope="class")
-    def big_graph(self):
-        # above the parallel-build thresholds (n >= 2048, theta >= 64)
-        return assign_weighted_cascade(barabasi_albert(2200, 2, rng=1))
-
-    def test_sharded_build_matches_serial_bitwise(
-        self, big_graph, tmp_path
-    ):
-        theta = 64
-        serial_spec = EngineSpec(engine="sketch", theta=theta, seed=5)
-        sharded_spec = EngineSpec(
-            engine="sketch",
-            theta=theta,
-            seed=5,
-            workers=2,
-            cache_dir=tmp_path,
-        )
-        with build_evaluator(big_graph, serial_spec) as serial:
-            expected = serial.decrease_estimates([0], theta)
-        with build_evaluator(big_graph, sharded_spec) as sharded:
-            got = sharded.decrease_estimates([0], theta)
-            assert np.array_equal(got, expected)
-
-    def test_sharded_artifact_rehydrates_identically(
-        self, big_graph, tmp_path
-    ):
-        theta = 64
-        spec = EngineSpec(
-            engine="sketch",
-            theta=theta,
-            seed=5,
-            workers=2,
-            cache_dir=tmp_path,
-        )
-        with build_evaluator(big_graph, spec) as cold:
-            expected = cold.decrease_estimates([0], theta)
-            assert cold.stats.persists == 1
-        with build_evaluator(big_graph, spec) as warm:
-            assert np.array_equal(
-                warm.decrease_estimates([0], theta), expected
-            )
-            assert warm.stats.rehydrations == 1
-
-
-class TestWorkerPoolSampleHandoff:
-    def test_builder_receives_pool_paths(self, graph, tmp_path):
-        spec = spec_for(tmp_path)
-        pool = SamplePool(
-            graph,
-            rng=spec.seed,
-            cache_dir=tmp_path,
-            cache_key=spec.cache_key(0),
-        )
-        pool.get(THETA)
-        index = SketchIndex(
-            graph, pool=pool, workers=2, cache_dir=tmp_path
-        )
-        try:
-            assert index.builder.sample_paths is not None
-        finally:
-            index.close()
-
-    def test_memory_pool_has_no_paths(self, graph):
-        index = SketchIndex(graph, rng=3)
-        try:
-            assert index.builder.sample_paths is None
-        finally:
-            index.close()
 
 
 # Runs in a fresh interpreter: damages the persisted stream-0 pool in

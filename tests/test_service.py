@@ -200,15 +200,6 @@ class TestArtifactCache:
         assert old_key not in cache.keys()
         assert hot_key in cache.keys()
 
-    def test_build_workers_param_threads_through(self, registry):
-        cache = ArtifactCache(registry, build_workers=2)
-        artifact = cache.get(TOY_KEY)
-        assert artifact.sketch.workers == 2
-        # the toy graph is far below the fan-out floor, so queries
-        # stay serial — and answers are key-determined regardless
-        outcome = artifact.block([0], budget=1)
-        assert outcome["blockers"]
-
     def test_rehydration_from_disk(self, registry, tmp_path):
         cache = ArtifactCache(
             registry, max_entries=1, cache_dir=tmp_path

@@ -22,14 +22,12 @@ from repro.core.lazy import celf_select, make_gain_fn, supports_marginal_gain
 from repro.datasets.toy import figure1_graph, figure1_seed, V
 from repro.engine import (
     build_evaluator,
-    build_trees,
     EngineSpec,
     SketchIndex,
     TreeBuilder,
 )
 from repro.engine.pool import SamplePool
 from repro.engine.sketch import _MAX_VIEWS
-from repro.engine.treebuild import auto_build_workers
 from repro.graph import barabasi_albert, CSRGraph
 from repro.models import assign_weighted_cascade
 from repro.sampling import ICSampler, required_samples, resolve_theta
@@ -135,8 +133,8 @@ class TestArrayNativeBuild:
         batch = pool.get(120)
         seeds = (figure1_seed,)
         legacy = legacy_sample_trees(csr, batch, seeds, blocked)
-        new = build_trees(
-            csr, batch, range(batch.theta), seeds, sorted(blocked)
+        new = TreeBuilder(csr).build(
+            batch, range(batch.theta), seeds, sorted(blocked)
         )
         for (l_order, l_sizes), (n_order, n_sizes) in zip(legacy, new):
             assert np.array_equal(l_order, n_order)
@@ -152,8 +150,8 @@ class TestArrayNativeBuild:
         seeds = (3, 41, 250)
         for blocked in (frozenset(), frozenset({7, 80, 123})):
             legacy = legacy_sample_trees(csr, batch, seeds, blocked)
-            new = build_trees(
-                csr, batch, range(batch.theta), seeds, sorted(blocked)
+            new = TreeBuilder(csr).build(
+                batch, range(batch.theta), seeds, sorted(blocked)
             )
             for (l_order, l_sizes), (n_order, n_sizes) in zip(legacy, new):
                 assert np.array_equal(l_order, n_order)
@@ -185,7 +183,7 @@ class TestArrayNativeBuild:
         # the legacy dict path filtered blocked vertices out of the
         # virtual root's target list too; a blocked seed must not stay
         # reachable through the super-source (SketchIndex forbids the
-        # combination outright, but the public build_trees API must
+        # combination outright, but the public TreeBuilder API must
         # still mirror the legacy semantics)
         csr = CSRGraph(toy)
         pool = SamplePool(csr, rng=21)
@@ -193,65 +191,13 @@ class TestArrayNativeBuild:
         seeds = (figure1_seed, V(9))
         blocked = frozenset({V(9), V(5)})
         legacy = legacy_sample_trees(csr, batch, seeds, blocked)
-        new = build_trees(
-            csr, batch, range(batch.theta), seeds, sorted(blocked)
+        new = TreeBuilder(csr).build(
+            batch, range(batch.theta), seeds, sorted(blocked)
         )
         for (l_order, l_sizes), (n_order, n_sizes) in zip(legacy, new):
             assert np.array_equal(l_order, n_order)
             assert np.array_equal(l_sizes, n_sizes)
             assert V(9) not in n_order
-
-    def test_parallel_build_bit_identical(self):
-        # big enough that auto_build_workers allows fan-out: the split
-        # across worker processes must not change a single byte
-        graph = assign_weighted_cascade(barabasi_albert(2100, 2, rng=3))
-        csr = CSRGraph(graph)
-        pool = SamplePool(csr, rng=3)
-        batch = pool.get(70)
-        seeds = (11, 900)
-        serial = build_trees(csr, batch, range(70), seeds)
-        parallel = build_trees(csr, batch, range(70), seeds, workers=2)
-        for (s_order, s_sizes), (p_order, p_sizes) in zip(serial, parallel):
-            assert np.array_equal(s_order, p_order)
-            assert np.array_equal(s_sizes, p_sizes)
-
-    def test_tree_builder_reuses_worker_pool(self):
-        # the pool is created on the first fan-out and shared by later
-        # builds; close() reaps it (and is idempotent)
-        graph = assign_weighted_cascade(barabasi_albert(2100, 2, rng=3))
-        csr = CSRGraph(graph)
-        pool = SamplePool(csr, rng=3)
-        batch = pool.get(70)
-        with TreeBuilder(csr, workers=2) as builder:
-            assert builder._pool is None  # lazy until a large build
-            first = builder.build(batch, range(70), (11, 900))
-            worker_pool = builder._pool
-            assert worker_pool is not None
-            second = builder.build(batch, range(70), (11, 900))
-            assert builder._pool is worker_pool  # reused, not rebuilt
-        assert builder._pool is None
-        builder.close()
-        for (a_order, a_sizes), (b_order, b_sizes) in zip(first, second):
-            assert np.array_equal(a_order, b_order)
-            assert np.array_equal(a_sizes, b_sizes)
-
-    def test_sketch_close_reaps_builder(self, toy):
-        sketch = SketchIndex(toy, rng=13, workers=2)
-        assert sketch.builder.workers == 2
-        sketch.expected_spread([figure1_seed], 50)  # tiny: stays serial
-        assert sketch.builder._pool is None
-        sketch.close()
-
-    def test_auto_build_workers_guards(self):
-        # None = serial; small batches and small graphs collapse to
-        # serial; real requests are capped at one tree per worker
-        assert auto_build_workers(None, 1000, 100_000) == 1
-        assert auto_build_workers(8, 10, 100_000) == 1
-        assert auto_build_workers(8, 1000, 64) == 1
-        assert auto_build_workers(8, 100, 100_000) == 8
-        assert auto_build_workers(200, 100, 100_000) == 100
-        with pytest.raises(ValueError):
-            auto_build_workers(0, 100, 100_000)
 
     def test_tree_bytes_gauge(self, toy):
         # the gauge is the sum over every cached view, and LRU eviction
