@@ -19,8 +19,8 @@ both paths at matched ``theta``:
 
 The acceptance bar: warm p50 latency at least **10x** below cold.
 ``--json PATH`` writes ``BENCH_service.json``; CI gates on
-``warm_speedup_vs_cold`` — a ratio of two numbers measured in the
-same run, which cancels machine speed — via
+``warm_speedup_vs_cold_inprocess`` — a ratio of two numbers measured
+in the same run, which cancels machine speed — via
 ``benchmarks/check_bench_regression.py`` (the report kind is
 auto-detected).
 

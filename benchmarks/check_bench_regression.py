@@ -1,237 +1,137 @@
 """CI benchmark-regression gate over the committed ``BENCH_*.json``.
 
-Compares a freshly measured report against the committed baseline and
-fails when any gated metric regressed by more than the tolerance.
-Three report kinds, auto-detected:
+``check_bench_regression.py REPORT [--baseline PATH] [--adopt]`` gates
+a fresh report against its committed baseline (by default
+``benchmarks/<REPORT's file name>``) through one table, :data:`GATES`,
+with one row per report kind.  Every gated number is a ratio of two
+measurements taken in one run, so the speed of the machine that
+committed the baseline cancels.
 
-``BENCH_engine.json`` (``bench_engine_throughput.py --json``)
-    Gates ``speedup_vs_scalar`` per backend — each backend's
-    throughput normalized by the scalar reference *measured in the
-    same run*.
-``BENCH_service.json`` (``bench_service_latency.py --json``)
-    Gates ``warm_speedup_vs_cold_inprocess`` — warm served-query
-    latency normalized by the cold in-process build+query cost
-    measured in the same run, i.e. the serving layer's whole reason
-    to exist (the CLI-relative speedup is reported, not gated: its
-    numerator includes interpreter startup).
-``BENCH_sketch_build.json`` (``bench_sketch_build.py --json``)
-    Gates ``build_speedup_vs_legacy`` — the batched array-native
-    sketch construction normalized by the legacy per-sample Python
-    build timed in the same run on the same pooled samples.  Also
-    fails hard (regardless of tolerance) if the report says the two
-    builds disagreed, since that is a correctness bug, not a
-    regression.
-``BENCH_sketch_query.json`` (``bench_sketch_query.py --json``)
-    Gates ``select_speedup_vs_rebuild`` — the greedy selection loop
-    on one incrementally rebased sketch index normalized by the same
-    loop answering every blocker set from a fresh cold-built index,
-    run in the same process over the same pooled samples.  Fails hard
-    if the two selected different blockers (a rebased view must be
-    bit-identical to a cold build); the rebase-vs-cold-build
-    microbench ratio is reported but not gated (a noisier slice of the
-    same work the selection ratio already covers).
-``BENCH_service_saturation.json`` (``bench_service_saturation.py
---json``)
-    Gates ``sustained_speedup_vs_serial`` — the knee of the clients
-    ladder (max sustained qps whose p99 stays under the bar)
-    normalized by the single-client qps measured in the same run
-    under the same profiler, so machine speed cancels.  Fails hard if
-    the current report found no knee at all (every rung blew its p99
-    bar): the service stopped absorbing concurrency, which is a
-    regression at any ratio.  The profiler-overhead percentage is
-    asserted by the benchmark itself, not gated here (an
-    absolute-noise number, not a cross-machine ratio).
-``BENCH_mmap_artifacts.json`` (``bench_mmap_artifacts.py --json``)
-    Gates ``rehydrate_speedup_vs_cold`` — time-to-first-answer of a
-    fresh index memory-mapping the persisted sketch artifact,
-    normalized by the cold sample+build+persist path measured in the
-    same run on the same cache directory.  Fails hard if the report
-    says the rehydrated index diverged from the cold one (same base
-    gains, same greedy blockers through rebase rounds): persistence
-    is bit-identity or it is a bug.  The warm steady-state query
-    latency is reported but not gated (the sketch-query report
-    already covers that path).
-``BENCH_graph_updates.json`` (``bench_graph_updates.py --json``)
-    Gates ``delta_speedup_vs_rebuild`` — time to the next answer after
-    a batched graph mutation through ``SketchIndex.apply_delta``
-    (patch the pooled samples, rebuild only touched trees) normalized
-    by the cold rebuild over the same mutated graph measured in the
-    same run, at the ladder's 0.1%-of-edges rung.  Fails hard if the
-    report says any rung's delta-applied index diverged from its cold
-    rebuild: the incremental path is bit-identity or it is a bug.
-    The other rungs are reported but not gated (the same mechanism at
-    easier or harder delta sizes).
+Exit codes: 0 pass; 1 regression (a gated ratio fell more than its
+tolerance below the baseline, a gated row went missing, or the
+report's must-hold flag is false); 2 unusable input (an unreadable or
+non-object report, an unknown or mismatched kind, a params mismatch,
+a non-numeric ratio, or a refused ``--adopt``).
 
-In every case the gated number is a *ratio of two same-run
-measurements*: raw ms differ wildly between the machine that committed
-the baseline and the CI runner, while the ratio cancels machine speed
-and isolates genuine regressions (a kernel slowdown, a cache that
-stopped hitting, an accidental O(n) in the hot path).
+Identity rule: two reports are comparable only when every key in
+either report's ``params`` matches; a key one side lacks reads as null.
 
-Exit codes: 0 pass, 1 regression, 2 unusable input (missing file,
-kind or parameter mismatch between the runs).
-
-``--adopt`` flips the tool from gate to recorder: the current report
-is validated, copied over ``--baseline`` verbatim, and one provenance
-line is appended to ``benchmarks/BASELINES.md`` — the recorded step
-behind every committed baseline change (hand-editing the JSON loses
-the trail).
-
-Usage::
-
-    python benchmarks/bench_engine_throughput.py --n 2000 --rounds 200 \\
-        --json BENCH_engine.json
-    python benchmarks/check_bench_regression.py BENCH_engine.json \\
-        --baseline benchmarks/BENCH_engine.json --tolerance 0.25
-
-    python benchmarks/bench_service_latency.py --json BENCH_service.json
-    python benchmarks/check_bench_regression.py BENCH_service.json \\
-        --baseline benchmarks/BENCH_service.json --tolerance 0.25
+Adopt flow: a baseline moves only through ``--adopt``, which refuses
+a report whose must-hold flag is false, copies the report over the
+baseline verbatim and appends one dated line to
+``benchmarks/BASELINES.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import sys
 from pathlib import Path
-
-# parameters that must match for two engine reports to be comparable —
-# including the extrapolation caps and repeat count, which change the
-# measured statistic (per-round noise floor) even at identical sizes
-_IDENTITY_PARAMS = (
-    "n",
-    "attach",
-    "rounds",
-    "seeds",
-    "rng",
-    "scalar_rounds",
-    "sketch_rounds",
-    "repeats",
-)
-
-# every parameter of a service report shapes its latency distribution
-_SERVICE_IDENTITY_PARAMS = (
-    "dataset",
-    "scale",
-    "model",
-    "theta",
-    "seed",
-    "num_seeds",
-    "cold_repeats",
-    "clients",
-    "queries_per_client",
-)
-
-# a sketch-build report is one ratio over one workload; every knob
-# shapes both sides of it
-_SKETCH_BUILD_IDENTITY_PARAMS = (
-    "n",
-    "attach",
-    "theta",
-    "seeds",
-    "rng",
-    "repeats",
-)
-
-# likewise for the sketch-query report (the greedy selection loop)
-_SKETCH_QUERY_IDENTITY_PARAMS = (
-    "n",
-    "attach",
-    "theta",
-    "seeds",
-    "budget",
-    "rng",
-    "repeats",
-)
-
-# and for the saturation report: every knob shapes where the knee sits
-_SATURATION_IDENTITY_PARAMS = (
-    "dataset",
-    "scale",
-    "model",
-    "theta",
-    "seed",
-    "num_seeds",
-    "queries_per_client",
-    "client_ladder",
-    "worker_ladder",
-    "p99_bar_multiple",
-    "profile_hz",
-)
-
-# and for the mmap-artifact report (cold build vs rehydrate)
-_MMAP_IDENTITY_PARAMS = (
-    "n",
-    "attach",
-    "theta",
-    "seeds",
-    "budget",
-    "rng",
-    "repeats",
-)
-
-# and for the graph-update report (delta ladder vs cold rebuild)
-_GRAPH_UPDATES_IDENTITY_PARAMS = (
-    "n",
-    "attach",
-    "theta",
-    "seeds",
-    "rng",
-    "fractions",
-)
+from typing import NamedTuple, NoReturn
 
 
-def _die(message: str) -> None:
+class Gate(NamedTuple):
+    metric: str  # top-level key holding the gated ratio; names the kind
+    tolerance: float  # fractional drop below the baseline that passes
+    must_hold: str | None  # report flag that fails the gate when false
+    echo: tuple[str, ...]  # top-level fields printed but not gated
+
+
+GATES = {
+    # speedup_vs_scalar per non-scalar backend, numpy vs numpy; a row
+    # with `gate: false` in the baseline is exempt (the O(1) warm
+    # sketch query, whose single-query timing is clock noise)
+    "engine": Gate("backends", 0.25, None, ()),
+    # warm served query vs cold in-process build+query; the CLI ratio
+    # is echoed only, its numerator includes interpreter startup
+    "service": Gate(
+        "warm_speedup_vs_cold_inprocess", 0.25, None,
+        ("warm_speedup_vs_cold",),
+    ),
+    # the knee is picked from a discrete clients ladder, so the ratio
+    # moves in steps when the runner's core count shifts it; no knee
+    # at all means the service stopped absorbing concurrency
+    "service_saturation": Gate(
+        "sustained_speedup_vs_serial", 0.35, "knee",
+        ("sustained_qps", "profiler_overhead_pct"),
+    ),
+    # batched vs legacy build over the same pooled samples
+    "sketch_build": Gate(
+        "build_speedup_vs_legacy", 0.25, "identical",
+        ("legacy_s", "batched_s", "cold_index_s"),
+    ),
+    # both sides run the C tree kernel compiled on the runner, so the
+    # ratio is compiler-sensitive on top of the usual noise
+    "sketch_query": Gate(
+        "select_speedup_vs_rebuild", 0.5, "identical",
+        ("rebase_speedup_vs_cold", "native"),
+    ),
+    # the rehydrate numerator is bound by the page cache and the
+    # filesystem, which vary more across runners than numpy throughput
+    "mmap_artifacts": Gate(
+        "rehydrate_speedup_vs_cold", 0.5, "identical",
+        ("m", "cold_build_s", "rehydrate_s", "warm_query_s"),
+    ),
+    # the cold-rebuild denominator includes theta x m coin draws
+    "graph_updates": Gate(
+        "delta_speedup_vs_rebuild", 0.5, "identical", ("m", "base_build_s")
+    ),
+}
+
+_LEDGER = Path("benchmarks/BASELINES.md")
+
+
+def _die(message: str) -> NoReturn:
     print(message, file=sys.stderr)
     raise SystemExit(2)
 
 
-def report_kind(report: dict) -> str | None:
-    if "backends" in report:
-        return "engine"
-    if "warm_speedup_vs_cold" in report:
-        return "service"
-    if "sustained_speedup_vs_serial" in report:
-        return "service_saturation"
-    if "build_speedup_vs_legacy" in report:
-        return "sketch_build"
-    if "select_speedup_vs_rebuild" in report:
-        return "sketch_query"
-    if "rehydrate_speedup_vs_cold" in report:
-        return "mmap_artifacts"
-    if "delta_speedup_vs_rebuild" in report:
-        return "graph_updates"
-    return None
-
-
-def load_report(path: str | Path) -> dict:
+def load_report(path: str | Path) -> tuple[dict, str]:
+    """Return ``(report, kind)``; exits 2 on unusable input."""
     path = Path(path)
-    if not path.is_file():
-        _die(f"error: no such report: {path}")
-    with open(path, encoding="utf-8") as handle:
-        report = json.load(handle)
-    if report_kind(report) is None:
-        _die(
-            f"error: {path} is not a BENCH_engine.json, "
-            "BENCH_service.json, BENCH_service_saturation.json, "
-            "BENCH_sketch_build.json, BENCH_sketch_query.json, "
-            "BENCH_mmap_artifacts.json or BENCH_graph_updates.json "
-            "report"
-        )
-    return report
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
+        _die(f"error: cannot read report {path}: {error}")
+    if isinstance(report, dict):
+        for kind, gate in GATES.items():
+            if gate.metric in report:
+                return report, kind
+    _die(
+        f"error: {path} is not a JSON object holding one of "
+        + ", ".join(gate.metric for gate in GATES.values())
+    )
 
 
-def _check_params(
-    current: dict, baseline: dict, identity: tuple[str, ...]
-) -> None:
-    cur_params = current.get("params", {})
-    base_params = baseline.get("params", {})
-    mismatched = [
+def _rows(report: dict, gate: Gate) -> dict[str, tuple[object, bool]]:
+    """Row name -> ``(ratio, gated)``; engine rows sorted by name."""
+    if gate.metric != "backends":
+        return {gate.metric: (report[gate.metric], True)}
+    return {
+        name: (entry.get("speedup_vs_scalar", "?"), entry.get("gate", True))
+        for name, entry in sorted(report["backends"].items())
+        if name != "scalar"  # the normalization reference, 1.0 by design
+    }
+
+
+def _holds(report: dict, gate: Gate) -> bool:
+    return gate.must_hold is None or bool(report.get(gate.must_hold))
+
+
+def compare(
+    current: dict, baseline: dict, kind: str
+) -> tuple[list[str], list[str]]:
+    """Return ``(failures, lines)``: the failed row names and the log."""
+    gate = GATES[kind]
+    cur_params = current.get("params") or {}
+    base_params = baseline.get("params") or {}
+    mismatched = sorted(
         key
-        for key in identity
+        for key in cur_params.keys() | base_params.keys()
         if cur_params.get(key) != base_params.get(key)
-    ]
+    )
     if mismatched:
         _die(
             "error: reports are not comparable — parameter mismatch on "
@@ -240,326 +140,65 @@ def _check_params(
                 for k in mismatched
             )
         )
-
-
-def compare(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Returns ``(failures, lines)`` — regressions and the full log."""
     failures: list[str] = []
     lines: list[str] = []
-
-    _check_params(current, baseline, _IDENTITY_PARAMS)
-
-    base_backends = baseline["backends"]
-    cur_backends = current["backends"]
-    for name, base in sorted(base_backends.items()):
-        if name == "scalar":
-            continue  # the normalization reference, 1.0 by construction
-        if not base.get("gate", True):
+    if not _holds(current, gate):
+        failures.append(gate.must_hold)
+        lines.append(f"FAIL {gate.must_hold}: {current.get(gate.must_hold)}")
+    cur_rows = _rows(current, gate)
+    base_rows = _rows(baseline, gate)
+    for name, (base, gated) in base_rows.items():
+        if not gated:
             lines.append(f"note {name}: gate-exempt in baseline")
             continue
-        entry = cur_backends.get(name)
-        if entry is None:
+        if name not in cur_rows:
             failures.append(name)
             lines.append(f"FAIL {name}: missing from the current report")
             continue
-        base_speed = float(base["speedup_vs_scalar"])
-        cur_speed = float(entry["speedup_vs_scalar"])
-        floor = (1.0 - tolerance) * base_speed
-        verdict = "ok" if cur_speed >= floor else "FAIL"
-        lines.append(
-            f"{verdict:<5}{name:<18} baseline {base_speed:7.2f}x  "
-            f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-        )
-        if cur_speed < floor:
+        try:
+            base, cur = float(base), float(cur_rows[name][0])
+        except (TypeError, ValueError):
+            _die(f"error: {name} is not a number in both reports")
+        floor = (1.0 - gate.tolerance) * base
+        if cur < floor:
             failures.append(name)
-    for name in sorted(set(cur_backends) - set(base_backends)):
+        lines.append(
+            f"{'ok' if cur >= floor else 'FAIL':<5}{name:<30} baseline "
+            f"{base:7.2f}x  current {cur:7.2f}x  floor {floor:7.2f}x"
+        )
+    for name in sorted(cur_rows.keys() - base_rows.keys()):
         lines.append(f"note {name}: not in baseline (no gate)")
-    return failures, lines
-
-
-def compare_service(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Service-report gate vs the baseline.
-
-    Gates ``warm_speedup_vs_cold_inprocess``: both sides of that ratio
-    are numpy compute in one process, so machine speed cancels.  The
-    CLI-relative speedup is reported but not gated — its numerator is
-    part interpreter startup, which scales differently across runners.
-    """
-    _check_params(current, baseline, _SERVICE_IDENTITY_PARAMS)
-    metric = "warm_speedup_vs_cold_inprocess"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines = [
-        f"{verdict:<5}{metric:<30} baseline "
-        f"{base_speed:7.2f}x  current {cur_speed:7.2f}x  "
-        f"floor {floor:7.2f}x",
-        "      vs cold CLI "
-        f"{current.get('warm_speedup_vs_cold', '?')}x, warm qps "
-        f"{current.get('warm', {}).get('qps', '?')} "
-        f"(baseline {baseline.get('warm', {}).get('qps', '?')}; "
-        "informational, not gated)",
-    ]
-    failures = [] if cur_speed >= floor else [metric]
-    return failures, lines
-
-
-def compare_service_saturation(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Saturation-report gate vs the baseline.
-
-    Gates ``sustained_speedup_vs_serial``: knee qps over same-run
-    serial qps, both measured in one process under the same profiler,
-    so machine speed cancels.  A current report with no knee fails
-    unconditionally.  The profiler-overhead figure is printed for the
-    log but asserted by the benchmark itself, not gated here.
-    """
-    _check_params(current, baseline, _SATURATION_IDENTITY_PARAMS)
-    failures: list[str] = []
-    lines: list[str] = []
-    if current.get("knee") is None:
-        failures.append("knee")
+    if gate.echo:
         lines.append(
-            "FAIL knee: no rung of the clients ladder stayed under "
-            "its p99 bar"
+            "not gated: "
+            + ", ".join(f"{f} {current.get(f, '?')}" for f in gate.echo)
         )
-    metric = "sustained_speedup_vs_serial"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-    )
-    knee = current.get("knee") or {}
-    lines.append(
-        f"      knee {knee.get('clients', '?')} clients at "
-        f"{current.get('sustained_qps', '?')} q/s, profiler overhead "
-        f"{current.get('profiler_overhead_pct', '?')}% "
-        f"({current.get('profile', {}).get('samples', '?')} samples; "
-        "informational, not gated)"
-    )
-    if cur_speed < floor:
-        failures.append(metric)
     return failures, lines
 
 
-def compare_sketch_build(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Sketch-build-report gate vs the baseline.
-
-    Gates ``build_speedup_vs_legacy``: both sides of the ratio are
-    same-process Python/numpy compute over identical pooled samples,
-    so machine speed cancels.  A report with ``identical: false``
-    fails unconditionally — the batched build diverging from the
-    legacy build breaks the refactor's bit-compatibility contract.
-    """
-    _check_params(current, baseline, _SKETCH_BUILD_IDENTITY_PARAMS)
-    failures: list[str] = []
-    lines: list[str] = []
-    if not current.get("identical", False):
-        failures.append("identical")
-        lines.append(
-            "FAIL identical: batched trees diverge from the legacy build"
+def adopt(current: dict, kind: str, source: str, baseline: Path) -> int:
+    """Copy a fresh report over the baseline and record it in the
+    ledger; refuses (exit 2, writing nothing) a report whose must-hold
+    flag is false or whose kind differs from the baseline's."""
+    gate = GATES[kind]
+    if not _holds(current, gate):
+        _die(
+            f"error: refusing to adopt — {source} has "
+            f"{gate.must_hold}: {current.get(gate.must_hold)!r}"
         )
-    metric = "build_speedup_vs_legacy"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-    )
-    if cur_speed < floor:
-        failures.append(metric)
-    return failures, lines
-
-
-def compare_sketch_query(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Sketch-query-report gate vs the baseline.
-
-    Gates ``select_speedup_vs_rebuild``: both sides of the ratio are
-    same-process compute over identical pooled samples, so machine
-    speed cancels (though the compiled tree kernel makes this ratio
-    somewhat more compiler-sensitive than the numpy-vs-numpy gates —
-    CI passes a wider tolerance).  A report with ``identical: false``
-    fails unconditionally — a rebased view selecting different
-    blockers than cold builds breaks the incremental path's
-    bit-identity contract.
-    """
-    _check_params(current, baseline, _SKETCH_QUERY_IDENTITY_PARAMS)
-    failures: list[str] = []
-    lines: list[str] = []
-    if not current.get("identical", False):
-        failures.append("identical")
-        lines.append(
-            "FAIL identical: rebased selection diverges from the "
-            "rebuild-per-step path"
+    old_kind = load_report(baseline)[1] if baseline.is_file() else kind
+    if kind != old_kind:
+        _die(
+            f"error: refusing to adopt — {source} is a {kind} report "
+            f"but {baseline} holds {old_kind}"
         )
-    metric = "select_speedup_vs_rebuild"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
+    summary = ", ".join(
+        f"{name}={ratio}x" for name, (ratio, _) in _rows(current, gate).items()
     )
-    lines.append(
-        "      rebase vs cold build "
-        f"{current.get('rebase_speedup_vs_cold', '?')}x, native "
-        f"{current.get('native', '?')} (informational, not gated)"
-    )
-    if cur_speed < floor:
-        failures.append(metric)
-    return failures, lines
-
-
-def compare_mmap_artifacts(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Mmap-artifact-report gate vs the baseline.
-
-    Gates ``rehydrate_speedup_vs_cold``: both sides of the ratio are
-    measured in one process against one cache directory, so machine
-    and disk speed cancel.  A report with ``identical: false`` fails
-    unconditionally — a rehydrated index that diverges from the cold
-    build breaks the persistence layer's bit-identity contract.
-    """
-    _check_params(current, baseline, _MMAP_IDENTITY_PARAMS)
-    failures: list[str] = []
-    lines: list[str] = []
-    if not current.get("identical", False):
-        failures.append("identical")
-        lines.append(
-            "FAIL identical: rehydrated index diverges from the cold "
-            "build"
-        )
-    metric = "rehydrate_speedup_vs_cold"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-    )
-    lines.append(
-        "      cold "
-        f"{current.get('cold_build_s', '?')}s, rehydrate "
-        f"{current.get('rehydrate_s', '?')}s, warm query "
-        f"{current.get('warm_query_s', '?')}s at m="
-        f"{current.get('m', '?')} (informational, not gated)"
-    )
-    if cur_speed < floor:
-        failures.append(metric)
-    return failures, lines
-
-
-def compare_graph_updates(
-    current: dict, baseline: dict, tolerance: float
-) -> tuple[list[str], list[str]]:
-    """Graph-update-report gate vs the baseline.
-
-    Gates ``delta_speedup_vs_rebuild``: both sides of the ratio — the
-    incremental ``apply_delta`` path and the cold rebuild over the
-    same mutated graph — are measured in one process in one run, so
-    machine speed cancels.  A report with ``identical: false`` fails
-    unconditionally — a delta-applied index that diverges from the
-    cold rebuild breaks the incremental path's bit-identity contract.
-    """
-    _check_params(current, baseline, _GRAPH_UPDATES_IDENTITY_PARAMS)
-    failures: list[str] = []
-    lines: list[str] = []
-    if not current.get("identical", False):
-        failures.append("identical")
-        lines.append(
-            "FAIL identical: delta-applied index diverges from the "
-            "cold rebuild"
-        )
-    metric = "delta_speedup_vs_rebuild"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-    )
-    for rung in current.get("rungs", []):
-        lines.append(
-            f"      rung {100 * rung.get('fraction', 0):g}% "
-            f"({rung.get('edits', '?')} edits): "
-            f"{rung.get('speedup', '?')}x, touched "
-            f"{rung.get('touched_samples', '?')} samples, rebuilt "
-            f"{rung.get('trees_rebuilt', '?')} trees "
-            "(informational, not gated)"
-        )
-    if cur_speed < floor:
-        failures.append(metric)
-    return failures, lines
-
-
-# the headline number a ledger entry records per report kind
-_GATED_METRIC = {
-    "engine": "backends",
-    "service": "warm_speedup_vs_cold_inprocess",
-    "service_saturation": "sustained_speedup_vs_serial",
-    "sketch_build": "build_speedup_vs_legacy",
-    "sketch_query": "select_speedup_vs_rebuild",
-    "mmap_artifacts": "rehydrate_speedup_vs_cold",
-    "graph_updates": "delta_speedup_vs_rebuild",
-}
-
-_LEDGER = Path("benchmarks/BASELINES.md")
-
-
-def adopt(current_path: str, baseline_path: str) -> int:
-    """Regenerate a committed baseline through a recorded step.
-
-    Validates the fresh report, copies it over the baseline, and
-    appends one line to the ledger (``benchmarks/BASELINES.md``) so a
-    baseline change always carries its provenance in the same diff —
-    never hand-edit the committed JSON.
-    """
-    import datetime
-
-    current = load_report(current_path)
-    kind = report_kind(current)
-    baseline_file = Path(baseline_path)
-    if baseline_file.is_file():
-        old_kind = report_kind(load_report(baseline_file))
-        if kind != old_kind:
-            _die(
-                f"error: refusing to adopt — {current_path} is a "
-                f"{kind} report but {baseline_path} holds {old_kind}"
-            )
-    metric = _GATED_METRIC.get(kind, "")
-    if metric == "backends":
-        summary = ", ".join(
-            f"{name}={entry.get('speedup_vs_scalar', '?')}x"
-            for name, entry in sorted(current["backends"].items())
-            if name != "scalar"
-        )
-    else:
-        summary = f"{metric}={current.get(metric, '?')}x"
-    payload = dict(current)
-    payload.pop("_collapsed_full", None)
-    with open(baseline_file, "w", encoding="utf-8") as handle:
+    payload = {k: v for k, v in current.items() if k != "_collapsed_full"}
+    with open(baseline, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    stamp = datetime.date.today().isoformat()
     if not _LEDGER.is_file():
         _LEDGER.write_text(
             "# Benchmark baseline ledger\n\n"
@@ -568,87 +207,38 @@ def adopt(current_path: str, baseline_path: str) -> int:
             "behind every committed `BENCH_*.json` change.\n\n",
             encoding="utf-8",
         )
+    stamp = datetime.date.today().isoformat()
     with open(_LEDGER, "a", encoding="utf-8") as handle:
-        handle.write(
-            f"- {stamp} `{baseline_file.name}` ({kind}): {summary}\n"
-        )
-    print(f"adopted {current_path} -> {baseline_file} ({summary})")
+        handle.write(f"- {stamp} `{baseline.name}` ({kind}): {summary}\n")
+    print(f"adopted {source} -> {baseline} ({summary})")
     print(f"recorded in {_LEDGER}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", help="freshly measured BENCH_engine.json")
+    parser.add_argument("report", help="freshly measured BENCH_*.json")
+    parser.add_argument("--baseline", help="default: benchmarks/<REPORT>")
     parser.add_argument(
-        "--baseline",
-        default="benchmarks/BENCH_engine.json",
-        help="committed baseline report (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help=(
-            "allowed fractional drop in normalized throughput before "
-            "the gate fails (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--adopt",
-        action="store_true",
-        help=(
-            "instead of gating, adopt the current report as the new "
-            "committed baseline and append a ledger entry"
-        ),
+        "--adopt", action="store_true", help="make REPORT the baseline"
     )
     args = parser.parse_args(argv)
+    baseline_path = Path(
+        args.baseline or Path("benchmarks") / Path(args.report).name
+    )
+    current, kind = load_report(args.report)
     if args.adopt:
-        return adopt(args.current, args.baseline)
-    current = load_report(args.current)
-    baseline = load_report(args.baseline)
-    kind = report_kind(current)
-    if kind != report_kind(baseline):
+        return adopt(current, kind, args.report, baseline_path)
+    baseline, base_kind = load_report(baseline_path)
+    if kind != base_kind:
         _die(
             f"error: report kinds differ — current is {kind}, baseline "
-            f"is {report_kind(baseline)}"
+            f"is {base_kind}"
         )
-    if kind == "service":
-        failures, lines = compare_service(
-            current, baseline, args.tolerance
-        )
-        metric = "warm speedup vs cold"
-    elif kind == "service_saturation":
-        failures, lines = compare_service_saturation(
-            current, baseline, args.tolerance
-        )
-        metric = "sustained speedup vs serial"
-    elif kind == "sketch_build":
-        failures, lines = compare_sketch_build(
-            current, baseline, args.tolerance
-        )
-        metric = "build speedup vs legacy"
-    elif kind == "sketch_query":
-        failures, lines = compare_sketch_query(
-            current, baseline, args.tolerance
-        )
-        metric = "selection speedup vs rebuild per step"
-    elif kind == "mmap_artifacts":
-        failures, lines = compare_mmap_artifacts(
-            current, baseline, args.tolerance
-        )
-        metric = "rehydrate speedup vs cold build"
-    elif kind == "graph_updates":
-        failures, lines = compare_graph_updates(
-            current, baseline, args.tolerance
-        )
-        metric = "delta speedup vs cold rebuild"
-    else:
-        failures, lines = compare(current, baseline, args.tolerance)
-        metric = "speedup vs scalar"
+    failures, lines = compare(current, baseline, kind)
     print(
-        f"benchmark-regression gate (tolerance "
-        f"{args.tolerance:.0%} on {metric})"
+        f"benchmark-regression gate: {kind} report vs {baseline_path} "
+        f"(tolerance {GATES[kind].tolerance:.0%})"
     )
     for line in lines:
         print(" ", line)

@@ -278,33 +278,7 @@ class _ArenaSketchView:
                 ),
                 minlength=n + 1,
             )
-
-        # ---- inverted membership index over the base trees ----
-        sample_ids = np.repeat(
-            np.arange(self.theta, dtype=np.int64), self._lengths - 1
-        )
-        self._post_indptr, self._post_samples = postings_csr(
-            sample_ids, verts, n
-        )
-        self._post_alive = np.ones(self._post_samples.shape[0], dtype=bool)
-        # keys v * theta + t are globally ascending (vertex-major rows,
-        # samples ascending within a row): one searchsorted resolves
-        # arbitrary (vertex, sample) pairs to posting indices
-        self._post_key = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self._post_indptr)
-            )
-            * self.theta
-            + self._post_samples
-        )
-        # by-sample view of the same postings: row t lists the posting
-        # indices of sample t's base-reachable vertices
-        self._samp_indptr = np.zeros(self.theta + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self._post_samples, minlength=self.theta),
-            out=self._samp_indptr[1:],
-        )
-        self._samp_pidx = np.argsort(self._post_samples, kind="stable")
+        self._rebuild_postings()
         self._sync_bytes()
 
     # ------------------------------------------------------------------
@@ -729,9 +703,9 @@ class _ArenaSketchView:
         self._used = int(self._lengths.sum())
 
     def _rebuild_postings(self) -> None:
-        """Rebuild the inverted membership index from the current
-        arena (all postings alive — only valid parked at the
-        unblocked base, where current trees are the base trees)."""
+        """Build the inverted membership index from the current arena
+        (all postings alive — only valid parked at the unblocked base,
+        where current trees are the base trees)."""
         n = self.csr.n
         counts = self._lengths - 1
         flat = np.repeat(self._starts, self._lengths) + ragged_arange(
@@ -747,6 +721,9 @@ class _ArenaSketchView:
         self._post_alive = np.ones(
             self._post_samples.shape[0], dtype=bool
         )
+        # keys v * theta + t are globally ascending (vertex-major rows,
+        # samples ascending within a row): one searchsorted resolves
+        # arbitrary (vertex, sample) pairs to posting indices
         self._post_key = (
             np.repeat(
                 np.arange(n, dtype=np.int64), np.diff(self._post_indptr)
@@ -754,6 +731,8 @@ class _ArenaSketchView:
             * self.theta
             + self._post_samples
         )
+        # by-sample view of the same postings: row t lists the posting
+        # indices of sample t's base-reachable vertices
         self._samp_indptr = np.zeros(self.theta + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(self._post_samples, minlength=self.theta),

@@ -31,13 +31,26 @@ lets the pool patch arrays instead of rebuilding them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .digraph import DiGraph
 
 __all__ = ["GraphDelta"]
+
+
+def _vertex_id(value, what: str) -> int:
+    """An integer of any integer type (numpy's too), never a bool,
+    float or string — ``int()`` would truncate ``0.9`` to vertex 0."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} vertex ids must be integers, got {value!r}")
 
 
 def _edge_pair(value, what: str) -> tuple[int, int]:
@@ -47,9 +60,7 @@ def _edge_pair(value, what: str) -> tuple[int, int]:
         raise ValueError(
             f"{what} entries must be (u, v) pairs, got {value!r}"
         ) from None
-    if isinstance(u, bool) or isinstance(v, bool):
-        raise ValueError(f"{what} vertex ids must be integers")
-    u, v = int(u), int(v)
+    u, v = _vertex_id(u, what), _vertex_id(v, what)
     if u == v:
         raise ValueError(f"self loop on vertex {u} is not allowed")
     if u < 0 or v < 0:
@@ -65,6 +76,11 @@ def _edge_triple(value, what: str) -> tuple[int, int, float]:
             f"{what} entries must be (u, v, p) triples, got {value!r}"
         ) from None
     u, v = _edge_pair((u, v), what)
+    if isinstance(p, bool) or not isinstance(p, Real):
+        raise ValueError(
+            f"{what} probabilities must be real numbers, got {p!r} for "
+            f"edge ({u}, {v})"
+        )
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(

@@ -98,6 +98,42 @@ class TestGraphDelta:
         with pytest.raises(ValueError, match=r"within \[0, 1\]"):
             GraphDelta(reweights=[(0, 1, 1.5)])
 
+    @pytest.mark.parametrize("bad", [0.9, 1.0, "1", True, np.True_, None])
+    def test_non_integer_vertex_ids_rejected(self, bad):
+        for delta in (
+            {"deletes": [(bad, 2)]},
+            {"inserts": [(2, bad, 0.5)]},
+            {"reweights": [(bad, 2, 0.5)]},
+        ):
+            with pytest.raises(ValueError, match="must be integers"):
+                GraphDelta(**delta)
+
+    def test_numpy_integer_ids_accepted(self):
+        delta = GraphDelta(
+            inserts=[(np.int32(0), np.int64(1), np.float32(0.5))],
+            deletes=[(np.uint8(2), np.int64(3))],
+        )
+        assert delta.inserts == ((0, 1, 0.5),)
+        assert delta.deletes == ((2, 3),)
+        assert all(
+            type(x) is int for x in delta.inserts[0][:2] + delta.deletes[0]
+        )
+        assert type(delta.inserts[0][2]) is float
+
+    @pytest.mark.parametrize("bad", ["0.5", True, np.True_, None, [0.5]])
+    def test_non_real_probabilities_rejected(self, bad):
+        for delta in (
+            {"inserts": [(0, 1, bad)]},
+            {"reweights": [(0, 1, bad)]},
+        ):
+            with pytest.raises(ValueError, match="real numbers"):
+                GraphDelta(**delta)
+
+    def test_integer_probabilities_accepted(self):
+        delta = GraphDelta(inserts=[(0, 1, 1)], reweights=[(2, 3, 0)])
+        assert delta.inserts == ((0, 1, 1.0),)
+        assert delta.reweights == ((2, 3, 0.0),)
+
     def test_malformed_entries_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
             GraphDelta(deletes=[(1, 2, 3)])

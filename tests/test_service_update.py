@@ -144,6 +144,28 @@ class TestUpdateOp:
         assert response["error"]["code"] == "bad_params"
         assert fragment in response["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"deletes": [[0.9, 1.2]]},
+            {"deletes": [["0", "1"]]},
+            {"deletes": [[True, 1]]},
+            {"inserts": [[5, 0, "0.4"]]},
+            {"reweights": [[0, 1, True]]},
+        ],
+    )
+    def test_non_numeric_edits_are_rejected_before_the_journal(
+        self, service, fields
+    ):
+        # int() truncation would turn [[0.9, 1.2]] into a durably
+        # journaled delete of the real edge (0, 1)
+        before = spread_of(service)
+        response = update(service, **fields)
+        assert not response["ok"]
+        assert response["error"]["code"] == "bad_params"
+        assert service.cache.journal.last_seq("toy") == 0
+        assert spread_of(service) == before
+
     def test_invalid_delta_does_not_consume_seq(self, service):
         spread_of(service)
         update(service, deletes=[[0, 1]], seq=1)
