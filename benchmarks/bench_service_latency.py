@@ -14,8 +14,8 @@ both paths at matched ``theta``:
 * **warm** — a real ``ServiceServer`` on an ephemeral port with a
   pre-warmed artifact; ``clients`` threads each fire
   ``queries-per-client`` spread queries over TCP (varying blocked
-  sets), giving per-query p50/p99 latency, aggregate queries/sec, and
-  the coalescing counters.
+  sets), giving per-query p50/p99 latency and aggregate
+  queries/sec.
 
 The acceptance bar: warm p50 latency at least **10x** below cold.
 ``--json PATH`` writes ``BENCH_service.json``; CI gates on
@@ -193,11 +193,6 @@ def run_warm(
         stats = _percentiles(flat)
         stats["qps"] = round(len(flat) / wall, 2)
         stats["queries"] = len(flat)
-        stats["coalescing"] = {
-            k: v
-            for k, v in service.stats.as_dict().items()
-            if k in ("batches", "batched_queries", "max_batch")
-        }
         # one traced probe query through the real protocol: where a
         # warm request's time goes, phase by phase (queue wait,
         # artifact resolution, engine evaluation, sketch spans)
@@ -280,8 +275,7 @@ def render(report: dict) -> str:
         f"  warm speedup vs cold CLI: "
         f"{report['warm_speedup_vs_cold']:.1f}x  "
         f"(vs in-process build: "
-        f"{report['warm_speedup_vs_cold_inprocess']:.1f}x; "
-        f"coalescing: {warm['coalescing']})",
+        f"{report['warm_speedup_vs_cold_inprocess']:.1f}x)",
     ]
     return "\n".join(lines)
 

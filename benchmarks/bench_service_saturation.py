@@ -27,8 +27,7 @@ Two more things ride along, unchanged in spirit from schema 1:
   p50 moved less than the budget (default 5%).
 * **per-phase span breakdowns** — a traced probe through the widest
   topology (includes the ``frontend.route`` span), plus each rung's
-  coalescing and executor-counter deltas parsed from the merged
-  exposition.
+  executor-counter deltas parsed from the merged exposition.
 
 CI gates ``sustained_speedup_vs_serial`` — the widest rung's knee qps
 over same-run profiled serial qps, a ratio of two same-process
@@ -132,9 +131,6 @@ def _executor_counters(exposition: str) -> dict[str, float]:
             exposition, "repro_executor_completed_total"
         ),
         "pending": _metric_total(exposition, "repro_executor_pending"),
-        "batches": _metric_total(
-            exposition, "repro_coalesced_batches_total"
-        ),
     }
 
 
@@ -366,9 +362,6 @@ def run(params: dict) -> dict[str, object]:
                     point["queries"] = len(lat)
                     point["qps"] = round(len(lat) / wall, 2)
                     point["under_bar"] = point["p99_ms"] <= bar_ms
-                    point["coalesced_batches"] = int(
-                        after["batches"] - counters["batches"]
-                    )
                     point["executor"] = {
                         "submitted": after["submitted"]
                         - counters["submitted"],
@@ -478,7 +471,6 @@ def render(report: dict) -> str:
                 f"{'s' if point['clients'] != 1 else ' '}"
                 f" {marker} p50 {point['p50_ms']:8.2f} ms   p99 "
                 f"{point['p99_ms']:8.2f} ms   {point['qps']:8.2f} q/s"
-                f"   batches {point['coalesced_batches']}"
             )
         knee = rung["knee"]
         if knee is None:

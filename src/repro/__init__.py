@@ -54,8 +54,8 @@ Package map
 ``repro.service``
     The long-lived blocker-query service: named-graph registry, LRU
     cache of warm ``(SamplePool, SketchIndex)`` artifacts, threaded
-    TCP/JSON-lines server with request coalescing, and the matching
-    client (``repro-imin serve`` / ``repro-imin query``).
+    TCP/JSON-lines server, and the matching client (``repro-imin
+    serve`` / ``repro-imin query``).
 """
 
 from .core import (

@@ -145,7 +145,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
         Experiment(
             "service-saturation", "(extension)",
-            "client-ladder saturation knee, shed/coalescing telemetry, "
+            "client-ladder saturation knee, shed/executor telemetry, "
             "and sampling-profiler overhead",
             "bench_service_saturation.py",
         ),

@@ -177,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-pending", type=int, default=None,
         help=(
-            "per-artifact executor queue bound: queries beyond it are "
-            "rejected with error code `overloaded` instead of queueing "
-            "without bound (default: unbounded)"
+            "bound on the queries waiting for one artifact's lock: "
+            "queries beyond it are rejected with error code "
+            "`overloaded` instead of queueing without bound (default: "
+            "unbounded)"
         ),
     )
     serve.add_argument(
@@ -206,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run the sharded topology: an asyncio front end routing "
             "each graph to one of N worker processes (stable hash of "
-            "the graph name). Coalescing, single-flight builds and "
-            "LRU accounting stay shard-local; --max-pending becomes "
+            "the graph name). Artifact locks, single-flight builds "
+            "and LRU accounting stay shard-local; --max-pending becomes "
             "the front end's global admission bound (default: one "
             "threaded process, no front end)"
         ),

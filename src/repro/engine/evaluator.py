@@ -222,12 +222,12 @@ class PooledEvaluator(_EvaluatorLifecycle):
         from the pool's flat sample arrays, one call per blocked set.
         Without it, the fallback streams chunks of a boolean aliveness
         matrix through :func:`reach_counts_from_alive`, materialising
-        each chunk once for the whole batch (the service's coalesced
-        spread requests) instead of once per query.  Both paths sum
-        the same integers, so results are bit-identical to
-        ``len(blocked_sets)`` separate :meth:`expected_spread` calls,
-        on either path — batching is invisible to callers comparing
-        against serial execution.
+        each chunk once for the whole batch (the judge scores the
+        unblocked and blocked sets together) instead of once per set.
+        Both paths sum the same integers, so results are bit-identical
+        to ``len(blocked_sets)`` separate :meth:`expected_spread`
+        calls, on either path — batching is invisible to callers
+        comparing against serial execution.
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")

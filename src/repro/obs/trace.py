@@ -21,9 +21,9 @@ Design constraints the hot paths impose:
 * exception safety: a span that exits via an exception still records
   its duration (flagged ``error``) and re-raises — a failed rebase
   must show up in the breakdown, not vanish from it;
-* traces cross threads by *explicit handoff* (:func:`use_trace` in
-  the executor that dequeues the work item), never implicitly —
-  ``contextvars`` do not propagate to worker threads on their own.
+* traces cross threads only by *explicit handoff* (:func:`use_trace`
+  on the receiving thread), never implicitly — ``contextvars`` do not
+  propagate to worker threads on their own.
 
 ``Trace.as_dict()`` is what the service attaches to a response when
 the client asks (``"trace": true`` — ``repro-imin query --trace``);
@@ -78,9 +78,8 @@ class Span:
 class Trace:
     """One request's span tree, identified by ``trace_id``.
 
-    Span attachment is lock-guarded: the serving layer finishes spans
-    for one trace from both the handler thread and the artifact
-    executor thread.
+    Span attachment is lock-guarded, so a trace handed to several
+    threads (:func:`use_trace` on each) records all their spans.
     """
 
     __slots__ = ("trace_id", "spans", "_lock")
@@ -95,14 +94,6 @@ class Trace:
             (parent.children if parent is not None else self.spans).append(
                 node
             )
-
-    def add_span(self, name: str, duration_ms: float) -> Span:
-        """Record an externally-timed phase (e.g. queue wait measured
-        around a thread handoff) as a root-level span."""
-        node = Span(name)
-        node.duration_ms = float(duration_ms)
-        self._attach(None, node)
-        return node
 
     def as_dict(self) -> dict:
         with self._lock:

@@ -17,9 +17,10 @@ artifacts resident and serves many queries against them:
 :mod:`repro.service.server`
     Threaded TCP/JSON-lines server (stdlib only) exposing ``block``,
     ``spread``, ``warm``, ``stats`` and ``graphs`` over the versioned
-    v1 wire protocol (structured error envelope, stable error codes),
-    with per-artifact request coalescing: concurrent spread queries
-    against one artifact collapse into one vectorized engine call.
+    v1 wire protocol (structured error envelope, stable error codes);
+    each query runs on its handler thread under its artifact's lock
+    (shared by spreads), so concurrent answers are bit-identical to
+    serial ones.
 :mod:`repro.service.client`
     The matching client — typed query verbs, error codes mapped to
     typed exceptions, one bounded retry over drains and worker

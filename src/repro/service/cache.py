@@ -26,14 +26,16 @@ and the sketch's ``rehydrations`` gauge respectively).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..bench import pick_seeds, prepare_graph
 from ..core import solve_imin
@@ -49,6 +51,7 @@ __all__ = [
     "CacheStats",
     "DeltaJournal",
     "JOURNAL_VERSION",
+    "SharedLock",
 ]
 
 JOURNAL_VERSION = 1
@@ -146,9 +149,11 @@ class DeltaJournal:
         self._graph_locks: dict[str, threading.RLock] = {}
 
     def graph_lock(self, graph: str) -> threading.RLock:
-        """The per-graph mutex serialising seq-check + apply + append
-        — held by the caller across the engine mutation so two updates
-        to the same graph name can never interleave."""
+        """The per-graph mutex serialising seq-check + apply + append,
+        and every build of the graph's artifacts — held by the caller
+        across the engine mutation or the build-and-insert, so two
+        updates to the same graph name can never interleave and no
+        update lands between a build's replay and its insertion."""
         with self._lock:
             return self._graph_locks.setdefault(graph, threading.RLock())
 
@@ -228,15 +233,93 @@ class DeltaJournal:
         return len(entries)
 
 
+class SharedLock:
+    """A re-entrant lock with a shared and an exclusive mode.
+
+    ``with lock:`` holds it exclusively; ``with lock.shared():`` holds
+    it together with up to ``max_shared - 1`` other threads.  A caller
+    waiting for the exclusive hold stops new shared holders from
+    entering, so a stream of reads cannot starve a writer.  A thread
+    may take the lock again in either mode while it holds it, except
+    that a shared holder cannot upgrade: that raises instead of
+    deadlocking.
+    """
+
+    def __init__(self, max_shared: int) -> None:
+        if max_shared < 1:
+            raise ValueError("max_shared must be >= 1")
+        self._max_shared = max_shared
+        self._cond = threading.Condition(threading.Lock())
+        self._shared: dict[int, int] = {}  # thread id -> hold depth
+        self._owner: int | None = None
+        self._depth = 0
+        self._waiting = 0  # callers waiting for the exclusive hold
+
+    @contextlib.contextmanager
+    def shared(self):
+        me = threading.get_ident()
+        with self._cond:
+            if self._owner != me and me not in self._shared:
+                while (
+                    self._owner is not None
+                    or self._waiting
+                    or len(self._shared) >= self._max_shared
+                ):
+                    self._cond.wait()
+            self._shared[me] = self._shared.get(me, 0) + 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                depth = self._shared.pop(me) - 1
+                if depth:
+                    self._shared[me] = depth
+                else:
+                    self._cond.notify_all()
+
+    def __enter__(self) -> "SharedLock":
+        me = threading.get_ident()
+        with self._cond:
+            if self._owner != me:
+                if me in self._shared:
+                    raise RuntimeError(
+                        "a shared holder cannot take the lock exclusively"
+                    )
+                self._waiting += 1
+                try:
+                    while self._owner is not None or self._shared:
+                        self._cond.wait()
+                finally:
+                    self._waiting -= 1
+                self._owner = me
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._cond:
+            self._depth -= 1
+            if not self._depth:
+                self._owner = None
+                self._cond.notify_all()
+
+
 class Artifact:
     """One warm ``(graph, model, theta, seed)`` serving state.
 
-    All query methods serialise on an internal lock: the pooled
-    evaluator and the sketch index share mutable state (the growing
-    pool, the rebased trees), and answers must be independent of
-    request interleaving — the concurrency contract the service's
-    tests pin down.  Results are pure functions of the key and the
-    query parameters.
+    Every query and mutation holds :attr:`lock`: the pooled evaluator
+    and the sketch index share mutable state (the growing pool, the
+    rebased trees), and answers must be independent of request
+    interleaving — the concurrency contract the service's tests pin
+    down.  Spreads that read already-drawn samples hold it shared, so
+    they run concurrently (the reach kernel releases the GIL);
+    everything else holds it exclusively.  Results are pure functions
+    of the key and the query parameters.
+
+    At most one spread per CPU, and at least two, share the lock: two
+    let one spread's Python overlap another's kernel call even on one
+    CPU, and more than one per CPU would only contend for the cores —
+    the rest wait for the lock, which is what keeps ``--max-pending``
+    admission meaningful for spreads.
     """
 
     def __init__(
@@ -259,8 +342,7 @@ class Artifact:
         )
         # With a cache_dir, the index persists each warm arena view
         # next to the pool snapshot and rehydrates it memory-mapped on
-        # rebuild — the executor threads then share one read-only
-        # mapping instead of re-deriving theta trees.
+        # rebuild instead of re-deriving theta trees.
         self.sketch = build_evaluator(
             graph, spec.with_engine("sketch"), pool=self.pool
         )
@@ -279,7 +361,10 @@ class Artifact:
         """Journal position this artifact's state reflects (set by the
         cache: the journal head at build-replay time, advanced by each
         applied update)."""
-        self._lock = threading.RLock()
+        self.lock = SharedLock(max(2, os.cpu_count() or 1))
+        """Held by every query and mutation of this artifact; the
+        service holds it around a whole request, and the methods
+        re-enter it."""
         # materialise (or mmap-attach) the samples up front: the cache
         # hands out *warm* artifacts, never lazily-cold ones
         self.pool.get(key.theta)
@@ -312,16 +397,18 @@ class Artifact:
     ) -> list[float]:
         """Pooled estimates for many blocked sets in one call.
 
-        This is the call the server's request coalescing funnels into,
-        bit-identical to evaluating each blocked set alone (same
+        Bit-identical to evaluating each blocked set alone (same
         samples, same integer sums).  The compiled reach kernel counts
         each blocked set straight from the pool's flat samples; only
         the fallback builds aliveness-matrix chunks, once for the
         whole batch.
         """
-        with self._lock:
+        theta = theta or self.key.theta
+        # drawing more samples grows the pool: only then exclusively
+        hold = self.lock.shared() if theta <= self.pool.theta else self.lock
+        with hold:
             return self.pooled.expected_spread_many(
-                seeds, theta or self.key.theta, blocked_sets
+                seeds, theta, blocked_sets
             )
 
     def block(
@@ -342,7 +429,7 @@ class Artifact:
         """
         theta = theta or self.key.theta
         rng = self.key.seed if rng is None else rng
-        with self._lock:
+        with self.lock:
             start = time.perf_counter()
             result = solve_imin(
                 self.graph,
@@ -368,7 +455,7 @@ class Artifact:
     def warm_sketch(self, seeds: Sequence[int], theta: int | None = None):
         """Pre-build the sketch view for a seed set (the cold half of a
         first ``block`` query)."""
-        with self._lock:
+        with self.lock:
             self.sketch.expected_spread(seeds, theta or self.key.theta)
 
     # ------------------------------------------------------------------
@@ -387,7 +474,7 @@ class Artifact:
         independent stream-1 pool is patched the same way, and the
         pooled evaluator just resyncs to the shared pool's new CSR.
         """
-        with self._lock:
+        with self.lock:
             delta.check_against(self.graph)
             rebuilt_before = self.sketch.stats.delta_trees_rebuilt
             delta.apply_to(self.graph)
@@ -438,7 +525,7 @@ class Artifact:
     def close(self) -> None:
         # taken under the artifact lock: an eviction must not clear
         # the sketch's view cache out from under an in-flight query
-        with self._lock:
+        with self.lock:
             self.sketch.close()
             self.pooled.close()
             self.judge.close()
@@ -448,10 +535,13 @@ class ArtifactCache:
     """Thread-safe LRU of :class:`Artifact` bounded by entries/bytes.
 
     ``get`` either returns the resident artifact (a *hit*, refreshing
-    its recency) or builds it (a *miss*).  Builds of the same key are
-    single-flight: concurrent requesters block on a per-key build lock
-    and share the one build instead of duplicating the most expensive
-    operation the service performs.
+    its recency) or builds it (a *miss*).  A miss builds and inserts
+    under its graph's journal lock, so builds are single-flight:
+    concurrent requesters of one key share the one build instead of
+    duplicating the most expensive operation the service performs,
+    and no update of that graph can land between a build's journal
+    replay and its insertion.  Locks are taken in one order: graph
+    lock, then the cache lock, then an artifact's lock.
     """
 
     def __init__(
@@ -472,14 +562,7 @@ class ArtifactCache:
         """Per-graph delta history; replayed in :meth:`_build` so a
         rebuilt artifact starts from the same mutated graph the live
         one was patched to."""
-        self.on_evict: "Callable[[ArtifactKey, Artifact], None] | None" = (
-            None
-        )
-        """Hook invoked (before the artifact closes) for every
-        eviction — the serving layer uses it to retire the evicted
-        artifact's executor thread so the cache's memory bound holds."""
         self._artifacts: OrderedDict[ArtifactKey, Artifact] = OrderedDict()
-        self._building: dict[ArtifactKey, threading.Lock] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -498,20 +581,13 @@ class ArtifactCache:
                 self._shrink()
                 return artifact
             self.stats.misses += 1
-            build_lock = self._building.setdefault(key, threading.Lock())
-        with build_lock:
+        with self.journal.graph_lock(key.graph):
             with self._lock:
                 artifact = self._artifacts.get(key)
                 if artifact is not None:  # built by the flight we joined
                     self._artifacts.move_to_end(key)
                     return artifact
-            try:
-                artifact = self._build(key)
-            finally:
-                # drop the single-flight entry on failure too, or a
-                # permanently failing key grows the dict forever
-                with self._lock:
-                    self._building.pop(key, None)
+            artifact = self._build(key)
             with self._lock:
                 self._artifacts[key] = artifact
                 self._shrink()
@@ -529,10 +605,10 @@ class ArtifactCache:
             # so the build lands exactly on the artifacts the live
             # update path persisted — a restarted worker rehydrates
             # the patched pool and trees, never a stale pre-delta copy
-            with self.journal.graph_lock(key.graph):
-                self.journal.replay(key.graph, prepared)
-                artifact = Artifact(key, prepared, cache_dir=self.cache_dir)
-                artifact.applied_seq = self.journal.last_seq(key.graph)
+            # (the caller holds the graph lock)
+            self.journal.replay(key.graph, prepared)
+            artifact = Artifact(key, prepared, cache_dir=self.cache_dir)
+            artifact.applied_seq = self.journal.last_seq(key.graph)
         self.stats.builds += 1
         if artifact.pool.stats.disk_loads:
             self.stats.rehydrations += 1
@@ -598,8 +674,6 @@ class ArtifactCache:
             evicted = 0
             for k in stale:
                 artifact = self._artifacts.pop(k)
-                if self.on_evict is not None:
-                    self.on_evict(k, artifact)
                 artifact.close()
                 self.stats.evictions += 1
                 evicted += 1
@@ -615,9 +689,7 @@ class ArtifactCache:
                 and self._total_bytes() > self.max_bytes
             )
         ):
-            evicted_key, evicted = self._artifacts.popitem(last=False)
-            if self.on_evict is not None:
-                self.on_evict(evicted_key, evicted)
+            _, evicted = self._artifacts.popitem(last=False)
             evicted.close()
             self.stats.evictions += 1
 

@@ -10,21 +10,21 @@ scale-out answer that keeps every hard-won serial property intact:
   each request to one of N worker *processes*.  Each worker runs
   today's :class:`~repro.service.server.ServiceServer` +
   :class:`~repro.service.server.BlockerService` core unchanged, so
-  per-artifact coalescing, single-flight builds and LRU byte
-  accounting stay shard-local — and answers stay bit-identical to the
+  per-artifact locking, single-flight builds and LRU byte accounting
+  stay shard-local — and answers stay bit-identical to the
   single-process serial server.
 * **Sharding** — :func:`shard_for` hashes the *graph name* (stable
   md5, no process-seeded randomization) onto a worker index, so one
   artifact is only ever resident in one process and a graph's clients
-  always coalesce against the same executor.
+  always share the same artifact lock.
 * **Artifacts** — workers share nothing in memory; with a common
   ``cache_dir`` they rehydrate pools and sketch views from the PR 7
   mmap artifacts (COW ``np.load``), so a restarted shard re-serves
   its graphs without paying cold builds.
 * **Admission** — the front end bounds *global* in-flight routed
   queries (``--max-pending`` across shards) and sheds beyond it with
-  the existing ``overloaded`` code; per-artifact executor bounds keep
-  working inside each worker.
+  the existing ``overloaded`` code; the workers run with no bound of
+  their own.
 * **Supervision** — a crashed worker fails its in-flight requests
   (shed-counted, ``reason="worker_crash"``) and is restarted on a
   fresh port; ``/healthz`` reports ``workers: {total, alive}`` and
@@ -75,9 +75,10 @@ ACCESS_LOG_VERSION = 1
 _ROUTED_OPS = ("warm", "spread", "block", "update")
 """Ops owned by exactly one shard (their graph's) and counted against
 the front end's global admission bound.  ``update`` routes like a
-query: the owning shard's executor serialises the delta against that
-graph's in-flight work, and the shared ``cache_dir`` journal makes the
-mutation survive that worker's restart."""
+query: the owning shard applies the delta under the artifact's lock,
+so it serialises against that graph's in-flight work, and the shared
+``cache_dir`` journal makes the mutation survive that worker's
+restart."""
 
 
 def _start_method() -> str:
@@ -130,7 +131,6 @@ class WorkerSpec:
     cache_entries: int = 8
     cache_bytes: int | None = None
     cache_dir: str | None = None
-    max_pending: int | None = None
     slow_ms: float | None = None
     profile_hz: float | None = None
     slo_specs: tuple[str, ...] = ()
@@ -166,7 +166,6 @@ def _build_service(index: int, spec: WorkerSpec):
         metrics=metrics,
         log=EventLog(json_mode=True) if spec.log_json else None,
         slow_ms=spec.slow_ms,
-        max_pending=spec.max_pending,
         profile_hz=spec.profile_hz,
         slos=[parse_slo(s) for s in spec.slo_specs] or None,
     )
@@ -931,10 +930,11 @@ class ShardedFrontend:
     async def _merged_stats(self) -> dict:
         """The fleet-wide ``stats`` result.
 
-        ``service`` sums the per-worker counters (``max_batch`` is a
-        max), ``workers`` keeps each shard's full report (or its
-        error), and ``frontend`` describes the tier the workers can't
-        see: admission, drain state, supervision and the access log.
+        ``service`` sums the per-worker request and error counters
+        (the v1 coalescing fields always read 0), ``workers`` keeps
+        each shard's full report (or its error), and ``frontend``
+        describes the tier the workers can't see: admission, drain
+        state, supervision and the access log.
         """
         outcomes = await self._fanout({"op": "stats"})
         service = {
@@ -958,11 +958,7 @@ class ShardedFrontend:
                 service["requests"][op] = (
                     service["requests"].get(op, 0) + count
                 )
-            for key in ("errors", "batches", "batched_queries"):
-                service[key] += stats.get(key, 0)
-            service["max_batch"] = max(
-                service["max_batch"], stats.get("max_batch", 0)
-            )
+            service["errors"] += stats.get("errors", 0)
         with self._access_lock:
             access_entries = len(self._access)
         return {

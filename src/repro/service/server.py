@@ -4,17 +4,14 @@ Two layers:
 
 :class:`BlockerService`
     Transport-independent request handler — a dict in, a dict out.
-    Owns the :class:`~repro.service.registry.GraphRegistry`, the
-    :class:`~repro.service.cache.ArtifactCache` and one *executor
-    thread per warm artifact*.  All engine work against an artifact
-    runs on its executor, which (a) serialises access to the stateful
-    sketch/pool machinery and (b) **coalesces** spread requests: when
-    several clients query the same artifact concurrently, the executor
-    drains its whole queue and answers every same-``(seeds, theta)``
-    spread query with one
-    :meth:`~repro.engine.evaluator.PooledEvaluator.expected_spread_many`
-    call, made under one artifact-lock hold for the whole batch and
-    bit-identical to serial execution.
+    Owns the :class:`~repro.service.registry.GraphRegistry` and the
+    :class:`~repro.service.cache.ArtifactCache`.  Each ``spread`` and
+    ``block`` runs on its connection's handler thread while holding
+    the artifact's lock: spreads share it (up to one per CPU) and run
+    concurrently, blocks and updates hold it alone, since they change
+    the stateful sketch/pool machinery.  Every answer is a pure function of the
+    artifact key and the query parameters, so concurrent clients get
+    the bit-identical answers of serial execution.
 :class:`ServiceServer`
     A ``socketserver.ThreadingTCPServer`` speaking JSON lines: each
     request is one ``\\n``-terminated JSON object, each response one
@@ -56,8 +53,8 @@ Requests (all fields beyond ``op`` optional, with server defaults)::
 
 An ``"id"`` field, when present, is echoed in the response so
 pipelining clients can match answers to questions.  ``max_pending``
-bounds each artifact executor's queue: submissions beyond it are
-rejected with code ``overloaded`` instead of growing the queue without
+bounds the queries waiting for one artifact's lock: queries beyond it
+are rejected with code ``overloaded`` instead of queueing without
 bound (load shedding; ``None`` = unbounded, the default).
 
 **Observability** (see :mod:`repro.obs`): every request runs under a
@@ -75,17 +72,15 @@ summary, and an :class:`~repro.obs.EventLog` — JSON lines under
 ``repro-imin serve --log-json`` — gets one event per request.
 
 **Saturation telemetry**: the layer between "a request finished" and
-"the server is drowning".  Every artifact executor exports its queue
-depth (``repro_executor_pending{graph=}``, incremented/decremented
-under the same mutex that guards the queue, so the gauge is exact),
-the queue wait of the oldest item at the most recent drain
-(``repro_executor_queue_age_seconds{graph=}``), and
-submitted/completed counters whose difference *is* the pending gauge
-— the reconciliation invariant the tests pin.  Requests shed by the
-``--max-pending`` admission guard are counted by reason in
-``repro_shed_requests_total{graph=,reason=}``; queries served
-directly because their executor was retired mid-flight land in
-``repro_executor_direct_serves_total{graph=}``.  The accept loop
+"the server is drowning".  A query is *pending* from admission until
+it holds its artifact's lock.  ``repro_executor_pending{graph=}``
+counts them (changed under the same mutex as the admission count, so
+the gauge is exact), ``repro_executor_queue_age_seconds{graph=}`` is
+the lock wait of the most recent query, and submitted/completed
+counters differ by exactly the pending gauge — the reconciliation
+invariant the tests pin.  Requests shed by the ``--max-pending``
+admission guard are counted by reason in
+``repro_shed_requests_total{graph=,reason=}``.  The accept loop
 exports ``repro_inflight_requests``, the number of requests currently
 inside :meth:`BlockerService.handle`.
 
@@ -99,13 +94,12 @@ and ``serve --slo p99=250ms`` evaluates declarative objectives into
 
 from __future__ import annotations
 
+import contextlib
 import json
-import queue
 import socketserver
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,7 +107,6 @@ from ..core import ALGORITHMS
 from ..engine.spec import MODELS
 from ..graph import GraphDelta
 from ..obs import (
-    current_trace,
     DEFAULT_HZ,
     EventLog,
     global_registry,
@@ -182,25 +175,14 @@ class RequestError(ValueError):
 class ServiceStats:
     """Service-level observability counters.
 
-    Mutated from handler threads *and* artifact executors, so every
-    read-modify-write goes through the internal lock — otherwise the
-    counters would silently undercount under exactly the concurrent
-    load the service exists to measure.
+    Mutated from every handler thread, so every read-modify-write goes
+    through the internal lock — otherwise the counters would silently
+    undercount under exactly the concurrent load the service exists to
+    measure.
     """
 
     requests: dict[str, int] = field(default_factory=dict)
     errors: int = 0
-    batches: int = 0
-    """Coalesced executions serving more than one spread query."""
-    batched_queries: int = 0
-    """Spread queries answered as part of a multi-query batch."""
-    max_batch: int = 0
-    on_batch: Callable[[int], None] | None = field(
-        default=None, repr=False, compare=False
-    )
-    """Optional observer called (outside the lock) per coalesced batch
-    — how BlockerService mirrors batch counts into its metrics
-    registry without ServiceStats knowing about registries."""
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -213,37 +195,28 @@ class ServiceStats:
         with self._lock:
             self.errors += 1
 
-    def count_batch(self, size: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.batched_queries += size
-            self.max_batch = max(self.max_batch, size)
-        if self.on_batch is not None:
-            self.on_batch(size)
-
     def as_dict(self) -> dict[str, object]:
         with self._lock:
             return {
                 "requests": dict(self.requests),
                 "errors": self.errors,
-                "batches": self.batches,
-                "batched_queries": self.batched_queries,
-                "max_batch": self.max_batch,
+                # v1 fields of the removed spread coalescing: no
+                # query is batched any more, so they always read 0
+                "batches": 0,
+                "batched_queries": 0,
+                "max_batch": 0,
             }
 
 
-_STOP = object()
+class _QueueTelemetry:
+    """Pre-bound metric children for one graph label.
 
-
-class _ExecutorTelemetry:
-    """Pre-bound metric children for one executor's graph label.
-
-    The executor mutates these on its hot paths (submit, drain), so
-    the label lookup happens once per executor, not once per query.
-    ``pending`` is updated under the executor's own mutex — the gauge
-    mirrors ``_pending`` exactly, which is what lets the
-    reconciliation test assert ``submitted - completed == pending``
-    at any quiescent point.
+    Admission mutates these on every query, so the label lookup
+    happens once per graph, not once per query.  ``pending`` changes
+    under the service mutex together with the admission count — the
+    gauge mirrors it exactly, which is what lets the reconciliation
+    test assert ``submitted - completed == pending`` at any quiescent
+    point.
     """
 
     __slots__ = (
@@ -251,36 +224,28 @@ class _ExecutorTelemetry:
         "queue_age",
         "submitted",
         "completed",
-        "direct_serves",
         "shed_overloaded",
     )
 
     def __init__(self, metrics: MetricsRegistry, graph: str) -> None:
         self.pending = metrics.gauge(
             "repro_executor_pending",
-            "Queries queued on the artifact executor, not yet drained",
+            "Queries admitted for an artifact, waiting for its lock",
             labels=("graph",),
         ).labels(graph)
         self.queue_age = metrics.gauge(
             "repro_executor_queue_age_seconds",
-            "Queue wait of the oldest item at the executor's most "
-            "recent drain",
+            "Artifact-lock wait of the most recent query",
             labels=("graph",),
         ).labels(graph)
         self.submitted = metrics.counter(
             "repro_executor_submitted_total",
-            "Queries accepted onto the artifact executor queue",
+            "Queries admitted for an artifact",
             labels=("graph",),
         ).labels(graph)
         self.completed = metrics.counter(
             "repro_executor_completed_total",
-            "Queued queries answered (result or error) by the executor",
-            labels=("graph",),
-        ).labels(graph)
-        self.direct_serves = metrics.counter(
-            "repro_executor_direct_serves_total",
-            "Queries served inline because their executor was retired "
-            "between lookup and submit",
+            "Admitted queries answered (result or error)",
             labels=("graph",),
         ).labels(graph)
         self.shed_overloaded = metrics.counter(
@@ -288,220 +253,6 @@ class _ExecutorTelemetry:
             "Queries rejected by admission control, by reason",
             labels=("graph", "reason"),
         ).labels(graph, "max_pending")
-
-    @classmethod
-    def null(cls) -> "_ExecutorTelemetry":
-        """A sink for executors built outside a BlockerService (the
-        children land in a throwaway registry)."""
-        return cls(MetricsRegistry(), "none")
-
-
-class _ArtifactExecutor:
-    """One worker thread per artifact: serialisation + coalescing.
-
-    Work items are ``(kind, params, future, trace, enqueued_at)``.
-    The worker drains everything queued at wake-up, groups ``spread``
-    items by ``(seeds, theta)`` and answers each group with one
-    batched engine call; ``block`` items run individually (they are
-    long and stateful-greedy, there is nothing to share).  Because
-    every query is a pure function of the artifact key and its
-    parameters, the reordering this implies is observationally
-    equivalent to any serial order.
-
-    Tracing crosses the thread boundary explicitly: the submitting
-    handler passes its request trace, the worker records the queue
-    wait on it and activates it (:func:`~repro.obs.use_trace`) around
-    the engine call, so sketch/pool spans land on the request that
-    triggered the work.  A coalesced batch runs under the *leader's*
-    trace (first queued item); followers still get their queue-wait
-    and evaluate spans.  Results are computed before ``set_result``
-    so the handler thread never serialises a trace mid-write.
-
-    Close is race-safe: enqueueing and the closed flag share a mutex,
-    so no item can land behind the ``_STOP`` sentinel and hang its
-    caller — a submit that loses the race runs the query directly
-    (unbatched but correct; the artifact's own lock serialises it).
-    """
-
-    def __init__(
-        self,
-        artifact: Artifact,
-        stats: ServiceStats,
-        max_pending: int | None = None,
-        telemetry: _ExecutorTelemetry | None = None,
-    ) -> None:
-        self._artifact = artifact
-        self._stats = stats
-        self._max_pending = max_pending
-        self._pending = 0
-        self._telemetry = (
-            telemetry if telemetry is not None
-            else _ExecutorTelemetry.null()
-        )
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._mutex = threading.Lock()
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run,
-            name=f"repro-artifact-{artifact.key.graph}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def submit(self, kind: str, params: dict, trace: Trace | None = None):
-        with self._mutex:
-            if not self._closed:
-                # load shedding: reject before enqueueing, so a stalled
-                # artifact cannot grow an unbounded queue of blocked
-                # handler threads — clients get a typed `overloaded`
-                # error and decide whether to retry
-                if (
-                    self._max_pending is not None
-                    and self._pending >= self._max_pending
-                ):
-                    self._telemetry.shed_overloaded.inc()
-                    raise RequestError(
-                        f"artifact {self._artifact.key.graph!r} has "
-                        f"{self._pending} queries pending (limit "
-                        f"{self._max_pending}); retry later",
-                        code="overloaded",
-                    )
-                future: Future = Future()
-                # the increment and the put must stand or fall
-                # together: a put that fails (MemoryError under real
-                # pressure) leaking a pending slot would ratchet the
-                # admission guard shut
-                self._pending += 1
-                try:
-                    self._queue.put(
-                        (kind, params, future, trace, time.monotonic())
-                    )
-                except BaseException:
-                    self._pending -= 1
-                    raise
-                self._telemetry.pending.inc()
-                self._telemetry.submitted.inc()
-                enqueued = True
-            else:
-                enqueued = False
-        if not enqueued:  # retired executor: serve directly
-            self._telemetry.direct_serves.inc()
-            return self._execute_one(kind, params)
-        return future.result()
-
-    def _execute_one(self, kind: str, params: dict):
-        with span("service.evaluate"):
-            return self._dispatch(kind, params)
-
-    def _dispatch(self, kind: str, params: dict):
-        if kind == "spread":
-            return self._artifact.spread_many(
-                list(params["seeds"]), [params["blocked"]],
-                params["theta"],
-            )[0]
-        if kind == "update":
-            # the work item carries a closure built by the service
-            # (journal seq check + Artifact.apply_delta + sibling
-            # invalidation); running it here — never coalesced — is
-            # what serialises a graph mutation against the in-flight
-            # queries sharing this executor
-            return params["apply"]()
-        return self._artifact.block(**params)
-
-    def close(self) -> None:
-        with self._mutex:
-            if self._closed:
-                return
-            self._closed = True
-            self._queue.put(_STOP)
-        self._thread.join(timeout=5)
-        self._telemetry.queue_age.set(0.0)
-
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            items = [item]
-            while True:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    self._safe_flush(items)
-                    return
-                items.append(extra)
-            self._safe_flush(items)
-
-    def _safe_flush(self, items: list) -> None:
-        """Flush, and on an unexpected worker-loop error fail every
-        still-unresolved future instead of dying with them hanging —
-        the pending accounting already happened at the top of _flush,
-        so even this path leaves the gauge exact."""
-        try:
-            self._flush(items)
-        except BaseException as error:  # noqa: BLE001 - keep worker up
-            for _, _, future, _, _ in items:
-                if not future.done():
-                    future.set_exception(error)
-                    # futures resolved before the crash were already
-                    # counted inside _flush; count only the ones this
-                    # path answers, keeping submitted-completed exact
-                    self._telemetry.completed.inc()
-
-    def _flush(self, items: list) -> None:
-        drained_at = time.monotonic()
-        oldest_wait = max(
-            drained_at - enqueued_at for *_, enqueued_at in items
-        )
-        with self._mutex:
-            self._pending -= len(items)
-            self._telemetry.pending.dec(len(items))
-        self._telemetry.queue_age.set(oldest_wait)
-        completed = self._telemetry.completed
-        spreads: dict[tuple, list] = {}
-        for kind, params, future, trace, enqueued_at in items:
-            if trace is not None:
-                trace.add_span(
-                    "service.queue_wait",
-                    (drained_at - enqueued_at) * 1000.0,
-                )
-            if kind == "spread":
-                group_key = (tuple(params["seeds"]), params["theta"])
-                spreads.setdefault(group_key, []).append(
-                    (params, future, trace)
-                )
-            else:
-                try:
-                    with use_trace(trace), span("service.evaluate"):
-                        result = self._dispatch(kind, params)
-                    future.set_result(result)
-                except Exception as error:  # noqa: BLE001 - to caller
-                    future.set_exception(error)
-                completed.inc()
-        for (seeds, theta), group in spreads.items():
-            if len(group) > 1:
-                self._stats.count_batch(len(group))
-            # the batched call runs under the leader's trace: its spans
-            # are real engine work even when followers share the answer
-            leader_trace = group[0][2]
-            try:
-                with use_trace(leader_trace), span("service.evaluate"):
-                    estimates = self._artifact.spread_many(
-                        list(seeds),
-                        [params["blocked"] for params, _, _ in group],
-                        theta,
-                    )
-            except Exception as error:  # noqa: BLE001 - to callers
-                for _, future, _ in group:
-                    future.set_exception(error)
-                    completed.inc()
-                continue
-            for (_, future, _), estimate in zip(group, estimates):
-                future.set_result(estimate)
-                completed.inc()
 
 
 class BlockerService:
@@ -532,17 +283,14 @@ class BlockerService:
             cache_dir=cache_dir,
         )
         self.defaults = {**DEFAULTS, **(defaults or {})}
+        if max_pending is not None and max_pending < 0:
+            raise ValueError("max_pending must be >= 0")
         self.max_pending = max_pending
-        """Per-artifact executor queue bound: submissions beyond it
+        """Bound on the queries waiting for one artifact's lock: more
         are rejected with error code ``overloaded`` (None = no bound)."""
         self.stats = ServiceStats()
-        self._executors: dict[ArtifactKey, _ArtifactExecutor] = {}
+        self._pending: dict[ArtifactKey, int] = {}
         self._lock = threading.Lock()
-        # retire an evicted artifact's executor immediately — without
-        # this, the executor's strong reference to the artifact (and
-        # its idle worker thread) would outlive every eviction and
-        # defeat the cache's memory bound
-        self.cache.on_evict = self._retire_executor
         # --- observability surface (repro.obs) ---
         # shared registry by default, so the metrics op, the
         # --metrics-port scrape and every engine-side gauge agree;
@@ -571,23 +319,11 @@ class BlockerService:
             "repro_slow_queries_total",
             "Requests slower than the configured slow_ms threshold",
         )
-        self._m_batches = self.metrics.counter(
-            "repro_coalesced_batches_total",
-            "Coalesced executions serving more than one spread query",
-        )
-        self._m_batched = self.metrics.counter(
-            "repro_coalesced_queries_total",
-            "Spread queries answered as part of a multi-query batch",
-        )
         self._m_inflight = self.metrics.gauge(
             "repro_inflight_requests",
             "Requests currently inside BlockerService.handle",
         )
-        self.stats.on_batch = self._count_batch_metrics
-        # per-graph telemetry children are cached here so a rebuilt
-        # executor (cache eviction + re-warm) keeps accumulating into
-        # the same counters rather than resetting the series
-        self._telemetry: dict[str, _ExecutorTelemetry] = {}
+        self._telemetry: dict[str, _QueueTelemetry] = {}
         self.profiler: SamplingProfiler | None = None
         """The service-owned sampling profiler; created lazily by the
         ``profile`` op, or at construction when ``profile_hz`` is set
@@ -602,10 +338,6 @@ class BlockerService:
         )
         """Burn-rate tracker for the configured SLOs (``serve --slo``);
         None when no objectives were declared."""
-
-    def _count_batch_metrics(self, size: int) -> None:
-        self._m_batches.inc()
-        self._m_batched.inc(size)
 
     # ------------------------------------------------------------------
     # request plumbing
@@ -763,34 +495,51 @@ class BlockerService:
         except (KeyError, ValueError) as error:
             raise RequestError(str(error)) from error
 
-    def _executor(self, key: ArtifactKey) -> _ArtifactExecutor:
-        artifact = self._artifact(key)
-        with self._lock:
-            executor = self._executors.get(key)
-            if executor is None or executor._artifact is not artifact:
-                # first query for this key, or the cache evicted and
-                # rebuilt the artifact since — retire the old worker
-                if executor is not None:
-                    executor.close()
-                telemetry = self._telemetry.get(key.graph)
-                if telemetry is None:
-                    telemetry = _ExecutorTelemetry(self.metrics, key.graph)
-                    self._telemetry[key.graph] = telemetry
-                executor = _ArtifactExecutor(
-                    artifact,
-                    self.stats,
-                    max_pending=self.max_pending,
-                    telemetry=telemetry,
-                )
-                self._executors[key] = executor
-            return executor
+    def _run(self, key: ArtifactKey, lock, call: Callable[[], object]):
+        """Run ``call`` on this handler thread while holding ``lock``.
 
-    def _retire_executor(self, key: ArtifactKey, artifact) -> None:
-        """Cache-eviction hook: reap the evicted key's worker thread."""
+        ``lock`` holds the artifact's lock — shared for a spread,
+        exclusive for a block — or is a null context for an update,
+        whose :meth:`ArtifactCache.apply_delta` takes the graph, cache
+        and artifact locks itself, in that order.  The call is *pending*
+        for ``key`` from admission until it holds ``lock``, and
+        admission sheds it with ``overloaded`` once ``max_pending``
+        calls are pending.  It counts as completed however it ends, so
+        ``submitted - completed == pending`` at quiescence.
+        """
         with self._lock:
-            executor = self._executors.pop(key, None)
-        if executor is not None:
-            executor.close()
+            telemetry = self._telemetry.get(key.graph)
+            if telemetry is None:
+                telemetry = _QueueTelemetry(self.metrics, key.graph)
+                self._telemetry[key.graph] = telemetry
+            pending = self._pending.get(key, 0)
+            if self.max_pending is not None and pending >= self.max_pending:
+                telemetry.shed_overloaded.inc()
+                raise RequestError(
+                    f"artifact {key.graph!r} has {pending} queries "
+                    f"pending (limit {self.max_pending}); retry later",
+                    code="overloaded",
+                )
+            self._pending[key] = pending + 1
+            telemetry.pending.inc()
+            telemetry.submitted.inc()
+        admitted_at = time.monotonic()
+        try:
+            with contextlib.ExitStack() as held:
+                try:
+                    with span("service.queue_wait"):
+                        held.enter_context(lock)
+                finally:
+                    with self._lock:
+                        self._pending[key] -= 1
+                        if not self._pending[key]:
+                            del self._pending[key]
+                        telemetry.pending.dec()
+                    telemetry.queue_age.set(time.monotonic() - admitted_at)
+                with span("service.evaluate"):
+                    return call()
+        finally:
+            telemetry.completed.inc()
 
     def _seeds(self, request: dict, artifact: Artifact) -> list[int]:
         seeds = request.get("seeds")
@@ -927,10 +676,10 @@ class BlockerService:
         seed_set = set(seeds)
         dropped = sorted(set(blocked) & seed_set)
         blocked = [v for v in blocked if v not in seed_set]
-        estimate = self._executor(key).submit(
-            "spread",
-            {"seeds": seeds, "blocked": blocked, "theta": key.theta},
-            trace=current_trace(),
+        estimate = self._run(
+            key,
+            artifact.lock.shared(),
+            lambda: artifact.spread_many(seeds, [blocked], key.theta)[0],
         )
         result = {
             **key.as_dict(),
@@ -961,24 +710,20 @@ class BlockerService:
         rng = request.get("rng")
         if rng is not None:
             rng = _as_int(request, "rng", 0)
-        outcome = self._executor(key).submit(
-            "block",
-            {
-                "seeds": seeds,
-                "budget": budget,
-                "algorithm": algorithm,
-                "theta": key.theta,
-                "rng": rng,
-            },
-            trace=current_trace(),
+        outcome = self._run(
+            key,
+            artifact.lock,
+            lambda: artifact.block(
+                seeds, budget, algorithm=algorithm, theta=key.theta, rng=rng
+            ),
         )
         return {**key.as_dict(), "seeds": seeds, "budget": budget, **outcome}
 
     def _op_update(self, request: dict) -> dict:
         """Apply one batched graph delta to the keyed warm artifact.
 
-        The delta rides the executor as its own (never-coalesced)
-        work-item kind, so it serialises with the in-flight spread and
+        :meth:`ArtifactCache.apply_delta` patches the artifact under
+        its lock, so the delta serialises with the in-flight spread and
         block queries sharing the artifact — a query observes either
         the whole delta or none of it.  ``seq`` is the client's
         monotone sequence number: a duplicate (connection-reset
@@ -1012,17 +757,17 @@ class BlockerService:
         with span("service.resolve"):
             self._artifact(key)
         try:
-            outcome = self._executor(key).submit(
-                "update",
-                {"apply": lambda: self.cache.apply_delta(key, delta, seq)},
-                trace=current_trace(),
+            outcome = self._run(
+                key,
+                contextlib.nullcontext(),
+                lambda: self.cache.apply_delta(key, delta, seq),
             )
         except RequestError:
             raise
         except (KeyError, ValueError) as error:
             # delta validation against the live graph (missing edge,
-            # existing insert, vertex out of range) surfaces from the
-            # executor as the engine's ValueError — client's fault
+            # existing insert, vertex out of range) surfaces as the
+            # engine's ValueError — client's fault
             raise RequestError(str(error)) from error
         return {**key.as_dict(), **outcome}
 
@@ -1032,11 +777,6 @@ class BlockerService:
     def close(self) -> None:
         if self.profiler is not None:
             self.profiler.stop()
-        with self._lock:
-            executors = list(self._executors.values())
-            self._executors.clear()
-        for executor in executors:
-            executor.close()
         self.cache.close()
 
 
@@ -1109,12 +849,10 @@ class _Handler(socketserver.StreamRequestHandler):
                     "result": "bye",
                     "trace_id": trace_id,
                 })
-                # shutdown() joins the serve_forever loop (a different
-                # thread); detach so this handler can finish its own
-                # connection first
-                threading.Thread(
-                    target=self.server.shutdown, daemon=True
-                ).start()
+                # the reply is flushed; shutdown() then waits (at most
+                # one poll interval) for the serve_forever loop, which
+                # runs on another thread, to stop accepting
+                self.server.shutdown()
                 return
             self._send(self.server.service.handle(request))
 

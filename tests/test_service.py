@@ -5,21 +5,25 @@ server and client — plus the PR's central correctness contract: N
 client threads issuing mixed ``block``/``spread`` queries against one
 warm artifact return **bit-identical** results to serial execution
 (every query is a pure function of the artifact key and its
-parameters, and per-artifact executors serialise the stateful engine
-machinery).
+parameters, and each query holds its artifact's lock while it runs on
+its handler thread).
 """
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import socket
+import sys
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.datasets import figure1_graph
+from repro.graph import GraphDelta
 from repro.service import (
     Artifact,
     ArtifactCache,
@@ -31,6 +35,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.service.cache import SharedLock
 
 TOY_KEY = ArtifactKey("toy", "wc", 100, 7)
 
@@ -244,6 +249,188 @@ class TestArtifactCache:
         rebuilt = cache.get(TOY_KEY)
         assert rebuilt.default_seeds(2) == seeds
         assert rebuilt.spread(seeds, blocked) == spread
+
+
+class TestColdBuildRacingUpdate:
+    """A cold ``get`` racing an ``update`` of the same graph: builds
+    and inserts hold the graph's journal lock, so the update waits for
+    the insert instead of deadlocking or missing the new sibling."""
+
+    DELTA = GraphDelta.from_dict({"deletes": [[0, 1]]})
+
+    def test_update_of_the_key_being_built_finishes(self, registry):
+        cache = ArtifactCache(registry, max_entries=4)
+        in_registry, release = threading.Event(), threading.Event()
+        real_registry_get = registry.get
+
+        def paused_registry_get(name):
+            if not in_registry.is_set():
+                in_registry.set()
+                release.wait(10)
+            return real_registry_get(name)
+
+        registry.get = paused_registry_get
+        builder = threading.Thread(
+            target=cache.get, args=(TOY_KEY,), daemon=True
+        )
+        builder.start()
+        assert in_registry.wait(10)
+
+        update_in_get = threading.Event()
+        real_cache_get = cache.get
+
+        def watched_cache_get(key):
+            update_in_get.set()
+            return real_cache_get(key)
+
+        cache.get = watched_cache_get
+        outcomes: list[dict] = []
+        updater = threading.Thread(
+            target=lambda: outcomes.append(
+                cache.apply_delta(TOY_KEY, self.DELTA)
+            ),
+            daemon=True,
+        )
+        updater.start()
+        # the update reaches its get() only if it is not made to wait
+        # for the build first; give it the chance either way
+        update_in_get.wait(1.0)
+        release.set()
+        builder.join(timeout=10)
+        updater.join(timeout=10)
+        assert not builder.is_alive() and not updater.is_alive(), (
+            "cold get and update of one key deadlocked"
+        )
+        assert outcomes[0]["applied"] is True
+        assert real_cache_get(TOY_KEY).applied_seq == 1
+
+    def test_build_racing_a_sibling_update_is_not_stale(self, registry):
+        cache = ArtifactCache(registry, max_entries=4)
+        sibling = ArtifactKey("toy", "wc", 100, 8)
+        cache.get(sibling)
+        built, release = threading.Event(), threading.Event()
+        real_build = cache._build
+
+        def paused_build(key):
+            artifact = real_build(key)
+            if key == TOY_KEY:
+                built.set()
+                release.wait(10)
+            return artifact
+
+        cache._build = paused_build
+        builder = threading.Thread(
+            target=cache.get, args=(TOY_KEY,), daemon=True
+        )
+        builder.start()
+        assert built.wait(10)
+        updater = threading.Thread(
+            target=cache.apply_delta,
+            args=(sibling, self.DELTA),
+            daemon=True,
+        )
+        updater.start()
+        # lands now if nothing orders it after the pending insert
+        updater.join(timeout=1.0)
+        release.set()
+        builder.join(timeout=10)
+        updater.join(timeout=10)
+        assert not builder.is_alive() and not updater.is_alive()
+        served = cache.get(TOY_KEY)
+        assert served.applied_seq == cache.journal.last_seq("toy") == 1
+
+        post_delta = ArtifactCache(registry)
+        post_delta.journal.record("toy", self.DELTA, 1)
+        expected = post_delta.get(TOY_KEY).spread([0])
+        assert expected != ArtifactCache(registry).get(TOY_KEY).spread([0])
+        assert served.spread([0]) == expected
+
+
+def _enters(hold, timeout: float = 0.5) -> bool:
+    """Whether another thread takes ``hold()`` within ``timeout`` (it
+    releases it at once; a thread still waiting keeps waiting)."""
+    entered = threading.Event()
+
+    def run():
+        with hold():
+            entered.set()
+
+    threading.Thread(target=run, daemon=True).start()
+    return entered.wait(timeout)
+
+
+class TestSharedLock:
+    def test_shared_holds_overlap_and_exclude_the_exclusive(self):
+        lock = SharedLock(2)
+        with lock.shared():
+            assert _enters(lock.shared, timeout=10)
+            entered: list[bool] = []
+            writer = threading.Thread(
+                target=lambda: entered.append(
+                    _enters(lambda: lock, timeout=10)
+                ),
+                daemon=True,
+            )
+            writer.start()
+            writer.join(timeout=0.5)
+            assert writer.is_alive()  # waits for the shared holder
+        writer.join(timeout=15)
+        assert entered == [True]
+
+    def test_waiting_exclusive_blocks_new_shared_holds(self):
+        lock = SharedLock(2)
+        with lock.shared():
+            entered: list[bool] = []
+            writer = threading.Thread(
+                target=lambda: entered.append(
+                    _enters(lambda: lock, timeout=10)
+                ),
+                daemon=True,
+            )
+            writer.start()
+            for _ in range(1000):
+                if lock._waiting:
+                    break
+                time.sleep(0.01)
+            assert not _enters(lock.shared)
+        writer.join(timeout=15)
+        assert entered == [True]
+        assert _enters(lock.shared, timeout=10)
+
+    def test_at_most_max_shared_holders(self):
+        lock = SharedLock(2)
+        release = threading.Event()
+
+        def hold():
+            with lock.shared():
+                release.wait(10)
+
+        other = threading.Thread(target=hold, daemon=True)
+        other.start()
+        with lock.shared():
+            for _ in range(1000):
+                if len(lock._shared) == 2:
+                    break
+                time.sleep(0.01)
+            assert not _enters(lock.shared)
+            with lock.shared():  # re-entry is not a new holder
+                pass
+            release.set()
+            assert _enters(lock.shared, timeout=10)
+        other.join(timeout=10)
+        assert not other.is_alive()
+        with pytest.raises(ValueError, match="max_shared"):
+            SharedLock(0)
+
+    def test_reentrant_in_both_modes_but_no_upgrade(self):
+        lock = SharedLock(2)
+        with lock, lock, lock.shared():
+            assert not _enters(lock.shared)
+        with lock.shared(), lock.shared():
+            with pytest.raises(RuntimeError, match="cannot take"):
+                with lock:
+                    pass
+        assert _enters(lambda: lock, timeout=10)
 
 
 class TestArtifact:
@@ -573,101 +760,86 @@ class TestConcurrency:
             server.server_close()
             server_thread.join(timeout=5)
 
-    def test_coalescing_batches_concurrent_spreads(self, registry):
+TOY_SPREAD = {
+    "op": "spread", "graph": "toy", "theta": 100, "seed": 7,
+    "seeds": [0], "blocked": [4],
+}
+
+
+class TestHandlerThreadQueries:
+    """Queries run on their handler thread under the artifact lock."""
+
+    def test_no_artifact_threads(self, registry):
         service = BlockerService(registry=registry)
-        server = serve(port=0, service=service)
-        server_thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        server_thread.start()
-        host, port = server.server_address[:2]
+        try:
+            key_fields = {"graph": "toy", "theta": 100, "seed": 7}
+            for request in (
+                TOY_SPREAD,
+                {"op": "block", "seeds": [0], "budget": 1, **key_fields},
+                {"op": "update", "deletes": [[7, 6]], **key_fields},
+            ):
+                assert service.handle(request)["ok"]
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [n for n in names if n.startswith("repro-artifact-")]
+        finally:
+            service.close()
+
+    def test_spreads_share_the_artifact_lock(self, registry):
+        service = BlockerService(registry=registry)
         try:
             service.handle(
                 {"op": "warm", "graph": "toy", "theta": 100, "seed": 7}
             )
-            artifact = service.cache.get(
-                ArtifactKey("toy", "wc", 100, 7)
+            artifact = service.cache.get(TOY_KEY)
+            responses: list[dict] = []
+            spread = threading.Thread(
+                target=lambda: responses.append(service.handle(TOY_SPREAD)),
+                daemon=True,
             )
-            done = threading.Barrier(9)
-
-            def query(blocked: list[int]) -> None:
-                with ServiceClient(host, port, timeout=60) as client:
-                    client.spread(
-                        graph="toy", theta=100, seed=7, seeds=[0],
-                        blocked=blocked,
-                    )
-                done.wait()
-
-            threads = [
-                threading.Thread(
-                    target=query, args=([v],), daemon=True
-                )
-                for v in range(1, 9)
-            ]
-            # hold the artifact lock so the executor stalls while the
-            # clients queue up, then release: the drain must coalesce
-            # (the stalled worker may hold the first few submissions,
-            # so watch the dispatch counter, not the queue depth)
-            with artifact._lock:
-                for t in threads:
-                    t.start()
-                for _ in range(400):
-                    if service.stats.requests.get("spread", 0) >= 8:
-                        break
-                    time.sleep(0.01)
-                else:
-                    pytest.fail("clients never queued up")
-                time.sleep(0.2)  # let the counted submits reach the queue
-            done.wait()
-            for t in threads:
-                t.join(timeout=30)
-            assert service.stats.batches >= 1
-            assert service.stats.max_batch >= 2
+            with artifact.lock.shared():  # another reader, mid-query
+                spread.start()
+                spread.join(timeout=30)
+                assert not spread.is_alive()
+            assert responses[0]["result"]["spread"] == artifact.spread(
+                [0], [4]
+            )
         finally:
-            server.shutdown()
-            server.server_close()
-            server_thread.join(timeout=5)
+            service.close()
 
+    def test_traced_spread_spans_are_root_level(self, registry):
+        service = BlockerService(registry=registry)
+        try:
+            response = service.handle({**TOY_SPREAD, "trace": True})
+            assert response["ok"], response
+            assert [s["name"] for s in response["trace"]["spans"]] == [
+                "service.resolve",
+                "service.queue_wait",
+                "service.evaluate",
+            ]
+        finally:
+            service.close()
 
-class TestExecutorRetirement:
-    def test_eviction_retires_executor(self, registry):
-        """Evicted artifacts must not be pinned by their executors."""
+    def test_evicted_artifact_is_collectable(self, registry):
+        """Nothing in the service pins an artifact the cache evicted,
+        so the cache's memory bound holds."""
         service = BlockerService(
             registry=registry,
             cache=ArtifactCache(registry, max_entries=1),
         )
         try:
-            keys = [
-                ArtifactKey("toy", "wc", 50, seed) for seed in (1, 2, 3)
-            ]
-            for key in keys:
+            first, second = (
+                ArtifactKey("toy", "wc", 50, seed) for seed in (1, 2)
+            )
+            for key in (first, second):
                 response = service.handle(
                     {"op": "spread", "seeds": [0], **key.as_dict()}
                 )
                 assert response["ok"], response
-            assert service.cache.stats.evictions == 2
-            # only the resident key's executor survives
-            assert set(service._executors) == {keys[-1]}
-        finally:
-            service.close()
-
-    def test_retired_executor_still_serves_direct(self, registry):
-        """A submit that loses the close race answers, not hangs."""
-        cache = ArtifactCache(registry, max_entries=2)
-        service = BlockerService(cache=cache)
-        try:
-            artifact = cache.get(TOY_KEY)
-            executor = service._executor(TOY_KEY)
-            before = executor.submit(
-                "spread",
-                {"seeds": [0], "blocked": [4], "theta": 100},
-            )
-            executor.close()
-            after = executor.submit(
-                "spread",
-                {"seeds": [0], "blocked": [4], "theta": 100},
-            )
-            assert after == before == artifact.spread([0], [4])
+                if key == first:
+                    evicted = weakref.ref(service.cache.peek(first))
+            assert service.cache.stats.evictions == 1
+            gc.collect()
+            assert evicted() is None
         finally:
             service.close()
 
@@ -793,6 +965,10 @@ class TestWireProtocolV1:
         assert not response["ok"]
         assert response["error"]["code"] == "overloaded"
 
+    def test_negative_max_pending_rejected(self, registry):
+        with pytest.raises(ValueError, match="max_pending must be >= 0"):
+            BlockerService(registry=registry, max_pending=-1)
+
     def test_no_overload_guard_by_default(self, registry):
         service = BlockerService(registry=registry)
         response = service.handle(
@@ -820,10 +996,10 @@ class TestWireProtocolV1:
 
 
 class TestSaturationTelemetry:
-    """The executor's pending/shed/age accounting (ISSUE 8 part b).
+    """The admission step's pending/shed/age accounting.
 
     The invariant the gauges promise: ``pending`` is updated under the
-    executor's own mutex, so at any quiescent point
+    service mutex, so at any quiescent point
     ``submitted - completed == pending == 0`` — torn accounting under
     concurrency would leave a residue here.
     """
@@ -847,9 +1023,6 @@ class TestSaturationTelemetry:
             "shed": metrics.counter(
                 "repro_shed_requests_total", labels=("graph", "reason")
             ).labels(graph, "max_pending").value,
-            "direct": metrics.counter(
-                "repro_executor_direct_serves_total", labels=("graph",)
-            ).labels(graph).value,
         }
 
     def test_reconciliation_under_concurrency(self, registry):
@@ -920,83 +1093,6 @@ class TestSaturationTelemetry:
         finally:
             service.close()
 
-    def test_retired_executor_direct_serve_is_counted(self, registry):
-        from repro.obs import MetricsRegistry
-        from repro.service.server import _ArtifactExecutor
-
-        service = BlockerService(
-            registry=registry, metrics=MetricsRegistry()
-        )
-        try:
-            service.handle({
-                "op": "spread", "graph": "toy", "theta": 100,
-                "seeds": [0],
-            })
-            key = service._artifact_key(
-                {"graph": "toy", "theta": 100}
-            )
-            executor = service._executors[key]
-            assert isinstance(executor, _ArtifactExecutor)
-            executor.close()  # retire it under the service's feet
-            before = self._counters(service, "toy")
-            response = service.handle({
-                "op": "spread", "graph": "toy", "theta": 100,
-                "seeds": [0], "blocked": [4],
-            })
-            assert response["ok"]
-            after = self._counters(service, "toy")
-            assert after["direct"] == before["direct"] + 1
-            # direct serves bypass the queue: no pending/submitted drift
-            assert after["submitted"] == before["submitted"]
-            assert after["pending"] == 0
-        finally:
-            service.close()
-
-    def test_failed_enqueue_releases_the_pending_slot(self, registry):
-        """A put() that explodes must roll back ``_pending`` — a
-        leaked slot would ratchet the admission guard shut."""
-        from repro.obs import MetricsRegistry
-
-        service = BlockerService(
-            registry=registry, metrics=MetricsRegistry(), max_pending=1
-        )
-        try:
-            service.handle({
-                "op": "spread", "graph": "toy", "theta": 100,
-                "seeds": [0],
-            })
-            key = service._artifact_key({"graph": "toy", "theta": 100})
-            executor = service._executors[key]
-
-            class _Boom(Exception):
-                pass
-
-            class _ExplodingQueue:
-                def put(self, item):
-                    raise _Boom("queue full")
-
-            real_queue = executor._queue
-            executor._queue = _ExplodingQueue()
-            try:
-                with pytest.raises(_Boom):
-                    executor.submit(
-                        "spread",
-                        {"seeds": [0], "blocked": [], "theta": 100},
-                    )
-            finally:
-                executor._queue = real_queue
-            assert executor._pending == 0
-            counters = self._counters(service, "toy")
-            assert counters["pending"] == 0
-            # the slot is free again: the next query must not shed
-            response = service.handle({
-                "op": "spread", "graph": "toy", "theta": 100,
-                "seeds": [0],
-            })
-            assert response["ok"]
-        finally:
-            service.close()
-
     def test_engine_error_keeps_accounting_exact(self, registry):
         from repro.obs import MetricsRegistry
 
@@ -1031,45 +1127,134 @@ class TestSaturationTelemetry:
         finally:
             service.close()
 
-    def test_worker_crash_fails_futures_instead_of_hanging(
-        self, registry
-    ):
-        """An exception the worker loop never anticipated (here: a
-        trace whose ``add_span`` explodes) must fail the waiting
-        future, not strand it — and the accounting must still
-        reconcile."""
+    def test_pending_until_the_lock_is_held(self, registry):
+        """A query waiting for the artifact lock is pending; one more
+        than ``max_pending`` sheds; releasing the lock answers the
+        waiting query exactly as serial execution would."""
         from repro.obs import MetricsRegistry
 
         service = BlockerService(
-            registry=registry, metrics=MetricsRegistry()
+            registry=registry, metrics=MetricsRegistry(), max_pending=1
         )
         try:
-            service.handle({
-                "op": "spread", "graph": "toy", "theta": 100,
-                "seeds": [0],
-            })
-            key = service._artifact_key({"graph": "toy", "theta": 100})
-            executor = service._executors[key]
+            service.handle(
+                {"op": "warm", "graph": "toy", "theta": 100, "seed": 7}
+            )
+            artifact = service.cache.get(TOY_KEY)
+            serial = artifact.spread([0], [4])
+            responses: list[dict] = []
+            waiting = threading.Thread(
+                target=lambda: responses.append(service.handle(TOY_SPREAD)),
+                daemon=True,
+            )
+            with artifact.lock:
+                waiting.start()
+                for _ in range(1000):
+                    if self._counters(service, "toy")["pending"] == 1:
+                        break
+                    time.sleep(0.01)
+                else:
+                    pytest.fail("the spread never became pending")
+                shed = service.handle(TOY_SPREAD)
+                assert shed["error"]["code"] == "overloaded", shed
+            waiting.join(timeout=30)
+            assert not waiting.is_alive()
+            assert responses[0]["result"]["spread"] == serial
+            counters = self._counters(service, "toy")
+            assert (
+                counters["submitted"],
+                counters["completed"],
+                counters["pending"],
+                counters["shed"],
+            ) == (1, 1, 0, 1)
+        finally:
+            service.close()
 
-            class _BombTrace:
-                def add_span(self, *args, **kwargs):
-                    raise RuntimeError("tracing exploded")
+    def test_admission_counts_survive_thread_switches(self, registry):
+        """More threads than cores, a tiny switch interval and a bound
+        that sheds: a lost update to the admission count would leave
+        pending non-zero or let the counters drift apart."""
+        from repro.obs import MetricsRegistry
 
-            with pytest.raises(RuntimeError, match="tracing exploded"):
-                executor.submit(
-                    "spread",
-                    {"seeds": [0], "blocked": [], "theta": 100},
-                    trace=_BombTrace(),
+        service = BlockerService(
+            registry=registry, metrics=MetricsRegistry(), max_pending=2
+        )
+        keys = [{"theta": 100, "seed": 7}, {"theta": 50, "seed": 7}]
+        for key in keys:
+            service.handle({"op": "warm", "graph": "toy", **key})
+        outcomes: list[str] = []
+
+        def worker(index: int) -> None:
+            for q in range(10):
+                response = service.handle({
+                    "op": "spread", "graph": "toy", "seeds": [0],
+                    "blocked": [q % 9] if q % 9 else [],
+                    **keys[(index + q) % 2],
+                })
+                outcomes.append(
+                    "ok" if response["ok"] else response["error"]["code"]
                 )
+
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(t.is_alive() for t in threads)
+        assert set(outcomes) <= {"ok", "overloaded"}
+        counters = self._counters(service, "toy")
+        assert counters["pending"] == 0
+        assert counters["submitted"] == counters["completed"]
+        assert counters["submitted"] == outcomes.count("ok")
+        assert counters["shed"] == outcomes.count("overloaded")
+        assert len(outcomes) == 80
+
+    def test_failed_lock_acquire_releases_the_pending_slot(self, registry):
+        """A lock acquire that raises must free its pending slot — a
+        leaked slot would ratchet the admission guard shut — and still
+        count as completed."""
+        from repro.obs import MetricsRegistry
+
+        service = BlockerService(
+            registry=registry, metrics=MetricsRegistry(), max_pending=1
+        )
+        try:
+            assert service.handle(TOY_SPREAD)["ok"]
+            artifact = service.cache.get(TOY_KEY)
+
+            class _ExplodingHold:
+                def __enter__(self):
+                    raise RuntimeError("lock exploded")
+
+                def __exit__(self, *exc_info):
+                    return False
+
+            class _ExplodingLock:
+                def shared(self):
+                    return _ExplodingHold()
+
+            real_lock = artifact.lock
+            artifact.lock = _ExplodingLock()
+            try:
+                response = service.handle(TOY_SPREAD)
+            finally:
+                artifact.lock = real_lock
+            assert response["error"]["code"] == "internal"
+            assert "lock exploded" in response["error"]["message"]
             counters = self._counters(service, "toy")
             assert counters["pending"] == 0
-            assert counters["submitted"] == counters["completed"]
-            # the worker thread survived: the next query still answers
-            response = service.handle({
-                "op": "spread", "graph": "toy", "theta": 100,
-                "seeds": [0],
-            })
-            assert response["ok"]
+            assert counters["submitted"] == counters["completed"] == 2
+            # the slot is free again: the next query must not shed
+            assert service.handle(TOY_SPREAD)["ok"]
         finally:
             service.close()
 
