@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--access-log", default=None, metavar="PATH",
         help=(
             "persist per-artifact access counts here on drain; the "
-            "next --serve-workers start prewarms the hottest keys "
-            "from it before traffic arrives"
+            "next start prewarms the hottest keys from it before "
+            "traffic arrives (needs --serve-workers)"
         ),
     )
     serve.add_argument(
@@ -666,6 +666,9 @@ def _cmd_serve(args) -> int:
     )
     if args.max_pending is not None and args.max_pending < 0:
         print("error: --max-pending must be >= 0")
+        return 2
+    if args.access_log is not None and args.serve_workers is None:
+        print("error: --access-log needs --serve-workers")
         return 2
     try:
         slos = [parse_slo(spec) for spec in args.slo]

@@ -17,7 +17,7 @@ from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
 from ..sampling import EdgeSampler, ICSampler
 from .decrease import decrease_es_computation
-from .lazy import celf_select, make_gain_fn, resolve_lazy
+from .lazy import celf_select, make_gain_fn, selects_through_sketch
 from .problem import unify_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -63,34 +63,26 @@ def lazy_blocking(
     budget: int,
     theta: int,
     evaluator: "SpreadEvaluator",
-    candidates: Sequence[int] | None = None,
-    stop_when_exhausted: bool = True,
 ) -> BlockingResult:
-    """Greedy blocking driven by an evaluator through CELF.
+    """Greedy blocking driven by a sketch evaluator through CELF.
 
-    The lazy counterpart of the AG/SG selection loop: marginal gains
+    The sketch counterpart of the AG/SG selection loop: marginal gains
     come from :func:`repro.core.lazy.make_gain_fn` over ``evaluator``
-    (O(1) per re-check for the sketch index, two spread queries
-    otherwise) and are re-checked only when stale.  Works on the
-    *original* graph — multi-seed handling is the evaluator's job — so
-    blockers come back as original ids with no unification round-trip.
+    (an array read per re-check) and are re-checked only when stale.
+    Selection stops once no candidate decreases the spread.  Works on
+    the *original* graph — multi-seed handling is the evaluator's job —
+    so blockers come back as original ids with no unification
+    round-trip.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     seed_list = list(dict.fromkeys(seeds))
     seed_set = set(seed_list)
-    if candidates is None:
-        pool: Sequence[int] = [
-            v for v in range(graph.n) if v not in seed_set
-        ]
-    else:
-        pool = [v for v in candidates if v not in seed_set]
+    pool = [v for v in range(graph.n) if v not in seed_set]
 
     current = evaluator.expected_spread(seed_list, theta)
     gain_fn = make_gain_fn(evaluator, seed_list, theta)
-    selection = celf_select(
-        pool, budget, gain_fn, stop_when_exhausted=stop_when_exhausted
-    )
+    selection = celf_select(pool, budget, gain_fn)
 
     round_spreads = [current]
     round_deltas: list[float] = []
@@ -116,9 +108,7 @@ def advanced_greedy(
     theta: int = 1000,
     rng: RngLike = None,
     sampler_factory: SamplerFactory | None = None,
-    stop_when_exhausted: bool = True,
     evaluator: "SpreadEvaluator | None" = None,
-    lazy: bool | None = None,
 ) -> BlockingResult:
     """AdvancedGreedy blocker selection (Algorithm 3).
 
@@ -138,33 +128,22 @@ def advanced_greedy(
         Optional ``(unified_graph, rng) -> EdgeSampler`` to run the
         greedy under a different diffusion model (Section V-E), e.g.
         ``LinearThresholdSampler``.
-    stop_when_exhausted:
-        When True (default), stop early once no candidate decreases the
-        spread — blocking more vertices cannot help, and the problem
-        statement asks for *at most* ``b`` blockers.
     evaluator:
         Optional spread evaluator built on the **original** graph (see
-        :func:`repro.engine.build_evaluator`).  When given, the returned
-        ``estimated_spread`` is that evaluator's independent estimate
-        of the final blocker set over ``theta`` rounds, instead of the
-        selection's own sampled-graph estimate.  Selection itself is
-        unchanged — unless ``lazy`` engages (below), which hands
-        selection to the evaluator too.
-    lazy:
-        CELF-style lazy selection through the evaluator (see
-        :func:`lazy_blocking` and :mod:`repro.core.lazy`).  ``None``
-        (default) enables it exactly when the evaluator answers
-        ``marginal_gain`` directly (the sketch index, whose per-round
-        candidate sweep is an array read); ``True`` forces it for any
-        evaluator; ``False`` keeps the sampling path.
+        :func:`repro.engine.build_evaluator`).  A sketch evaluator
+        takes over selection through CELF (:func:`lazy_blocking`);
+        any other evaluator only re-estimates the final blocker set's
+        spread over ``theta`` rounds, in place of the selection's own
+        sampled-graph estimate.
+
+    Selection stops early once no candidate decreases the spread:
+    blocking more vertices cannot help, and the problem statement asks
+    for *at most* ``b`` blockers.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if resolve_lazy(evaluator, sampler_factory, lazy):
-        return lazy_blocking(
-            graph, seeds, budget, theta, evaluator,
-            stop_when_exhausted=stop_when_exhausted,
-        )
+    if selects_through_sketch(evaluator, sampler_factory):
+        return lazy_blocking(graph, seeds, budget, theta, evaluator)
     gen = ensure_rng(rng)
     unified = unify_seeds(graph, seeds)
     if sampler_factory is None:
@@ -187,7 +166,7 @@ def advanced_greedy(
         if x < 0:
             break
         delta = float(result.delta[x])
-        if delta <= 0.0 and stop_when_exhausted:
+        if delta <= 0.0:
             round_spreads.append(result.spread)
             estimated = result.spread
             break

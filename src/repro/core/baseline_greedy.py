@@ -42,7 +42,6 @@ def baseline_greedy(
     rng: RngLike = None,
     candidates: Sequence[int] | None = None,
     evaluator: "SpreadEvaluator | None" = None,
-    lazy: bool | None = None,
 ) -> BaselineGreedyResult:
     """BaselineGreedy with Monte-Carlo spread estimation (Algorithm 1).
 
@@ -54,23 +53,18 @@ def baseline_greedy(
         total work is ``budget * len(candidates) * rounds`` cascades).
     candidates:
         Restrict the candidate pool (defaults to all non-seed
-        vertices).  Used by the benchmark harness to keep BG's runtime
-        measurable on the larger stand-ins, mirroring how the paper
-        caps BG with a 24-hour timeout.
+        vertices) — a way to keep BG's runtime measurable on larger
+        graphs, much as the paper caps BG with a 24-hour timeout.
     evaluator:
         Spread oracle for the inner loop (see
         :func:`repro.engine.build_evaluator`).  Defaults to a fresh
         scalar :class:`~repro.spread.MonteCarloEngine`, which
         reproduces the historical fixed-seed results exactly; the
         vectorized/pooled backends trade the RNG stream for
-        throughput.
-    lazy:
-        CELF-style lazy evaluation (see :mod:`repro.core.lazy`):
-        marginal gains are priority-queued and re-checked only when
-        stale, instead of every candidate being re-simulated every
-        round.  ``None`` (default) enables it exactly when the
-        evaluator answers ``marginal_gain`` directly (the sketch
-        index); pass ``True``/``False`` to force either path.
+        throughput.  A sketch evaluator selects through CELF (see
+        :mod:`repro.core.lazy`): marginal gains are priority-queued
+        and re-checked only when stale, instead of every candidate
+        being re-simulated every round.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -92,12 +86,10 @@ def baseline_greedy(
     current = engine.expected_spread(seed_list, rounds)
     evaluations += 1
 
-    if lazy is None:
-        lazy = supports_marginal_gain(engine)
-    if lazy:
+    if supports_marginal_gain(engine):
         gain_fn = make_gain_fn(engine, seed_list, rounds)
         # BG's eager loop always spends the budget (it minimises the
-        # blocked spread, never tests positivity), so the lazy replay
+        # blocked spread, never tests positivity), so the CELF replay
         # does too
         selection = celf_select(
             pool, budget, gain_fn, stop_when_exhausted=False

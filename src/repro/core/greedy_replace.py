@@ -28,7 +28,7 @@ from ..rng import ensure_rng, RngLike
 from ..sampling import EdgeSampler, ICSampler
 from .advanced_greedy import BlockingResult, SamplerFactory
 from .decrease import decrease_es_computation
-from .lazy import celf_select, GainFn, make_gain_fn, resolve_lazy
+from .lazy import celf_select, make_gain_fn, selects_through_sketch
 from .problem import unify_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -46,7 +46,6 @@ def greedy_replace(
     sampler_factory: SamplerFactory | None = None,
     fill_budget: bool = True,
     evaluator: "SpreadEvaluator | None" = None,
-    lazy: bool | None = None,
 ) -> BlockingResult:
     """GreedyReplace blocker selection (Algorithm 4).
 
@@ -57,17 +56,15 @@ def greedy_replace(
     the original graph) re-estimates the final blocker set's spread
     independently over ``theta`` rounds; selection is unchanged.
 
-    ``lazy`` (default: auto, on when the evaluator answers
-    ``marginal_gain``) runs all three phases through the evaluator:
-    phases 1/1b priority-queue marginal gains CELF-style
+    A sketch evaluator instead runs all three phases itself: phases
+    1/1b priority-queue marginal gains CELF-style
     (:mod:`repro.core.lazy`) and the replacement phase reads whole
     candidate sweeps from
-    :meth:`~repro.engine.sketch.SketchIndex.decrease_estimates` when
-    the evaluator provides it.
+    :meth:`~repro.engine.sketch.SketchIndex.decrease_estimates`.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if resolve_lazy(evaluator, sampler_factory, lazy):
+    if selects_through_sketch(evaluator, sampler_factory):
         return _lazy_greedy_replace(
             graph, seeds, budget, theta, evaluator, fill_budget
         )
@@ -171,7 +168,7 @@ def _lazy_greedy_replace(
     evaluator: "SpreadEvaluator",
     fill_budget: bool,
 ) -> BlockingResult:
-    """GreedyReplace's three phases driven by an evaluator.
+    """GreedyReplace's three phases driven by a sketch evaluator.
 
     Mirrors the eager algorithm on the *original* graph (multi-seed
     handling is the evaluator's job, so blockers come back as original
@@ -227,7 +224,7 @@ def _lazy_greedy_replace(
         others = blockers[:position] + blockers[position + 1:]
         spread = evaluator.expected_spread(seed_list, theta, others)
         x, gain = _best_replacement(
-            evaluator, gain_fn, seed_list, theta, others, seed_set
+            evaluator, seed_list, theta, others, seed_set
         )
         if x < 0:  # no candidate at all: keep the incumbent
             x, gain = u, gain_fn(u, others)
@@ -252,7 +249,6 @@ def _lazy_greedy_replace(
 
 def _best_replacement(
     evaluator: "SpreadEvaluator",
-    gain_fn: GainFn,
     seeds: Sequence[int],
     theta: int,
     others: Sequence[int],
@@ -260,31 +256,22 @@ def _best_replacement(
 ) -> tuple[int, float]:
     """``(vertex, gain)`` maximising the decrease on top of ``others``.
 
-    Reads the whole sweep off ``decrease_estimates`` when the evaluator
-    provides one (Algorithm 2's all-candidates-at-once shape, an array
-    read for the sketch index); otherwise asks ``gain_fn`` per vertex.
-    Ties break toward the smaller id, matching the eager
-    ``best_vertex``; returns ``(-1, 0.0)`` when no candidate exists.
+    Reads the whole sweep off the sketch's ``decrease_estimates``
+    (Algorithm 2's all-candidates-at-once shape, an array read).  Ties
+    break toward the smaller id, matching the eager ``best_vertex``;
+    returns ``(-1, 0.0)`` when no candidate exists.
     """
     banned = seed_set.union(others)
-    sweep = getattr(evaluator, "decrease_estimates", None)
-    if sweep is not None:
-        delta = np.asarray(sweep(seeds, theta, others), dtype=np.float64)
-        masked = delta.copy()
-        if banned:
-            masked[list(banned)] = -np.inf
-        x = int(np.argmax(masked))
-        if not np.isfinite(masked[x]):
-            return -1, 0.0
-        return x, float(delta[x])
-    best, best_gain = -1, 0.0
-    for v in range(evaluator.csr.n):
-        if v in banned:
-            continue
-        g = gain_fn(v, others)
-        if best < 0 or g > best_gain:
-            best, best_gain = v, g
-    return best, best_gain
+    delta = np.asarray(
+        evaluator.decrease_estimates(seeds, theta, others), dtype=np.float64
+    )
+    masked = delta.copy()
+    if banned:
+        masked[list(banned)] = -np.inf
+    x = int(np.argmax(masked))
+    if not np.isfinite(masked[x]):
+        return -1, 0.0
+    return x, float(delta[x])
 
 
 def _argmax(delta, candidates: set[int]) -> int:

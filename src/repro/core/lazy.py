@@ -15,19 +15,20 @@ trade the paper makes by running greedy on a non-submodular objective
 at all.  In practice the two agree on the benchmark graphs; the
 cross-validation tests pin that down on the toy instances.
 
-The machinery is evaluator-agnostic: :func:`make_gain_fn` asks the
-evaluator's O(1) :meth:`~repro.engine.sketch.SketchIndex.marginal_gain`
-when it has one and falls back to two ``expected_spread`` calls (with
-the current spread cached per blocker set) otherwise.  Correct for any
-:class:`~repro.engine.evaluator.SpreadEvaluator`; transformative for
-the sketch index, where a re-check costs an array lookup.
+The solvers select through CELF exactly when their evaluator is a
+sketch (it answers ``marginal_gain``); every other evaluator keeps the
+paper's sampled-graph or Monte-Carlo loop.  :func:`make_gain_fn` reads
+gains off the sketch's whole-candidate
+:meth:`~repro.engine.sketch.SketchIndex.decrease_estimates` sweep, so
+a re-check costs an array lookup.  :func:`celf_select` itself takes
+any gain function.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, TYPE_CHECKING
+from typing import Protocol, Sequence, TYPE_CHECKING
 
 from ..obs import global_registry, span
 
@@ -39,7 +40,7 @@ __all__ = [
     "LazySelection",
     "celf_select",
     "make_gain_fn",
-    "resolve_lazy",
+    "selects_through_sketch",
     "supports_marginal_gain",
 ]
 
@@ -65,34 +66,29 @@ class LazySelection:
 
 def supports_marginal_gain(evaluator: object) -> bool:
     """True when ``evaluator`` answers marginal gains directly (the
-    sketch index) — the signal the solvers use to default to lazy."""
+    sketch index) — the signal the solvers select through CELF on."""
     return callable(getattr(evaluator, "marginal_gain", None))
 
 
-def resolve_lazy(
-    evaluator: object,
-    sampler_factory: object,
-    lazy: bool | None,
+def selects_through_sketch(
+    evaluator: object, sampler_factory: object
 ) -> bool:
-    """Shared guard of the sampled-graph solvers' ``lazy`` parameter.
+    """Whether a sampled-graph solver hands selection to ``evaluator``.
 
-    ``None`` auto-enables lazy selection exactly when the evaluator
-    answers ``marginal_gain`` directly; an engaged lazy path requires
-    an evaluator and excludes ``sampler_factory`` (which only shapes
-    the sampling path).
+    True exactly when the evaluator is a sketch
+    (:func:`supports_marginal_gain`).  A sketch answers for its own
+    diffusion model, so it rejects a ``sampler_factory``, which only
+    shapes the sampling path.
     """
-    if lazy is None:
-        lazy = supports_marginal_gain(evaluator)
-    if lazy:
-        if evaluator is None:
-            raise ValueError("lazy selection requires an evaluator")
-        if sampler_factory is not None:
-            raise ValueError(
-                "lazy selection queries the evaluator's diffusion "
-                "model; sampler_factory only applies to the sampling "
-                "path (lazy=False)"
-            )
-    return lazy
+    if not supports_marginal_gain(evaluator):
+        return False
+    if sampler_factory is not None:
+        raise ValueError(
+            "a sketch evaluator selects through its own diffusion "
+            "model; sampler_factory only applies to the sampling path "
+            "(pass a non-sketch evaluator or none)"
+        )
+    return True
 
 
 def make_gain_fn(
@@ -100,65 +96,33 @@ def make_gain_fn(
     seeds: Sequence[int],
     rounds: int,
 ) -> GainFn:
-    """Marginal-gain oracle over ``evaluator`` for a fixed query shape.
+    """Marginal-gain oracle over a sketch for a fixed query shape.
 
-    With a sketch-style evaluator the gain is a direct
-    ``marginal_gain`` query.  Otherwise it is
-    ``spread(picked) - spread(picked + [v])`` with ``spread(picked)``
-    memoised for the most recent blocker set, so a CELF round of ``k``
-    re-checks costs ``k + 1`` spread evaluations, not ``2k``.
+    Each blocker set costs one whole-candidate ``decrease_estimates``
+    sweep, memoised for the most recent set, so CELF's initial heap
+    build and every same-round re-check are plain array reads.
     """
     seed_list = list(seeds)
-    if supports_marginal_gain(evaluator):
-        sweep = getattr(evaluator, "decrease_estimates", None)
-        if sweep is not None:
-            # bulk fast path: one whole-candidate sweep per blocker
-            # set, memoised for the most recent one — CELF's initial
-            # heap build and every same-round re-check become plain
-            # array reads instead of per-vertex evaluator calls
-            sweep_cache: dict[tuple[int, ...], object] = {}
+    sweep_cache: dict[tuple[int, ...], object] = {}
 
-            def sweep_gains(picked: Sequence[int]):
-                key = tuple(picked)
-                gains = sweep_cache.get(key)
-                if gains is None:
-                    sweep_cache.clear()
-                    gains = sweep(seed_list, rounds, list(picked))
-                    sweep_cache[key] = gains
-                return gains
-
-            def gain(v: int, picked: Sequence[int]) -> float:
-                return float(sweep_gains(picked)[v])
-
-            # expose the whole-candidate sweep so celf_select can
-            # build its initial heap from one array instead of one
-            # Python call per candidate (one rebase total; no
-            # per-vertex re-query)
-            gain.bulk = sweep_gains
-            return gain
-
-        def gain(v: int, picked: Sequence[int]) -> float:
-            return evaluator.marginal_gain(
-                v, seed_list, rounds, list(picked)
-            )
-
-        return gain
-
-    cache: dict[tuple[int, ...], float] = {}
-
-    def gain(v: int, picked: Sequence[int]) -> float:
+    def sweep_gains(picked: Sequence[int]):
         key = tuple(picked)
-        current = cache.get(key)
-        if current is None:
-            current = evaluator.expected_spread(
+        gains = sweep_cache.get(key)
+        if gains is None:
+            sweep_cache.clear()
+            gains = evaluator.decrease_estimates(
                 seed_list, rounds, list(picked)
             )
-            cache.clear()  # only the newest blocker set is ever re-read
-            cache[key] = current
-        return current - evaluator.expected_spread(
-            seed_list, rounds, list(picked) + [v]
-        )
+            sweep_cache[key] = gains
+        return gains
 
+    def gain(v: int, picked: Sequence[int]) -> float:
+        return float(sweep_gains(picked)[v])
+
+    # expose the whole-candidate sweep so celf_select can build its
+    # initial heap from one array instead of one Python call per
+    # candidate
+    gain.bulk = sweep_gains
     return gain
 
 

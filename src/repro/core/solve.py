@@ -68,7 +68,6 @@ def solve_imin(
     mcs_rounds: int = 1000,
     rng: RngLike = None,
     evaluator: "SpreadEvaluator | None" = None,
-    lazy: bool | None = None,
 ) -> SolveResult:
     """Select blockers with the named algorithm.
 
@@ -82,40 +81,32 @@ def solve_imin(
         Optional spread evaluator built on ``graph`` (see
         :func:`repro.engine.build_evaluator`).  ``baseline-greedy``
         uses it as its inner-loop oracle; the sampled-graph greedy
-        methods use it to re-estimate the final spread.  Heuristics
-        and ``exact`` ignore it.  Default ``None`` reproduces
-        historical fixed-seed results exactly.
-    lazy:
-        CELF-style lazy selection through the evaluator (see
-        :mod:`repro.core.lazy`) for the four greedy methods.  ``None``
-        (default) auto-enables it exactly when ``evaluator`` answers
-        ``marginal_gain`` directly (the sketch index); ``True``/
-        ``False`` force either path.  Heuristics and ``exact`` ignore
-        it.
+        methods use it to re-estimate the final spread.  A sketch
+        evaluator instead drives all four greedy methods' selection
+        through CELF (see :mod:`repro.core.lazy`).  Heuristics and
+        ``exact`` ignore it.  Default ``None`` reproduces historical
+        fixed-seed results exactly.
     """
     name = algorithm.lower()
     if name == "greedy-replace":
         result = greedy_replace(
-            graph, seeds, budget, theta=theta, rng=rng, evaluator=evaluator,
-            lazy=lazy,
+            graph, seeds, budget, theta=theta, rng=rng, evaluator=evaluator
         )
         return SolveResult(name, result.blockers, result.estimated_spread)
     if name == "advanced-greedy":
         result = advanced_greedy(
-            graph, seeds, budget, theta=theta, rng=rng, evaluator=evaluator,
-            lazy=lazy,
+            graph, seeds, budget, theta=theta, rng=rng, evaluator=evaluator
         )
         return SolveResult(name, result.blockers, result.estimated_spread)
     if name == "static-greedy":
         result = static_sample_greedy(
-            graph, seeds, budget, theta=theta, rng=rng, evaluator=evaluator,
-            lazy=lazy,
+            graph, seeds, budget, theta=theta, rng=rng, evaluator=evaluator
         )
         return SolveResult(name, result.blockers, result.estimated_spread)
     if name == "baseline-greedy":
         result = baseline_greedy(
             graph, seeds, budget, rounds=mcs_rounds, rng=rng,
-            evaluator=evaluator, lazy=lazy,
+            evaluator=evaluator,
         )
         return SolveResult(name, result.blockers, result.estimated_spread)
     if name == "exact":

@@ -35,7 +35,7 @@ from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
 from ..sampling import adjacency_from_edges, EdgeSampler, ICSampler
 from .advanced_greedy import BlockingResult, lazy_blocking, SamplerFactory
-from .lazy import resolve_lazy
+from .lazy import selects_through_sketch
 from .problem import unify_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -52,7 +52,6 @@ def static_sample_greedy(
     rng: RngLike = None,
     sampler_factory: SamplerFactory | None = None,
     evaluator: "SpreadEvaluator | None" = None,
-    lazy: bool | None = None,
 ) -> BlockingResult:
     """AdvancedGreedy over a fixed pool of ``theta`` sampled graphs.
 
@@ -62,11 +61,10 @@ def static_sample_greedy(
     ``evaluator`` (if given, built on the original graph) re-estimates
     the final blocker set's spread independently over ``theta`` rounds.
 
-    ``lazy`` (default: auto, on when the evaluator answers
-    ``marginal_gain``) routes selection through
+    A sketch evaluator routes selection through
     :func:`~repro.core.advanced_greedy.lazy_blocking` instead.  The
     sketch index is itself a fixed pool of sampled worlds with
-    dominator trees on top, so the lazy path keeps this algorithm's
+    dominator trees on top, so that path keeps this algorithm's
     common-random-numbers semantics while dropping the per-round tree
     rebuild for untouched samples.
     """
@@ -74,7 +72,7 @@ def static_sample_greedy(
         raise ValueError("budget must be non-negative")
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if resolve_lazy(evaluator, sampler_factory, lazy):
+    if selects_through_sketch(evaluator, sampler_factory):
         return lazy_blocking(graph, seeds, budget, theta, evaluator)
     gen = ensure_rng(rng)
     unified = unify_seeds(graph, seeds)

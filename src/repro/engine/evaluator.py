@@ -47,7 +47,6 @@ from .kernels import (
     _blocked_mask,
     auto_batch_size,
     batch_activation_counts,
-    batch_cascades,
     batch_spread,
     reach_counts_from_alive,
 )
@@ -132,15 +131,6 @@ class VectorizedEvaluator(_EvaluatorLifecycle):
         blocked: Iterable[int] = (),
     ) -> float:
         return batch_spread(self.csr, seeds, rounds, self._gen, blocked)
-
-    def spread_samples(
-        self,
-        seeds: Sequence[int],
-        rounds: int,
-        blocked: Iterable[int] = (),
-    ) -> np.ndarray:
-        """Per-round active counts (for confidence intervals)."""
-        return batch_cascades(self.csr, seeds, rounds, self._gen, blocked)
 
     def activation_frequencies(
         self,

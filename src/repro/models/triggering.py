@@ -16,7 +16,7 @@ implements the :class:`~repro.sampling.EdgeSampler` protocol:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -189,15 +189,3 @@ class GeneralTriggeringSampler:
                     surviving.append(int(j))
         return np.asarray(sorted(surviving), dtype=np.int64)
 
-
-def independent_cascade_draw(
-    v: int, in_sources: tuple[int, ...], gen: np.random.Generator
-) -> list[int]:  # pragma: no cover - simple reference distribution
-    """Reference draw showing IC as a triggering instance (each
-    in-neighbour joins the triggering set independently with p = 0.5).
-
-    Real IC sampling should use :class:`~repro.sampling.ICSampler`; this
-    exists for documentation and tests of the general sampler.
-    """
-    mask = gen.random(len(in_sources)) < 0.5
-    return [s for s, keep in zip(in_sources, mask) if keep]

@@ -30,10 +30,6 @@ from .metrics import global_registry, MetricsRegistry, package_version
 
 __all__ = ["MetricsServer", "start_metrics_server"]
 
-# kept as an alias: this helper moved to repro.obs.metrics when the
-# build-info gauge needed it outside the HTTP listener
-_package_version = package_version
-
 
 class _MetricsHandler(BaseHTTPRequestHandler):
     server_version = "repro-obs/1"

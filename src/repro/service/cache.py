@@ -71,11 +71,6 @@ class ArtifactKey:
         if self.theta <= 0:
             raise ValueError("theta must be positive")
 
-    @classmethod
-    def from_spec(cls, graph: str, spec: EngineSpec) -> "ArtifactKey":
-        """Key the artifact an :class:`EngineSpec` would build."""
-        return cls(graph, spec.model, spec.theta, spec.seed)
-
     def spec(self, cache_dir=None) -> EngineSpec:
         """The :class:`EngineSpec` this key pins (engine ``sketch``)."""
         return EngineSpec(

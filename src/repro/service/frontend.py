@@ -72,6 +72,16 @@ __all__ = [
 ACCESS_LOG_VERSION = 1
 """Format version of the persisted access-log JSON."""
 
+_PREWARM_LIMIT = 8
+"""Hottest access-log keys warmed on start."""
+
+_DRAIN_TIMEOUT = 30.0
+"""Seconds a shutdown waits for in-flight requests before stopping
+the workers."""
+
+_WORKER_START_TIMEOUT = 120.0
+"""Seconds a worker gets to report ready on start."""
+
 _ROUTED_OPS = ("warm", "spread", "block", "update")
 """Ops owned by exactly one shard (their graph's) and counted against
 the front end's global admission bound.  ``update`` routes like a
@@ -135,7 +145,6 @@ class WorkerSpec:
     profile_hz: float | None = None
     slo_specs: tuple[str, ...] = ()
     log_json: bool = False
-    defaults: tuple[tuple[str, object], ...] = ()
 
 
 def _build_service(index: int, spec: WorkerSpec):
@@ -162,7 +171,6 @@ def _build_service(index: int, spec: WorkerSpec):
     service = BlockerService(
         registry=registry,
         cache=cache,
-        defaults=dict(spec.defaults) or None,
         metrics=metrics,
         log=EventLog(json_mode=True) if spec.log_json else None,
         slow_ms=spec.slow_ms,
@@ -214,7 +222,7 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def start(self, timeout: float = 120.0) -> None:
+    def start(self, timeout: float = _WORKER_START_TIMEOUT) -> None:
         """Spawn the worker and wait for its ready handshake.
 
         The start method follows :func:`_start_method`: ``fork`` only
@@ -250,18 +258,18 @@ class WorkerHandle:
         self.port = ready["port"]
         self.pid = ready["pid"]
 
-    def restart(self, timeout: float = 120.0) -> None:
+    def restart(self, timeout: float = _WORKER_START_TIMEOUT) -> None:
         if self.process is not None:
             self.process.join(0.1)
         self.restarts += 1
         self.start(timeout=timeout)
 
-    def stop(self, graceful: bool = True, timeout: float = 10.0) -> None:
+    def stop(self, timeout: float = 10.0) -> None:
         """Stop the worker: polite shutdown op first, then terminate."""
         process = self.process
         if process is None:
             return
-        if graceful and process.is_alive() and self.port is not None:
+        if process.is_alive() and self.port is not None:
             try:
                 with socket.create_connection(
                     ("127.0.0.1", self.port), timeout=2.0
@@ -349,11 +357,8 @@ class ShardedFrontend:
         worker_spec: WorkerSpec | None = None,
         max_pending: int | None = None,
         access_log: str | os.PathLike | None = None,
-        prewarm_limit: int = 8,
         log: EventLog | None = None,
         supervisor_interval: float = 0.25,
-        drain_timeout: float = 30.0,
-        worker_start_timeout: float = 120.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -368,13 +373,8 @@ class ShardedFrontend:
         self.access_log = (
             Path(access_log) if access_log is not None else None
         )
-        self.prewarm_limit = prewarm_limit
         self.log = log if log is not None else NULL_LOG
         self.supervisor_interval = supervisor_interval
-        self.drain_timeout = drain_timeout
-        self.worker_start_timeout = worker_start_timeout
-        self.defaults = dict(DEFAULTS)
-        self.defaults.update(dict(self.worker_spec.defaults))
         self.handles = [
             WorkerHandle(i, self.worker_spec) for i in range(workers)
         ]
@@ -440,7 +440,7 @@ class ShardedFrontend:
         """Spawn workers, bind the listener, return when ready."""
         try:
             for handle in self.handles:
-                handle.start(timeout=self.worker_start_timeout)
+                handle.start()
                 self._pools[handle.index] = _WorkerPool(handle.port)
                 self._m_up.labels(str(handle.index)).set(1.0)
         except BaseException:
@@ -498,7 +498,7 @@ class ShardedFrontend:
 
     def _stop_workers_sync(self) -> None:
         for handle in self.handles:
-            handle.stop(graceful=True)
+            handle.stop()
             self._m_up.labels(str(handle.index)).set(0.0)
 
     # ------------------------------------------------------------------
@@ -568,7 +568,7 @@ class ShardedFrontend:
         await server.wait_closed()
         supervisor.cancel()
         prewarmer.cancel()
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + _DRAIN_TIMEOUT
         while self._pending > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         self._flush_access_log()
@@ -625,11 +625,11 @@ class ShardedFrontend:
         keys = self._load_access_log()
         if not keys:
             return
-        for entry in keys[: self.prewarm_limit]:
+        for entry in keys[:_PREWARM_LIMIT]:
             request = {"op": "warm", **entry}
             request.pop("count", None)
             shard = shard_for(
-                str(request.get("graph", self.defaults["graph"])),
+                str(request.get("graph", DEFAULTS["graph"])),
                 len(self.handles),
             )
             try:
@@ -788,7 +788,7 @@ class ShardedFrontend:
         self, request: dict, line: bytes, started: float
     ) -> dict:
         op = request.get("op")
-        graph = request.get("graph", self.defaults["graph"])
+        graph = request.get("graph", DEFAULTS["graph"])
         if not isinstance(graph, str) or not graph:
             graph = str(graph)
         shard = shard_for(graph, len(self.handles))
@@ -1042,10 +1042,10 @@ class ShardedFrontend:
     # ------------------------------------------------------------------
     def _record_access(self, request: dict) -> None:
         key = (
-            str(request.get("graph", self.defaults["graph"])),
-            str(request.get("model", self.defaults["model"])),
-            request.get("theta", self.defaults["theta"]),
-            request.get("seed", self.defaults["seed"]),
+            str(request.get("graph", DEFAULTS["graph"])),
+            str(request.get("model", DEFAULTS["model"])),
+            request.get("theta", DEFAULTS["theta"]),
+            request.get("seed", DEFAULTS["seed"]),
         )
         with self._access_lock:
             self._access[key] = self._access.get(key, 0) + 1

@@ -262,10 +262,6 @@ class BlockerService:
         self,
         registry: GraphRegistry | None = None,
         cache: ArtifactCache | None = None,
-        max_entries: int = 8,
-        max_bytes: int | None = None,
-        cache_dir=None,
-        defaults: dict | None = None,
         metrics: MetricsRegistry | None = None,
         log: EventLog | None = None,
         slow_ms: float | None = None,
@@ -276,13 +272,9 @@ class BlockerService:
         self.registry = registry if registry is not None else (
             cache.registry if cache is not None else default_registry()
         )
-        self.cache = cache if cache is not None else ArtifactCache(
-            self.registry,
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-            cache_dir=cache_dir,
+        self.cache = (
+            cache if cache is not None else ArtifactCache(self.registry)
         )
-        self.defaults = {**DEFAULTS, **(defaults or {})}
         if max_pending is not None and max_pending < 0:
             raise ValueError("max_pending must be >= 0")
         self.max_pending = max_pending
@@ -421,7 +413,7 @@ class BlockerService:
         if not response.get("ok"):
             self._m_errors.inc()
         graph = (
-            request.get("graph", self.defaults["graph"])
+            request.get("graph", DEFAULTS["graph"])
             if isinstance(request, dict)
             else None
         )
@@ -470,8 +462,8 @@ class BlockerService:
     # parameter resolution
     # ------------------------------------------------------------------
     def _artifact_key(self, request: dict) -> ArtifactKey:
-        graph = request.get("graph", self.defaults["graph"])
-        model = request.get("model", self.defaults["model"])
+        graph = request.get("graph", DEFAULTS["graph"])
+        model = request.get("model", DEFAULTS["model"])
         if graph not in self.registry:
             raise RequestError(
                 f"unknown graph {graph!r}; registered: "
@@ -483,10 +475,10 @@ class BlockerService:
                 f"unknown model {model!r}; expected one of "
                 + ", ".join(MODELS)
             )
-        theta = _as_int(request, "theta", self.defaults["theta"])
+        theta = _as_int(request, "theta", DEFAULTS["theta"])
         if theta <= 0:
             raise RequestError("theta must be positive")
-        seed = _as_int(request, "seed", self.defaults["seed"])
+        seed = _as_int(request, "seed", DEFAULTS["seed"])
         return ArtifactKey(graph, model, theta, seed)
 
     def _artifact(self, key: ArtifactKey) -> Artifact:
@@ -499,13 +491,14 @@ class BlockerService:
         """Run ``call`` on this handler thread while holding ``lock``.
 
         ``lock`` holds the artifact's lock — shared for a spread,
-        exclusive for a block — or is a null context for an update,
-        whose :meth:`ArtifactCache.apply_delta` takes the graph, cache
-        and artifact locks itself, in that order.  The call is *pending*
-        for ``key`` from admission until it holds ``lock``, and
-        admission sheds it with ``overloaded`` once ``max_pending``
-        calls are pending.  It counts as completed however it ends, so
-        ``submitted - completed == pending`` at quiescence.
+        exclusive for a block or a sketch warm — or is a null context
+        for an update, whose :meth:`ArtifactCache.apply_delta` takes
+        the graph, cache and artifact locks itself, in that order.  The
+        call is *pending* for ``key`` from admission until it holds
+        ``lock``, and admission sheds it with ``overloaded`` once
+        ``max_pending`` calls are pending.  It counts as completed
+        however it ends, so ``submitted - completed == pending`` at
+        quiescence.
         """
         with self._lock:
             telemetry = self._telemetry.get(key.graph)
@@ -544,9 +537,7 @@ class BlockerService:
     def _seeds(self, request: dict, artifact: Artifact) -> list[int]:
         seeds = request.get("seeds")
         if seeds is None:
-            count = _as_int(
-                request, "num_seeds", self.defaults["num_seeds"]
-            )
+            count = _as_int(request, "num_seeds", DEFAULTS["num_seeds"])
             if count < 1:
                 raise RequestError("num_seeds must be >= 1")
             return artifact.default_seeds(count)
@@ -662,7 +653,10 @@ class BlockerService:
         with span("service.resolve"):
             artifact = self._artifact(key)
         if request.get("seeds") is not None or request.get("sketch"):
-            artifact.warm_sketch(self._seeds(request, artifact))
+            seeds = self._seeds(request, artifact)
+            # a view build holds the artifact lock exclusively, so it
+            # is admitted, counted and traced like a block
+            self._run(key, artifact.lock, lambda: artifact.warm_sketch(seeds))
         return artifact.describe()
 
     def _op_spread(self, request: dict) -> dict:
@@ -699,9 +693,7 @@ class BlockerService:
         budget = _as_int(request, "budget", 10)
         if budget < 1:
             raise RequestError("budget must be >= 1")
-        algorithm = request.get(
-            "algorithm", self.defaults.get("algorithm", "greedy-replace")
-        )
+        algorithm = request.get("algorithm", "greedy-replace")
         if algorithm not in ALGORITHMS:
             raise RequestError(
                 f"unknown algorithm {algorithm!r}; expected one of "
@@ -889,14 +881,12 @@ class ServiceServer(socketserver.ThreadingTCPServer):
 def serve(
     host: str = "127.0.0.1",
     port: int = 0,
-    service: BlockerService | None = None,
-    **service_kwargs,
+    *,
+    service: BlockerService,
 ) -> ServiceServer:
     """Bind a :class:`ServiceServer` (without entering its loop).
 
     Callers run ``server.serve_forever()`` themselves — the CLI does
     it on the main thread, tests in a daemon thread.
     """
-    if service is None:
-        service = BlockerService(**service_kwargs)
     return ServiceServer((host, port), service)

@@ -198,8 +198,12 @@ class TestServeQueryVerbs:
             (["--cache-mb", "-1"], "--cache-mb must be a positive"),
             (["--cache-mb", "0"], "--cache-mb must be a positive"),
             (["--cache-mb", "nan"], "--cache-mb must be a positive"),
+            (
+                ["--access-log", "access.json"],
+                "--access-log needs --serve-workers",
+            ),
         ],
-        ids=["entries-0", "mb-negative", "mb-0", "mb-nan"],
+        ids=["entries-0", "mb-negative", "mb-0", "mb-nan", "access-log"],
     )
     def test_serve_rejects_bad_cache_bounds(
         self, capsys, monkeypatch, flags, message

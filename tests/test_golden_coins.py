@@ -8,6 +8,11 @@ arrays and two answers drawn from the email-core stand-in, as the
 numpy draw produced them.  Both draw paths must reproduce them — the
 compiled coin kernel, and the numpy fallback under ``REPRO_NATIVE=0``.
 
+The selection pins hold the greedy solvers' blockers, in insertion
+order, and their spread estimates: each method's CELF path on the
+sketch, and AG/GR's sampled-graph loops, which draw their own
+``ICSampler`` coins.  A change to a solver's selection rule moves them.
+
 A deliberate change of the stream bumps ``_COIN_SCHEME`` in
 ``repro/engine/pool.py`` and re-pins every value here.
 """
@@ -39,6 +44,31 @@ BA_POSITIONS = (
 )
 EMAIL_SPREAD = "0x1.5e1eb851eb852p+6"  # 87.53
 EMAIL_BLOCKERS = [176, 300, 958]
+
+# budget-20 selections through the sketch, in insertion order; the
+# CELF paths of AG, static greedy and BG (at mcs_rounds=200, so on the
+# same 200 worlds) pick identically
+_CELF_BLOCKERS = [
+    300, 958, 176, 948, 162, 862, 700, 702, 776, 783,
+    24, 452, 238, 380, 90, 936, 60, 166, 105, 298,
+]
+SKETCH_SELECTIONS = {
+    "greedy-replace": (
+        [
+            300, 958, 176, 948, 162, 862, 700, 702, 776, 783,
+            452, 585, 380, 90, 227, 135, 60, 936, 242, 238,
+        ],
+        "0x1.0d33333333333p+5",  # 33.65
+    ),
+    "advanced-greedy": (_CELF_BLOCKERS, "0x1.128f5c28f5c2ap+5"),  # 34.32
+    "static-greedy": (_CELF_BLOCKERS, "0x1.128f5c28f5c2ap+5"),
+    "baseline-greedy": (_CELF_BLOCKERS, "0x1.128f5c28f5c2ap+5"),
+}
+# budget-3 selections on the paper's sampled-graph loops (no evaluator)
+EAGER_SELECTIONS = {
+    "advanced-greedy": ([51, 147, 61], "0x1.290a3d70a3d71p+6"),  # 74.26
+    "greedy-replace": ([908, 59, 121], "0x1.1c3d70a3d70a4p+6"),  # 71.06
+}
 
 
 def sha256(array: np.ndarray) -> str:
@@ -84,3 +114,27 @@ def test_greedy_replace_blockers(email):
         evaluator=sketch,
     )
     assert sorted(result.blockers) == EMAIL_BLOCKERS
+
+
+@pytest.mark.parametrize("algorithm", sorted(SKETCH_SELECTIONS))
+def test_sketch_selection(email, algorithm):
+    graph, seeds = email
+    sketch = build_evaluator(
+        graph, EngineSpec(engine="sketch", theta=200, seed=7)
+    )
+    result = solve_imin(
+        graph, seeds, 20, algorithm=algorithm, theta=200, mcs_rounds=200,
+        rng=7, evaluator=sketch,
+    )
+    blockers, spread = SKETCH_SELECTIONS[algorithm]
+    assert result.blockers == blockers
+    assert result.estimated_spread.hex() == spread
+
+
+@pytest.mark.parametrize("algorithm", sorted(EAGER_SELECTIONS))
+def test_sampled_graph_selection(email, algorithm):
+    graph, seeds = email
+    result = solve_imin(graph, seeds, 3, algorithm=algorithm, theta=50, rng=7)
+    blockers, spread = EAGER_SELECTIONS[algorithm]
+    assert result.blockers == blockers
+    assert result.estimated_spread.hex() == spread

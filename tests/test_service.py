@@ -1273,6 +1273,50 @@ class TestSaturationTelemetry:
             service.close()
 
 
+class TestSketchWarmAdmission:
+    """A ``warm`` that builds a sketch view holds the artifact lock
+    exclusively, so it goes through admission like a ``block``."""
+
+    WARM = {"op": "warm", "graph": "toy", "theta": 100, "seed": 7,
+            "seeds": [0]}
+
+    def test_bounded_warm_is_shed(self, registry):
+        service = BlockerService(registry=registry, max_pending=0)
+        try:
+            response = service.handle(self.WARM)
+            assert not response["ok"]
+            assert response["error"]["code"] == "overloaded"
+        finally:
+            service.close()
+
+    def test_admitted_warm_is_counted_and_traced(self, registry):
+        from repro.obs import MetricsRegistry
+
+        service = BlockerService(
+            registry=registry, metrics=MetricsRegistry()
+        )
+        try:
+            response = service.handle({**self.WARM, "trace": True})
+            assert response["ok"], response
+            assert response["result"]["sketch"]["trees_built"] == 100
+            counters = TestSaturationTelemetry._counters(service, "toy")
+            assert counters["submitted"] == 1
+            assert counters["completed"] == 1
+            assert counters["pending"] == 0
+            names = [s["name"] for s in response["trace"]["spans"]]
+            assert names == [
+                "service.resolve",
+                "service.queue_wait",
+                "service.evaluate",
+            ]
+            evaluate = response["trace"]["spans"][-1]
+            assert [c["name"] for c in evaluate["children"]] == [
+                "sketch.build"
+            ]
+        finally:
+            service.close()
+
+
 class TestProfileOp:
     @pytest.fixture()
     def service(self, registry):

@@ -15,10 +15,9 @@ from repro.core import (
     advanced_greedy,
     baseline_greedy,
     greedy_replace,
-    solve_imin,
     static_sample_greedy,
 )
-from repro.core.lazy import celf_select, make_gain_fn, supports_marginal_gain
+from repro.core.lazy import celf_select, supports_marginal_gain
 from repro.datasets.toy import figure1_graph, figure1_seed, V
 from repro.engine import (
     build_evaluator,
@@ -321,11 +320,18 @@ class TestLazySelection:
 
     def test_lazy_equals_eager_baseline_greedy_on_sketch_worlds(self, toy):
         sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=3))
+
+        class SpreadOnly:
+            # the sketch's worlds without its marginal_gain, so BG runs
+            # its exhaustive loop on them
+            csr = sketch.csr
+            expected_spread = staticmethod(sketch.expected_spread)
+
         lazy = baseline_greedy(
             toy, [figure1_seed], 2, rounds=200, evaluator=sketch
         )
         eager = baseline_greedy(
-            toy, [figure1_seed], 2, rounds=200, evaluator=sketch, lazy=False
+            toy, [figure1_seed], 2, rounds=200, evaluator=SpreadOnly()
         )
         assert lazy.blockers == eager.blockers
         assert lazy.estimated_spread == pytest.approx(
@@ -374,32 +380,6 @@ class TestLazySelection:
         )
         assert gr.estimated_spread <= ag.estimated_spread
 
-    def test_solve_imin_routes_lazy_flag(self, toy):
-        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
-        auto = solve_imin(
-            toy, [figure1_seed], 1, algorithm="greedy-replace",
-            theta=200, evaluator=sketch,
-        )
-        forced = solve_imin(
-            toy, [figure1_seed], 1, algorithm="greedy-replace",
-            theta=200, evaluator=sketch, lazy=True,
-        )
-        assert auto.blockers == forced.blockers == [V(5)]
-
-    def test_forced_lazy_works_with_mc_evaluator(self, toy):
-        # the CELF machinery is evaluator-agnostic: forcing lazy on a
-        # backend without marginal_gain uses the two-query fallback
-        vec = build_evaluator(toy, EngineSpec(engine="vectorized", seed=5))
-        result = advanced_greedy(
-            toy, [figure1_seed], 1, theta=400, evaluator=vec, lazy=True
-        )
-        assert result.blockers == [V(5)]
-
-    def test_lazy_requires_evaluator(self, toy):
-        for solver in (advanced_greedy, static_sample_greedy, greedy_replace):
-            with pytest.raises(ValueError, match="requires an evaluator"):
-                solver(toy, [figure1_seed], 1, lazy=True)
-
     def test_lazy_rejects_sampler_factory(self, toy):
         sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=7))
         with pytest.raises(ValueError, match="sampler_factory"):
@@ -420,22 +400,6 @@ class TestLazySelection:
         assert result.estimated_spread == pytest.approx(
             sketch.expected_spread([figure1_seed], 100)
         )
-
-    def test_make_gain_fn_fallback_caches_current_spread(self, toy):
-        calls = []
-
-        class Spy:
-            csr = build_evaluator(toy, EngineSpec(engine="scalar")).csr
-
-            def expected_spread(self, seeds, rounds, blocked=()):
-                calls.append(tuple(blocked))
-                return float(10 - len(tuple(blocked)))
-
-        gain = make_gain_fn(Spy(), [figure1_seed], 50)
-        assert gain(V(2), []) == pytest.approx(1.0)
-        assert gain(V(4), []) == pytest.approx(1.0)
-        # the base spread for picked=() was computed once, not twice
-        assert calls.count(()) == 1
 
 
 class TestGuards:
