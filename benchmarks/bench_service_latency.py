@@ -50,8 +50,8 @@ from repro.service import (
     ArtifactKey,
     BlockerService,
     default_registry,
-    serve,
     ServiceClient,
+    ServiceServer,
 )
 
 JSON_SCHEMA = 1
@@ -141,7 +141,7 @@ def run_warm(
         registry=registry,
         cache=ArtifactCache(registry, max_entries=2),
     )
-    server = serve(port=0, service=service)
+    server = ServiceServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -634,18 +634,22 @@ def _cmd_spread(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .obs import (
-        EventLog,
-        install_build_info,
-        parse_slo,
-        start_metrics_server,
-    )
+    """``serve``: one threaded process, or with ``--serve-workers N``
+    an asyncio front end over N shard worker processes.
+
+    Every flag is checked here, once, into one :class:`WorkerSpec`
+    before anything binds or spawns; the standalone server and each
+    shard worker build their service from that spec.  The sharded
+    listener never loads a graph, and ``--max-pending`` moves up to it,
+    capping in-flight queries across every shard.
+    """
+    from .obs import EventLog, start_metrics_server
     from .service import (
-        ArtifactCache,
-        BlockerService,
-        default_registry,
+        build_service,
         DEFAULT_PORT,
-        serve,
+        ServiceServer,
+        ShardedFrontend,
+        WorkerSpec,
     )
 
     edge_pairs: list[tuple[str, str]] = []
@@ -661,149 +665,81 @@ def _cmd_serve(args) -> int:
     if args.cache_mb is not None and not 0 < args.cache_mb < math.inf:
         print("error: --cache-mb must be a positive, finite size")
         return 2
-    max_bytes = (
-        None if args.cache_mb is None else int(args.cache_mb * 2**20)
-    )
     if args.max_pending is not None and args.max_pending < 0:
         print("error: --max-pending must be >= 0")
+        return 2
+    if args.serve_workers is not None and args.serve_workers < 1:
+        print("error: --serve-workers must be >= 1")
         return 2
     if args.access_log is not None and args.serve_workers is None:
         print("error: --access-log needs --serve-workers")
         return 2
     try:
-        slos = [parse_slo(spec) for spec in args.slo]
-    except ValueError as error:
-        print(f"error: {error}")
-        return 2
-    if args.serve_workers is not None:
-        return _cmd_serve_sharded(args, edge_pairs, max_bytes)
-    registry = default_registry(scale=args.scale)
-    for name, path in edge_pairs:
-        registry.register_edge_list(name, path)
-    cache = ArtifactCache(
-        registry,
-        max_entries=args.cache_entries,
-        max_bytes=max_bytes,
-        cache_dir=args.cache_dir,
-    )
-    log = EventLog(json_mode=args.log_json)
-    try:
-        service = BlockerService(
-            registry=registry,
-            cache=cache,
-            log=log,
+        spec = WorkerSpec(
+            scale=args.scale,
+            edge_lists=tuple(edge_pairs),
+            cache_entries=args.cache_entries,
+            cache_bytes=(
+                None if args.cache_mb is None else int(args.cache_mb * 2**20)
+            ),
+            cache_dir=args.cache_dir,
             slow_ms=args.slow_ms,
-            max_pending=args.max_pending,
             profile_hz=args.profile_hz,
-            slos=slos or None,
+            slo_specs=tuple(args.slo),
+            log_json=args.log_json,
         )
-    except ValueError as error:  # bad --profile-hz / duplicate --slo
+    except ValueError as error:  # bad --profile-hz / --slo
         print(f"error: {error}")
         return 2
-    install_build_info(service.metrics, worker="standalone")
-    if args.profile_hz is not None:
-        log.event("profiler_started", hz=args.profile_hz)
-    for slo in slos:
-        log.event("slo_declared", slo=slo.name, spec=slo.spec)
-    metrics_server = None
-    if args.metrics_port is not None:
-        metrics_server = start_metrics_server(
-            host=args.host,
-            port=args.metrics_port,
-            registry=service.metrics,
-        )
-        log.event(
-            "metrics_listening",
-            host=args.host,
-            port=metrics_server.port,
-        )
-    port = DEFAULT_PORT if args.port is None else args.port
-    server = serve(host=args.host, port=port, service=service)
-    host, port = server.server_address[:2]
-    print(f"repro.service listening on {host}:{port}", flush=True)
-    log.event("listening", host=host, port=port)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        server.server_close()
-        if metrics_server is not None:
-            metrics_server.shutdown()
-            metrics_server.server_close()
-    log.event("stopped")
-    print("repro.service stopped")
-    return 0
-
-
-def _cmd_serve_sharded(
-    args, edge_pairs: list[tuple[str, str]], max_bytes: int | None
-) -> int:
-    """``serve --serve-workers N``: the two-tier sharded topology.
-
-    The listener process never loads a graph — each worker builds its
-    own registry/cache from the picklable :class:`WorkerSpec`, and the
-    ``--max-pending`` bound moves up to the front end where it caps
-    in-flight queries across every shard.
-    """
-    from .obs import EventLog, start_metrics_server
-    from .service import DEFAULT_PORT, ShardedFrontend, WorkerSpec
-
-    if args.serve_workers < 1:
-        print("error: --serve-workers must be >= 1")
-        return 2
     log = EventLog(json_mode=args.log_json)
-    spec = WorkerSpec(
-        scale=args.scale,
-        edge_lists=tuple(edge_pairs),
-        cache_entries=args.cache_entries,
-        cache_bytes=max_bytes,
-        cache_dir=args.cache_dir,
-        slow_ms=args.slow_ms,
-        profile_hz=args.profile_hz,
-        slo_specs=tuple(args.slo),
-        log_json=args.log_json,
-    )
-    frontend = ShardedFrontend(
-        host=args.host,
-        port=DEFAULT_PORT if args.port is None else args.port,
-        workers=args.serve_workers,
-        worker_spec=spec,
-        max_pending=args.max_pending,
-        access_log=args.access_log,
-        log=log,
-    )
+    port = DEFAULT_PORT if args.port is None else args.port
     try:
-        frontend.start()
+        if args.serve_workers is None:
+            service = build_service(spec, "standalone", log, args.max_pending)
+            if args.profile_hz is not None:
+                log.event("profiler_started", hz=args.profile_hz)
+            for slo in spec.slos():
+                log.event("slo_declared", slo=slo.name, spec=slo.spec)
+            server = ServiceServer((args.host, port), service)
+            host, port = server.server_address[:2]
+            scrape = {"registry": service.metrics}
+        else:
+            server = ShardedFrontend(
+                host=args.host,
+                port=port,
+                workers=args.serve_workers,
+                worker_spec=spec,
+                max_pending=args.max_pending,
+                access_log=args.access_log,
+                log=log,
+            ).start()
+            host, port = server.address
+            scrape = {
+                "registry": server.metrics,
+                "render_fn": server.render_metrics,
+                "health_fn": server.health,
+            }
     except (OSError, RuntimeError, ValueError) as error:
         print(f"error: {error}")
         return 1
-    metrics_server = None
-    if args.metrics_port is not None:
-        metrics_server = start_metrics_server(
-            host=args.host,
-            port=args.metrics_port,
-            registry=frontend.metrics,
-            render_fn=frontend.render_metrics,
-            health_fn=frontend.health,
-        )
+    with server, contextlib.ExitStack() as stack:
+        if args.metrics_port is not None:
+            metrics_server = start_metrics_server(
+                host=args.host, port=args.metrics_port, **scrape
+            )
+            stack.callback(metrics_server.server_close)
+            stack.callback(metrics_server.shutdown)
+            log.event(
+                "metrics_listening", host=args.host, port=metrics_server.port
+            )
+        print(f"repro.service listening on {host}:{port}", flush=True)
         log.event(
-            "metrics_listening",
-            host=args.host,
-            port=metrics_server.port,
+            "listening", host=host, port=port, workers=args.serve_workers
         )
-    host, port = frontend.address
-    print(f"repro.service listening on {host}:{port}", flush=True)
-    log.event(
-        "listening", host=host, port=port, workers=args.serve_workers
-    )
-    try:
-        frontend.serve_forever()
-    finally:
-        frontend.shutdown()
-        if metrics_server is not None:
-            metrics_server.shutdown()
-            metrics_server.server_close()
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - interactive exit
+            pass
     log.event("stopped")
     print("repro.service stopped")
     return 0

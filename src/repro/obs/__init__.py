@@ -59,11 +59,13 @@ from .metrics import (
     install_standard_collectors,
     MetricsRegistry,
     package_version,
+    RequestMetrics,
+    reset_global_registry,
     track,
     tracked,
 )
-from .profile import DEFAULT_HZ, SamplingProfiler
-from .slo import DEFAULT_WINDOW_SECONDS, parse_slo, SLO, SLOTracker
+from .profile import check_hz, DEFAULT_HZ, SamplingProfiler
+from .slo import check_slos, DEFAULT_WINDOW_SECONDS, parse_slo, SLO, SLOTracker
 from .trace import (
     current_trace,
     format_trace,
@@ -87,11 +89,14 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "NULL_LOG",
+    "RequestMetrics",
     "SLO",
     "SLOTracker",
     "SamplingProfiler",
     "Span",
     "Trace",
+    "check_hz",
+    "check_slos",
     "current_trace",
     "format_trace",
     "global_registry",
@@ -103,6 +108,7 @@ __all__ = [
     "package_version",
     "parse_slo",
     "render_text",
+    "reset_global_registry",
     "span",
     "start_metrics_server",
     "track",

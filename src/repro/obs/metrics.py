@@ -48,10 +48,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RequestMetrics",
     "global_registry",
     "install_build_info",
     "install_standard_collectors",
     "package_version",
+    "reset_global_registry",
     "track",
     "tracked",
 ]
@@ -605,6 +607,45 @@ def install_build_info(
     return child
 
 
+class RequestMetrics:
+    """The request families every serving tier records into.
+
+    Declared once, here: the standalone server, each shard worker and
+    the sharded front end record through it, and
+    :class:`~repro.obs.SLOTracker` reads the same families back, so a
+    scrape of either topology carries the same names, labels and help.
+    """
+
+    __slots__ = ("requests", "errors", "latency", "inflight")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.requests = registry.counter(
+            "repro_requests_total",
+            "Service requests dispatched, by op",
+            labels=("op",),
+        )
+        self.errors = registry.counter(
+            "repro_request_errors_total",
+            "Service requests answered with ok=false",
+        )
+        self.latency = registry.histogram(
+            "repro_request_duration_seconds",
+            "Wall-clock request latency, by op",
+            labels=("op",),
+        )
+        self.inflight = registry.gauge(
+            "repro_inflight_requests",
+            "Requests currently being answered",
+        )
+
+    def record(self, op: str, seconds: float, ok: bool) -> None:
+        """Count one answered request and observe its latency."""
+        self.requests.labels(op).inc()
+        self.latency.labels(op).observe(seconds)
+        if not ok:
+            self.errors.inc()
+
+
 _GLOBAL: MetricsRegistry | None = None
 _GLOBAL_LOCK = threading.Lock()
 
@@ -619,3 +660,18 @@ def global_registry() -> MetricsRegistry:
             _GLOBAL = MetricsRegistry()
             install_standard_collectors(_GLOBAL)
         return _GLOBAL
+
+
+def reset_global_registry() -> None:
+    """Start the process-wide registry over, empty.
+
+    A forked shard worker calls this first: it inherits its parent's
+    registry and tracked stats objects, and must report only its own
+    series.  Instrumented modules look the registry up on every use,
+    so they record into the new one from then on.
+    """
+    global _GLOBAL
+    with _TRACKED_LOCK:
+        _TRACKED.clear()
+    with _GLOBAL_LOCK:
+        _GLOBAL = None

@@ -53,6 +53,7 @@ from .metrics import global_registry, MetricsRegistry
 __all__ = [
     "DEFAULT_HZ",
     "SamplingProfiler",
+    "check_hz",
 ]
 
 DEFAULT_HZ = 67.0
@@ -61,6 +62,17 @@ millisecond-periodic request work."""
 
 _MAX_HZ = 1000.0
 _MAX_DEPTH = 128  # frames kept per stack; deeper tails are truncated
+
+
+def check_hz(hz: float) -> float:
+    """``hz`` as a float, or ``ValueError`` outside (0, 1000] — the
+    check every :class:`SamplingProfiler` runs, for callers that must
+    reject a bad rate before they build one."""
+    if not hz > 0 or hz > _MAX_HZ:
+        raise ValueError(
+            f"hz must be in (0, {_MAX_HZ:g}], got {hz!r}"
+        )
+    return float(hz)
 
 
 def _frame_label(frame) -> str:
@@ -91,11 +103,7 @@ class SamplingProfiler:
         hz: float = DEFAULT_HZ,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if not hz > 0 or hz > _MAX_HZ:
-            raise ValueError(
-                f"hz must be in (0, {_MAX_HZ:g}], got {hz!r}"
-            )
-        self.hz = float(hz)
+        self.hz = check_hz(hz)
         self._interval = 1.0 / self.hz
         self._lock = threading.Lock()
         self._tally: _TallyCounter = _TallyCounter()

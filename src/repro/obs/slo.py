@@ -54,12 +54,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .metrics import global_registry, MetricsRegistry
+from .metrics import global_registry, MetricsRegistry, RequestMetrics
 
 __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "SLO",
     "SLOTracker",
+    "check_slos",
     "parse_slo",
 ]
 
@@ -187,6 +188,17 @@ def parse_slo(spec: str) -> SLO:
     )
 
 
+def check_slos(slos: Sequence[SLO]) -> tuple[SLO, ...]:
+    """``slos`` as a tuple, or ``ValueError`` when two share a name
+    (their gauge series would collide) — the check every
+    :class:`SLOTracker` runs, for callers that must reject a bad set
+    before they build one."""
+    names = [slo.name for slo in slos]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate SLO specs: {names}")
+    return tuple(slos)
+
+
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
@@ -220,28 +232,12 @@ class SLOTracker:
     ) -> None:
         if not slos:
             raise ValueError("SLOTracker needs at least one SLO")
-        names = [slo.name for slo in slos]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate SLO specs: {names}")
-        self.slos = tuple(slos)
+        self.slos = check_slos(slos)
         self._now = now
         self._registry = (
             registry if registry is not None else global_registry()
         )
-        self._latency = self._registry.histogram(
-            "repro_request_duration_seconds",
-            "Wall-clock request latency through BlockerService.handle",
-            labels=("op",),
-        )
-        self._requests = self._registry.counter(
-            "repro_requests_total",
-            "Service requests dispatched, by op",
-            labels=("op",),
-        )
-        self._errors = self._registry.counter(
-            "repro_request_errors_total",
-            "Service requests answered with ok=false",
-        )
+        self._families = RequestMetrics(self._registry)
         self._max_window = max(slo.window_s for slo in self.slos)
         self._snapshots: deque[_Snapshot] = deque()
         self._lock = threading.Lock()
@@ -252,23 +248,23 @@ class SLOTracker:
     # snapshots
     # ------------------------------------------------------------------
     def _take_snapshot(self) -> _Snapshot:
-        bounds = self._latency.buckets
+        bounds = self._families.latency.buckets
         totals = [0] * (len(bounds) + 1)
         count = 0
-        for _, child in self._latency.children():
+        for _, child in self._families.latency.children():
             cumulative, _, child_count = child.snapshot()
             for i, value in enumerate(cumulative):
                 totals[i] += value
             count += child_count
         requests = sum(
-            child.value for _, child in self._requests.children()
+            child.value for _, child in self._families.requests.children()
         )
         return _Snapshot(
             at=self._now(),
             cumulative=tuple(totals),
             count=count,
             requests=requests,
-            errors=self._errors.value,
+            errors=self._families.errors.value,
         )
 
     def _window_base(
@@ -330,7 +326,7 @@ class SLOTracker:
                 c - b for c, b in zip(current.cumulative, base_cum)
             ]
             good = _good_below(
-                self._latency.buckets, delta, slo.threshold_s
+                self._families.latency.buckets, delta, slo.threshold_s
             )
             bad = max(0.0, total - good)
         else:

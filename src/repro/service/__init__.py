@@ -20,7 +20,8 @@ artifacts resident and serves many queries against them:
     v1 wire protocol (structured error envelope, stable error codes);
     each query runs on its handler thread under its artifact's lock
     (shared by spreads), so concurrent answers are bit-identical to
-    serial ones.
+    serial ones.  ``build_service`` builds the standalone server's
+    service and every shard worker's from one ``WorkerSpec``.
 :mod:`repro.service.client`
     The matching client — typed query verbs, error codes mapped to
     typed exceptions, one bounded retry over drains and worker
@@ -52,16 +53,17 @@ from .client import (
     UnknownGraphError,
     UnknownOpError,
 )
-from .frontend import shard_for, ShardedFrontend, WorkerSpec
+from .frontend import shard_for, ShardedFrontend
 from .registry import default_registry, GraphEntry, GraphRegistry
 from .server import (
     BlockerService,
+    build_service,
     ERROR_CODES,
     PROTOCOL_VERSION,
     RequestError,
-    serve,
     ServiceServer,
     ServiceStats,
+    WorkerSpec,
 )
 
 __all__ = [
@@ -79,7 +81,8 @@ __all__ = [
     "RequestError",
     "ServiceServer",
     "ServiceStats",
-    "serve",
+    "WorkerSpec",
+    "build_service",
     "BadParamsError",
     "ConnectionLostError",
     "DrainingError",
@@ -91,6 +94,5 @@ __all__ = [
     "UnknownOpError",
     "DEFAULT_PORT",
     "ShardedFrontend",
-    "WorkerSpec",
     "shard_for",
 ]

@@ -6,13 +6,14 @@ knee extra clients buy queueing, not throughput.  This module is the
 scale-out answer that keeps every hard-won serial property intact:
 
 * **Topology** — one :class:`ShardedFrontend` listener (asyncio, v1
-  JSON-lines, same envelope as :mod:`repro.service.server`) routes
-  each request to one of N worker *processes*.  Each worker runs
-  today's :class:`~repro.service.server.ServiceServer` +
-  :class:`~repro.service.server.BlockerService` core unchanged, so
-  per-artifact locking, single-flight builds and LRU byte accounting
-  stay shard-local — and answers stay bit-identical to the
-  single-process serial server.
+  JSON-lines, the envelope helpers of :mod:`repro.service.server`)
+  routes each request to one of N worker *processes*.  Each worker is
+  a :class:`~repro.service.server.ServiceServer` over the service
+  :func:`~repro.service.server.build_service` builds from the
+  :class:`~repro.service.server.WorkerSpec` the standalone server is
+  built from, so per-artifact locking, single-flight builds and LRU
+  byte accounting stay shard-local — and answers stay bit-identical
+  to the single-process serial server.
 * **Sharding** — :func:`shard_for` hashes the *graph name* (stable
   md5, no process-seeded randomization) onto a worker index, so one
   artifact is only ever resident in one process and a graph's clients
@@ -33,8 +34,10 @@ scale-out answer that keeps every hard-won serial property intact:
   ``draining`` code, flushes in-flight work, persists the access log,
   then stops the workers.  On the next start the hottest keys from
   that log are prewarmed before traffic hits them.
-* **Observability** — worker expositions merge into one scrape page
-  with a ``worker`` label (:func:`repro.obs.merge_expositions`),
+* **Observability** — worker expositions (each worker's
+  process-global registry: request families, spans, kernel and
+  selection counters) merge into one scrape page with a ``worker``
+  label (:func:`repro.obs.merge_expositions`),
   ``stats``/``profile`` fan out and merge, and traced requests gain a
   root-level ``frontend.route`` span.
 """
@@ -49,8 +52,6 @@ import os
 import socket
 import threading
 import time
-import uuid
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..obs import (
@@ -59,13 +60,25 @@ from ..obs import (
     merge_expositions,
     MetricsRegistry,
     NULL_LOG,
+    RequestMetrics,
+    reset_global_registry,
 )
-from .server import DEFAULTS, PROTOCOL_VERSION
+from .server import (
+    build_service,
+    DEFAULTS,
+    encode,
+    error_envelope,
+    is_keyed_stats,
+    request_trace,
+    ServiceServer,
+    stamp,
+    success_envelope,
+    WorkerSpec,
+)
 
 __all__ = [
     "ShardedFrontend",
     "WorkerHandle",
-    "WorkerSpec",
     "shard_for",
 ]
 
@@ -124,74 +137,25 @@ def shard_for(graph: str, workers: int) -> int:
     return int.from_bytes(digest[:8], "big") % workers
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a worker process needs to rebuild its service.
-
-    Frozen and picklable: under ``forkserver``/``spawn`` this is the
-    only state that crosses the process boundary — workers rebuild
-    registries and caches from it, they never inherit live objects.
-    """
-
-    scale: float = 1.0
-    edge_lists: tuple[tuple[str, str], ...] = ()
-    aliases: tuple[tuple[str, str], ...] = ()
-    """``(name, dataset_key)`` pairs registered on top of the default
-    registry — how the bench spreads one dataset across shards."""
-    cache_entries: int = 8
-    cache_bytes: int | None = None
-    cache_dir: str | None = None
-    slow_ms: float | None = None
-    profile_hz: float | None = None
-    slo_specs: tuple[str, ...] = ()
-    log_json: bool = False
-
-
-def _build_service(index: int, spec: WorkerSpec):
-    """One worker's :class:`BlockerService` from its picklable spec."""
-    from ..obs import parse_slo
-    from .cache import ArtifactCache
-    from .registry import default_registry
-    from .server import BlockerService
-
-    registry = default_registry(scale=spec.scale)
-    for name, path in spec.edge_lists:
-        registry.register_edge_list(name, path)
-    for name, key in spec.aliases:
-        registry.register_dataset(name, key, scale=spec.scale)
-    cache = ArtifactCache(
-        registry,
-        max_entries=spec.cache_entries,
-        max_bytes=spec.cache_bytes,
-        cache_dir=spec.cache_dir,
-    )
-    # a fresh registry per worker: the merged exposition relies on
-    # each process reporting only its own series
-    metrics = MetricsRegistry()
-    service = BlockerService(
-        registry=registry,
-        cache=cache,
-        metrics=metrics,
-        log=EventLog(json_mode=True) if spec.log_json else None,
-        slow_ms=spec.slow_ms,
-        profile_hz=spec.profile_hz,
-        slos=[parse_slo(s) for s in spec.slo_specs] or None,
-    )
-    install_build_info(metrics, worker=str(index))
-    return service
-
-
 def _worker_main(index: int, spec: WorkerSpec, conn) -> None:
     """Worker-process entry point: serve one shard until shut down.
 
     Binds an ephemeral port and reports it through ``conn`` once the
     service is ready; the TCP loop then runs until the front end sends
-    the ``shutdown`` op (graceful) or the process is terminated.
+    the ``shutdown`` op (graceful) or the process is terminated.  The
+    service records into this process's global registry, emptied
+    first: the merged exposition relies on each process reporting
+    only its own series, and a forked worker inherits its parent's.
     """
-    from .server import ServiceServer
-
     try:
-        service = _build_service(index, spec)
+        reset_global_registry()
+        service = build_service(
+            spec,
+            worker=str(index),
+            log=EventLog(json_mode=True) if spec.log_json else NULL_LOG,
+            # the front end bounds admission across every shard
+            max_pending=None,
+        )
         server = ServiceServer(("127.0.0.1", 0), service)
     except BaseException as error:  # noqa: BLE001 - report, then die
         try:
@@ -383,24 +347,7 @@ class ShardedFrontend:
         # --- frontend-process observability ---
         self.metrics = MetricsRegistry()
         install_build_info(self.metrics, worker="frontend")
-        self._m_requests = self.metrics.counter(
-            "repro_requests_total",
-            "Service requests dispatched, by op",
-            labels=("op",),
-        )
-        self._m_errors = self.metrics.counter(
-            "repro_request_errors_total",
-            "Service requests answered with ok=false",
-        )
-        self._m_latency = self.metrics.histogram(
-            "repro_request_duration_seconds",
-            "Wall-clock request latency through the front end",
-            labels=("op",),
-        )
-        self._m_inflight = self.metrics.gauge(
-            "repro_inflight_requests",
-            "Routed requests currently in flight to a shard",
-        )
+        self._m_requests = RequestMetrics(self.metrics)
         self._m_shed = self.metrics.counter(
             "repro_shed_requests_total",
             "Requests rejected instead of queued, by reason",
@@ -633,7 +580,7 @@ class ShardedFrontend:
                 len(self.handles),
             )
             try:
-                reply = await self._roundtrip(shard, _encode(request))
+                reply = await self._roundtrip(shard, encode(request))
                 ok = bool(json.loads(reply).get("ok"))
             except (OSError, ValueError):
                 ok = False
@@ -666,14 +613,14 @@ class ShardedFrontend:
                     raise
                 except Exception as error:  # noqa: BLE001 - keep conn
                     response, close_after = (
-                        _front_error(
+                        error_envelope(
                             "internal",
                             f"{type(error).__name__}: {error}",
                             None,
                         ),
                         False,
                     )
-                writer.write(_encode_response(response))
+                writer.write(encode(response))
                 await writer.drain()
                 if close_after:
                     break
@@ -685,104 +632,51 @@ class ShardedFrontend:
     async def _handle_line(self, line: bytes) -> tuple[dict, bool]:
         """One raw request line -> (response dict, close-connection)."""
         started = time.monotonic()
-        op = "invalid"
         try:
             request = json.loads(line)
         except json.JSONDecodeError as error:
-            return (
-                self._finish(
-                    op,
-                    started,
-                    _front_error("bad_params", f"bad JSON: {error}", None),
-                ),
-                False,
-            )
+            response = error_envelope("bad_params", f"bad JSON: {error}", None)
+            return self._finish("invalid", started, response), False
         if not isinstance(request, dict):
-            return (
-                self._finish(
-                    op,
-                    started,
-                    _front_error(
-                        "bad_params", "request must be a JSON object",
-                        None,
-                    ),
-                ),
-                False,
+            response = error_envelope(
+                "bad_params", "request must be a JSON object", None
             )
+            return self._finish("invalid", started, response), False
         op = request.get("op") if isinstance(request.get("op"), str) else (
             "invalid"
         )
+        close_after = False
         if self.draining and op != "ping":
-            response = _front_error(
+            response = error_envelope(
                 "draining",
                 "front end is draining before shutdown; reconnect and "
                 "retry",
                 op if op != "invalid" else None,
             )
-            _stamp(response, request)
-            return self._finish(op, started, response), False
-        if op == "shutdown":
-            response = {
-                "ok": True,
-                "v": PROTOCOL_VERSION,
-                "op": "shutdown",
-                "result": "bye",
-            }
-            _stamp(response, request)
+        elif op == "shutdown":
+            response = success_envelope("shutdown", "bye")
             self.log.event("shutdown", op="shutdown")
             self._begin_drain()
-            return self._finish(op, started, response), True
-        if op == "ping":
-            response = {
-                "ok": True,
-                "v": PROTOCOL_VERSION,
-                "op": "ping",
-                "result": "pong",
-            }
-            _stamp(response, request)
-            return self._finish(op, started, response), False
-        if op == "metrics":
-            text = await self._aggregate_metrics()
-            response = {
-                "ok": True,
-                "v": PROTOCOL_VERSION,
-                "op": "metrics",
-                "result": text,
-            }
-            _stamp(response, request)
-            return self._finish(op, started, response), False
-        if op == "stats" and not _is_keyed_stats(request):
-            result = await self._merged_stats()
-            response = {
-                "ok": True,
-                "v": PROTOCOL_VERSION,
-                "op": "stats",
-                "result": result,
-            }
-            _stamp(response, request)
-            return self._finish(op, started, response), False
-        if op == "profile":
-            result = await self._merged_profile(request)
-            if isinstance(result, dict) and result.get("_error"):
-                response = _front_error(
-                    result.get("_code", "internal"),
-                    str(result["_error"]),
-                    "profile",
-                )
-            else:
-                response = {
-                    "ok": True,
-                    "v": PROTOCOL_VERSION,
-                    "op": "profile",
-                    "result": result,
-                }
-            _stamp(response, request)
-            return self._finish(op, started, response), False
-        # everything else — the per-graph query ops, keyed stats,
-        # graphs, and unknown verbs (the worker's unknown_op error
-        # lists the canonical op set) — proxies to one shard
-        response = await self._route(request, line, started)
-        return response, False
+            close_after = True
+        elif op == "ping":
+            response = success_envelope("ping", "pong")
+        elif op == "metrics":
+            response = success_envelope(
+                "metrics", await self._aggregate_metrics()
+            )
+        elif op == "stats" and not is_keyed_stats(request):
+            response = success_envelope(
+                "stats", await self._merged_stats()
+            )
+        elif op == "profile":
+            response = await self._merged_profile(request)
+        else:
+            # everything else — the per-graph query ops, keyed stats,
+            # graphs, and unknown verbs (the worker's unknown_op error
+            # lists the canonical op set) — proxies to one shard
+            return await self._route(request, line, started), False
+        stamp(response, request, request_trace(request))
+        return self._finish(op, started, response), close_after
 
     async def _route(
         self, request: dict, line: bytes, started: float
@@ -799,17 +693,17 @@ class ShardedFrontend:
             and self._pending >= self.max_pending
         ):
             self._m_shed.labels(graph, "frontend_max_pending").inc()
-            response = _front_error(
+            response = error_envelope(
                 "overloaded",
                 f"front end has {self._pending} queries in flight "
                 f"(max_pending={self.max_pending}); retry later",
                 op,
             )
-            _stamp(response, request)
+            stamp(response, request, request_trace(request))
             return self._finish(op, started, response)
         if admit:
             self._pending += 1
-            self._m_inflight.set(float(self._pending))
+            self._m_requests.inflight.set(float(self._pending))
         self._m_routed.labels(str(shard)).inc()
         try:
             reply = await self._roundtrip(shard, line)
@@ -822,18 +716,18 @@ class ShardedFrontend:
                 op=op,
                 error=str(error),
             )
-            response = _front_error(
+            response = error_envelope(
                 "internal",
                 f"shard {shard} worker failed mid-request "
                 f"({type(error).__name__}); it will be restarted — "
                 "retry",
                 op,
             )
-            _stamp(response, request)
+            stamp(response, request, request_trace(request))
         finally:
             if admit:
                 self._pending -= 1
-                self._m_inflight.set(float(self._pending))
+                self._m_requests.inflight.set(float(self._pending))
         if admit and response.get("ok"):
             self._record_access(request)
         route_ms = (time.monotonic() - started) * 1000.0
@@ -842,20 +736,13 @@ class ShardedFrontend:
             trace.setdefault("spans", []).append(
                 {"name": "frontend.route", "duration_ms": round(route_ms, 3)}
             )
-        return self._finish(op, started, response, routed=True)
+        return self._finish(op, started, response)
 
-    def _finish(
-        self,
-        op,
-        started: float,
-        response: dict,
-        routed: bool = False,
-    ) -> dict:
+    def _finish(self, op, started: float, response: dict) -> dict:
         label = op if isinstance(op, str) and op else "invalid"
-        self._m_requests.labels(label).inc()
-        self._m_latency.labels(label).observe(time.monotonic() - started)
-        if not response.get("ok"):
-            self._m_errors.inc()
+        self._m_requests.record(
+            label, time.monotonic() - started, bool(response.get("ok"))
+        )
         return response
 
     async def _roundtrip(self, shard: int, line: bytes) -> bytes:
@@ -884,7 +771,7 @@ class ShardedFrontend:
         Each outcome is ``{"result": ...}`` or ``{"error": ...}`` — a
         dead shard degrades its own entry, never the whole op.
         """
-        line = _encode(request)
+        line = encode(request)
         indices = list(range(len(self.handles)))
         replies = await asyncio.gather(
             *(self._roundtrip(i, line) for i in indices),
@@ -986,7 +873,7 @@ class ShardedFrontend:
         }
 
     async def _merged_profile(self, request: dict) -> dict:
-        """Fan the ``profile`` op out; merge the per-worker replies.
+        """Fan the ``profile`` op out; the merged reply's envelope.
 
         ``collapsed`` dumps concatenate with a ``workerN;`` stack
         prefix (flamegraphs then show the shard split as the root
@@ -1026,16 +913,14 @@ class ShardedFrontend:
                 for stack_line in collapsed.splitlines():
                     collapsed_parts.append(f"worker{index};{stack_line}")
         if errors == len(outcomes) and first_error is not None:
-            return {
-                "_error": first_error[0],
-                "_code": first_error[1] or "internal",
-            }
+            message, code = first_error
+            return error_envelope(code or "internal", message, "profile")
         merged["active"] = active
         if request.get("action") == "dump":
             merged["collapsed"] = "\n".join(collapsed_parts)
         if samples:
             merged["samples"] = samples
-        return merged
+        return success_envelope("profile", merged)
 
     # ------------------------------------------------------------------
     # access log
@@ -1108,47 +993,3 @@ class ShardedFrontend:
             ):
                 out.append(entry)
         return out
-
-
-# ----------------------------------------------------------------------
-# envelope helpers
-# ----------------------------------------------------------------------
-def _front_error(code: str, message: str, op: str | None) -> dict:
-    return {
-        "ok": False,
-        "v": PROTOCOL_VERSION,
-        "error": {"code": code, "message": message, "op": op},
-    }
-
-
-def _stamp(response: dict, request: dict) -> None:
-    """Echo ``id`` and carry a trace id on frontend-built envelopes,
-    mirroring the worker envelope shape."""
-    if "id" in request:
-        response["id"] = request["id"]
-    trace_id = request.get("trace_id")
-    if not (isinstance(trace_id, str) and trace_id.strip()):
-        trace_id = uuid.uuid4().hex[:16]
-    else:
-        trace_id = trace_id.strip()[:128]
-    response["trace_id"] = trace_id
-    if request.get("trace") and "trace" not in response:
-        response["trace"] = {"trace_id": trace_id, "spans": []}
-
-
-def _is_keyed_stats(request: dict) -> bool:
-    return bool(
-        request.get("artifact")
-        or any(
-            field in request
-            for field in ("graph", "model", "theta", "seed")
-        )
-    )
-
-
-def _encode(request: dict) -> bytes:
-    return json.dumps(request, separators=(",", ":")).encode() + b"\n"
-
-
-def _encode_response(response: dict) -> bytes:
-    return json.dumps(response, separators=(",", ":")).encode() + b"\n"

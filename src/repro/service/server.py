@@ -1,6 +1,6 @@
 """The blocker-query server: threaded TCP/JSON-lines, stdlib only.
 
-Two layers:
+Three pieces:
 
 :class:`BlockerService`
     Transport-independent request handler — a dict in, a dict out.
@@ -16,6 +16,10 @@ Two layers:
     A ``socketserver.ThreadingTCPServer`` speaking JSON lines: each
     request is one ``\\n``-terminated JSON object, each response one
     JSON line.  A connection may pipeline any number of requests.
+:func:`build_service`
+    The one way a server process builds its service, from a frozen,
+    picklable :class:`WorkerSpec`: the standalone server and every
+    shard worker of :mod:`repro.service.frontend` go through it.
 
 **Wire protocol v1** (see ``docs/api.md`` for the full schema): every
 response carries ``"v": 1``.  Success is ``{"ok": true, "v": 1, "op":
@@ -24,7 +28,10 @@ response carries ``"v": 1``.  Success is ``{"ok": true, "v": 1, "op":
 readable codes — ``unknown_op``, ``unknown_graph``, ``bad_params``,
 ``overloaded``, ``internal`` — so clients dispatch on ``code`` instead
 of parsing prose (:class:`~repro.service.client.ServiceClient` maps
-them to typed exceptions).
+them to typed exceptions).  This module's envelope helpers
+(:func:`success_envelope`, :func:`error_envelope`, :func:`stamp`,
+:func:`encode`) are the only copy: the sharded front end builds its
+own replies with them.
 
 Requests (all fields beyond ``op`` optional, with server defaults)::
 
@@ -107,13 +114,18 @@ from ..core import ALGORITHMS
 from ..engine.spec import MODELS
 from ..graph import GraphDelta
 from ..obs import (
+    check_hz,
+    check_slos,
     DEFAULT_HZ,
     EventLog,
     global_registry,
+    install_build_info,
     install_standard_collectors,
     MetricsRegistry,
     new_trace,
     NULL_LOG,
+    parse_slo,
+    RequestMetrics,
     SamplingProfiler,
     SLO,
     SLOTracker,
@@ -131,7 +143,8 @@ __all__ = [
     "RequestError",
     "ServiceServer",
     "ServiceStats",
-    "serve",
+    "WorkerSpec",
+    "build_service",
 ]
 
 PROTOCOL_VERSION = 1
@@ -293,27 +306,10 @@ class BlockerService:
         self.slow_ms = slow_ms
         self.slow_queries: deque[dict] = deque(maxlen=64)
         self._slow_lock = threading.Lock()
-        self._m_requests = self.metrics.counter(
-            "repro_requests_total",
-            "Service requests dispatched, by op",
-            labels=("op",),
-        )
-        self._m_errors = self.metrics.counter(
-            "repro_request_errors_total",
-            "Service requests answered with ok=false",
-        )
-        self._m_latency = self.metrics.histogram(
-            "repro_request_duration_seconds",
-            "Wall-clock request latency through BlockerService.handle",
-            labels=("op",),
-        )
+        self._m_requests = RequestMetrics(self.metrics)
         self._m_slow = self.metrics.counter(
             "repro_slow_queries_total",
             "Requests slower than the configured slow_ms threshold",
-        )
-        self._m_inflight = self.metrics.gauge(
-            "repro_inflight_requests",
-            "Requests currently inside BlockerService.handle",
         )
         self._telemetry: dict[str, _QueueTelemetry] = {}
         self.profiler: SamplingProfiler | None = None
@@ -346,8 +342,8 @@ class BlockerService:
         """
         op_label = "invalid"
         started = time.monotonic()
-        trace = new_trace(self._client_trace_id(request))
-        self._m_inflight.inc()
+        trace = request_trace(request)
+        self._m_requests.inflight.inc()
         try:
             with use_trace(trace):
                 if not isinstance(request, dict):
@@ -362,42 +358,23 @@ class BlockerService:
                     )
                 op_label = op
                 self.stats.count(op)
-                response: dict = {
-                    "ok": True, "v": PROTOCOL_VERSION, "op": op,
-                }
-                result = handler(request)
-                if result is not None:
-                    response["result"] = result
+                response = success_envelope(op, handler(request))
         except RequestError as error:
             self.stats.count_error()
-            response = _error_envelope(error.code, str(error), op_label)
+            response = error_envelope(error.code, str(error), op_label)
         except Exception as error:  # noqa: BLE001 - report, don't die
             self.stats.count_error()
-            response = _error_envelope(
+            response = error_envelope(
                 "internal", f"{type(error).__name__}: {error}", op_label
             )
         finally:
-            self._m_inflight.dec()
-        if isinstance(request, dict) and "id" in request:
-            response["id"] = request["id"]
-        response["trace_id"] = trace.trace_id
-        if isinstance(request, dict) and request.get("trace"):
-            response["trace"] = trace.as_dict()
+            self._m_requests.inflight.dec()
+        stamp(response, request, trace)
         self._finish_request(
             op_label, request, response, trace,
             (time.monotonic() - started) * 1000.0,
         )
         return response
-
-    def _client_trace_id(self, request) -> str | None:
-        """The client-supplied trace id, when usable (non-empty
-        string); anything else means the server assigns one."""
-        if not isinstance(request, dict):
-            return None
-        trace_id = request.get("trace_id")
-        if isinstance(trace_id, str) and trace_id.strip():
-            return trace_id.strip()[:128]
-        return None
 
     def _finish_request(
         self,
@@ -408,10 +385,9 @@ class BlockerService:
         duration_ms: float,
     ) -> None:
         """Metrics + event log + slow-query log for one request."""
-        self._m_requests.labels(op).inc()
-        self._m_latency.labels(op).observe(duration_ms / 1000.0)
-        if not response.get("ok"):
-            self._m_errors.inc()
+        self._m_requests.record(
+            op, duration_ms / 1000.0, bool(response.get("ok"))
+        )
         graph = (
             request.get("graph", DEFAULTS["graph"])
             if isinstance(request, dict)
@@ -566,9 +542,7 @@ class BlockerService:
         server's default key fields (what ``repro-imin query --stats``
         sends when no key fields were given).
         """
-        if request.get("artifact") or any(
-            f in request for f in ("graph", "model", "theta", "seed")
-        ):
+        if is_keyed_stats(request):
             key = self._artifact_key(request)
             artifact = self.cache.peek(key)
             if artifact is None:
@@ -772,13 +746,130 @@ class BlockerService:
         self.cache.close()
 
 
-def _error_envelope(code: str, message: str, op: str | None) -> dict:
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything a server process needs to build its service.
+
+    Frozen and picklable: under ``forkserver``/``spawn`` this is the
+    only state that crosses into a shard worker — workers rebuild
+    registries and caches from it, they never inherit live objects.
+    Construction runs the profiler's and the SLO tracker's own checks,
+    so a bad ``--profile-hz`` or ``--slo`` fails where the spec is
+    built, before anything binds or spawns.
+    """
+
+    scale: float = 1.0
+    edge_lists: tuple[tuple[str, str], ...] = ()
+    aliases: tuple[tuple[str, str], ...] = ()
+    """``(name, dataset_key)`` pairs registered on top of the default
+    registry — how the bench spreads one dataset across shards."""
+    cache_entries: int = 8
+    cache_bytes: int | None = None
+    cache_dir: str | None = None
+    slow_ms: float | None = None
+    profile_hz: float | None = None
+    slo_specs: tuple[str, ...] = ()
+    log_json: bool = False
+
+    def __post_init__(self) -> None:
+        if self.profile_hz is not None:
+            check_hz(self.profile_hz)
+        self.slos()
+
+    def slos(self) -> tuple[SLO, ...]:
+        """The parsed, checked ``slo_specs``."""
+        return check_slos([parse_slo(spec) for spec in self.slo_specs])
+
+
+def build_service(
+    spec: WorkerSpec,
+    worker: str,
+    log: EventLog,
+    max_pending: int | None,
+) -> BlockerService:
+    """The service of one server process, built from ``spec``.
+
+    The standalone server (``worker="standalone"``) and every shard
+    worker (``worker="0"``, ``"1"``, ...) are built here, so both
+    topologies answer from the same construction.  The service records
+    into the process-global registry — where the engine's spans and
+    kernel counters land too — tagged by ``repro_build_info{worker=}``.
+    """
+    registry = default_registry(scale=spec.scale)
+    for name, path in spec.edge_lists:
+        registry.register_edge_list(name, path)
+    for name, key in spec.aliases:
+        registry.register_dataset(name, key, scale=spec.scale)
+    cache = ArtifactCache(
+        registry,
+        max_entries=spec.cache_entries,
+        max_bytes=spec.cache_bytes,
+        cache_dir=spec.cache_dir,
+    )
+    service = BlockerService(
+        registry=registry,
+        cache=cache,
+        log=log,
+        slow_ms=spec.slow_ms,
+        max_pending=max_pending,
+        profile_hz=spec.profile_hz,
+        slos=spec.slos() or None,
+    )
+    install_build_info(service.metrics, worker=worker)
+    return service
+
+
+# ----------------------------------------------------------------------
+# the v1 envelope (shared with the sharded front end)
+# ----------------------------------------------------------------------
+def success_envelope(op: str, result: object) -> dict:
+    """The v1 success envelope (``result`` omitted when None)."""
+    response: dict = {"ok": True, "v": PROTOCOL_VERSION, "op": op}
+    if result is not None:
+        response["result"] = result
+    return response
+
+
+def error_envelope(code: str, message: str, op: str | None) -> dict:
     """The v1 failure envelope: a structured, code-first error object."""
     return {
         "ok": False,
         "v": PROTOCOL_VERSION,
         "error": {"code": code, "message": message, "op": op},
     }
+
+
+def request_trace(request) -> Trace:
+    """A fresh trace for ``request``, under the client-supplied trace
+    id when usable (a non-empty string); otherwise the server assigns
+    one."""
+    trace_id = request.get("trace_id") if isinstance(request, dict) else None
+    if isinstance(trace_id, str) and trace_id.strip():
+        return new_trace(trace_id.strip()[:128])
+    return new_trace()
+
+
+def stamp(response: dict, request, trace: Trace) -> None:
+    """Echo the request's ``id`` and carry its trace: the id always,
+    the span tree when the request asked for ``"trace": true``."""
+    if isinstance(request, dict) and "id" in request:
+        response["id"] = request["id"]
+    response["trace_id"] = trace.trace_id
+    if isinstance(request, dict) and request.get("trace"):
+        response["trace"] = trace.as_dict()
+
+
+def is_keyed_stats(request: dict) -> bool:
+    """Whether a ``stats`` request names one artifact (any key field,
+    or ``"artifact": true``) rather than the whole service."""
+    return bool(request.get("artifact")) or any(
+        f in request for f in ("graph", "model", "theta", "seed")
+    )
+
+
+def encode(message: dict) -> bytes:
+    """One JSON line on the wire."""
+    return json.dumps(message, separators=(",", ":")).encode() + b"\n"
 
 
 def _as_int(request: dict, field_name: str, default: int) -> int:
@@ -816,9 +907,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 request = json.loads(line)
             except json.JSONDecodeError as error:
                 self._send(
-                    _error_envelope(
-                        "bad_params", f"bad JSON: {error}", None
-                    )
+                    error_envelope("bad_params", f"bad JSON: {error}", None)
                 )
                 continue
             is_shutdown = (
@@ -828,19 +917,13 @@ class _Handler(socketserver.StreamRequestHandler):
             if is_shutdown:
                 service = self.server.service
                 service.stats.count("shutdown")
-                trace_id = service._client_trace_id(request)
-                if trace_id is None:
-                    trace_id = new_trace().trace_id
+                trace_id = request_trace(request).trace_id
                 service.log.event(
                     "shutdown", trace_id=trace_id, op="shutdown"
                 )
-                self._send({
-                    "ok": True,
-                    "v": PROTOCOL_VERSION,
-                    "op": "shutdown",
-                    "result": "bye",
-                    "trace_id": trace_id,
-                })
+                response = success_envelope("shutdown", "bye")
+                response["trace_id"] = trace_id
+                self._send(response)
                 # the reply is flushed; shutdown() then waits (at most
                 # one poll interval) for the serve_forever loop, which
                 # runs on another thread, to stop accepting
@@ -849,9 +932,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._send(self.server.service.handle(request))
 
     def _send(self, response: dict) -> None:
-        self.wfile.write(
-            json.dumps(response, separators=(",", ":")).encode() + b"\n"
-        )
+        self.wfile.write(encode(response))
         self.wfile.flush()
 
 
@@ -859,7 +940,10 @@ class ServiceServer(socketserver.ThreadingTCPServer):
     """JSON-lines TCP front of a :class:`BlockerService`.
 
     ``port=0`` binds an ephemeral port (see ``server_address[1]``) —
-    what the tests and benchmark harness use.
+    what the tests and benchmark harness use.  Construction binds
+    without entering the loop: callers run ``serve_forever()``
+    themselves.  A failed bind raises its ``OSError`` and closes the
+    service.
     """
 
     allow_reuse_address = True
@@ -870,23 +954,11 @@ class ServiceServer(socketserver.ThreadingTCPServer):
         address: tuple[str, int],
         service: BlockerService,
     ) -> None:
-        super().__init__(address, _Handler)
+        # assigned first: a failed bind calls server_close() from
+        # inside TCPServer.__init__
         self.service = service
+        super().__init__(address, _Handler)
 
     def server_close(self) -> None:
         super().server_close()
         self.service.close()
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    service: BlockerService,
-) -> ServiceServer:
-    """Bind a :class:`ServiceServer` (without entering its loop).
-
-    Callers run ``server.serve_forever()`` themselves — the CLI does
-    it on the main thread, tests in a daemon thread.
-    """
-    return ServiceServer((host, port), service)

@@ -1,6 +1,7 @@
 """Smoke tests for the command-line interface."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -211,7 +212,9 @@ class TestServeQueryVerbs:
         def registry(*args, **kwargs):
             raise AssertionError("registry built before validation")
 
-        monkeypatch.setattr("repro.service.default_registry", registry)
+        monkeypatch.setattr(
+            "repro.service.server.default_registry", registry
+        )
         assert main(["serve", "--port", "0", *flags]) == 2
         assert f"error: {message}" in capsys.readouterr().out
 
@@ -234,6 +237,51 @@ class TestServeQueryVerbs:
         )
         assert spawned == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--profile-hz", "0"], "hz must be in (0, 1000]"),
+            (
+                ["--slo", "p99=250ms", "--slo", "p99=250ms"],
+                "duplicate SLO specs",
+            ),
+        ],
+        ids=["profile-hz-0", "duplicate-slo"],
+    )
+    def test_sharded_serve_rejects_bad_flags_before_spawning(
+        self, capsys, monkeypatch, flags, message
+    ):
+        from repro.service.frontend import WorkerHandle
+
+        spawned = []
+
+        def spawn(handle, *args, **kwargs):
+            spawned.append(handle.index)
+            raise RuntimeError("shard worker spawned")
+
+        monkeypatch.setattr(WorkerHandle, "start", spawn)
+        argv = ["serve", "--port", "0", "--serve-workers", "1", *flags]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {message}")
+        assert len(out.splitlines()) == 1
+        assert spawned == []
+
+    @pytest.mark.parametrize("workers", [[], ["--serve-workers", "1"]])
+    def test_serve_on_busy_port_reports_the_bind_error(
+        self, capsys, workers
+    ):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = str(busy.getsockname()[1])
+            code = main(
+                ["serve", "--scale", "0.05", "--port", port, *workers]
+            )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and len(out.splitlines()) == 1
+
     def test_query_against_unreachable_server(self, capsys):
         code = main(
             ["query", "ping", "--port", "1", "--timeout", "0.5"]
@@ -248,7 +296,7 @@ class TestServeQueryVerbs:
             ArtifactCache,
             BlockerService,
             default_registry,
-            serve,
+            ServiceServer,
         )
 
         registry = default_registry(scale=0.05)
@@ -256,7 +304,7 @@ class TestServeQueryVerbs:
             registry=registry,
             cache=ArtifactCache(registry, max_entries=2),
         )
-        server = serve(port=0, service=service)
+        server = ServiceServer(("127.0.0.1", 0), service)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
@@ -408,7 +456,7 @@ class TestUpdateVerb:
             ArtifactCache,
             BlockerService,
             default_registry,
-            serve,
+            ServiceServer,
         )
 
         registry = default_registry(scale=0.05)
@@ -416,7 +464,7 @@ class TestUpdateVerb:
             registry=registry,
             cache=ArtifactCache(registry, max_entries=2),
         )
-        server = serve(port=0, service=service)
+        server = ServiceServer(("127.0.0.1", 0), service)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )

@@ -1,6 +1,5 @@
 """Unit tests for the CSR graph snapshot."""
 
-import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, DiGraph

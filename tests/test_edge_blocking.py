@@ -6,7 +6,7 @@ from repro.core import (
     edge_decrease_computation,
     greedy_edge_blocking,
 )
-from repro.datasets import figure1_graph, figure1_seed, V
+from repro.datasets import figure1_graph, figure1_seed
 from repro.graph import DiGraph
 from repro.sampling import ICSampler
 from repro.spread import exact_expected_spread

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.datasets import figure1_graph, figure1_seed, V

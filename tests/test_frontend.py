@@ -8,12 +8,12 @@ request travels:
   versions, and power-of-two ladders nest (shard at 4 mod 2 is the
   shard at 2).
 * Queries through a 2-worker front end are **bit-identical** to a
-  single-process serial service: sharding and shard-local coalescing
-  are pure routing, never semantics.  LRU eviction inside one shard
-  (cache_entries=1, two graphs on one worker) keeps the same property.
-* Accounting reconciles: per-worker executor ``submitted ==
-  completed`` after concurrent load, and a graph's traffic lands on
-  exactly its owning shard.
+  single-process serial service: sharding is pure routing, never
+  semantics.  LRU eviction inside one shard (cache_entries=1, two
+  graphs on one worker) keeps the same property.
+* Accounting reconciles: each worker's admission counters read
+  ``submitted == completed`` after concurrent load, and a graph's
+  traffic lands on exactly its owning shard.
 * Supervision: SIGKILL a worker and the supervisor restarts it; a
   retrying client rides through the crash.
 * Graceful drain: every accepted request completes (zero loss),
@@ -22,7 +22,8 @@ request travels:
 * The client's bounded retry: exactly one retry, idempotent verbs
   only, covering connection loss and the ``draining`` code.
 * Observability plumbing: merged exposition with the ``worker``
-  label, ``repro_build_info`` from every process, ``/healthz``
+  label, ``repro_build_info`` from every process, each shard's spans
+  and selection counters under its own label, ``/healthz``
   going 503 when a shard is down, and the recorded
   ``check_bench_regression.py --adopt`` baseline step.
 """
@@ -352,6 +353,30 @@ class TestShardedRouting:
         ]
         assert len(build) == 3
         assert all(line.count('worker="') == 1 for line in build)
+
+    def test_worker_scrape_carries_engine_metrics(self, frontend2):
+        # spans and selection counters record into each worker's
+        # process-global registry, which is the one it renders
+        owner = shard_for("toy", 2)
+        with _client(frontend2) as client:
+            client.spread(graph="toy", theta=100, seed=7, seeds=[0, 1])
+            client.block(
+                graph="toy", theta=100, seed=7, seeds=[0, 1], budget=2
+            )
+        lines = frontend2.render_metrics().splitlines()
+
+        def values(prefix: str) -> list[float]:
+            return [
+                float(line.rsplit(" ", 1)[1])
+                for line in lines
+                if line.startswith(prefix)
+            ]
+
+        tag = f'{{worker="{owner}"'
+        spans = values(f"repro_span_duration_seconds_count{tag},")
+        assert spans and max(spans) > 0
+        celf = values(f"repro_celf_evaluations_total{tag}}}")
+        assert celf and celf[0] > 0
 
     def test_trace_includes_frontend_route_span(self, frontend2):
         with _client(frontend2) as client:

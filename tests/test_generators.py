@@ -1,6 +1,5 @@
 """Unit tests for the random-graph generators."""
 
-import numpy as np
 import pytest
 
 from repro.graph import (
@@ -12,7 +11,6 @@ from repro.graph import (
     powerlaw_cluster,
     random_dag,
     random_out_tree,
-    reachable_set,
     watts_strogatz,
 )
 

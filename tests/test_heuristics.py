@@ -1,7 +1,5 @@
 """Unit tests for the simple blocker heuristics."""
 
-import pytest
-
 from repro.core import (
     betweenness_blockers,
     degree_blockers,

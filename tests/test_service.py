@@ -25,15 +25,14 @@ import pytest
 from repro.datasets import figure1_graph
 from repro.graph import GraphDelta
 from repro.service import (
-    Artifact,
     ArtifactCache,
     ArtifactKey,
     BlockerService,
     default_registry,
     GraphRegistry,
-    serve,
     ServiceClient,
     ServiceError,
+    ServiceServer,
 )
 from repro.service.cache import SharedLock
 
@@ -55,7 +54,7 @@ def running_server(registry):
     service = BlockerService(
         registry=registry, cache=ArtifactCache(registry, max_entries=3)
     )
-    server = serve(port=0, service=service)
+    server = ServiceServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -661,7 +660,7 @@ class TestServer:
 
     def test_shutdown_op_stops_server(self, registry):
         service = BlockerService(registry=registry)
-        server = serve(port=0, service=service)
+        server = ServiceServer(("127.0.0.1", 0), service)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
@@ -672,6 +671,19 @@ class TestServer:
         thread.join(timeout=5)
         assert not thread.is_alive()
         server.server_close()
+
+    def test_bind_to_busy_port_raises_and_closes_service(
+        self, registry, monkeypatch
+    ):
+        service = BlockerService(registry=registry)
+        closed = []
+        monkeypatch.setattr(service, "close", lambda: closed.append(1))
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            with pytest.raises(OSError):
+                ServiceServer(busy.getsockname(), service)
+        assert closed == [1]
 
 
 # ----------------------------------------------------------------------
@@ -717,7 +729,7 @@ class TestConcurrency:
 
         # concurrent: one warm artifact, one thread per query
         service = BlockerService(registry=registry)
-        server = serve(port=0, service=service)
+        server = ServiceServer(("127.0.0.1", 0), service)
         server_thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
@@ -980,7 +992,7 @@ class TestWireProtocolV1:
         from repro.service import OverloadedError
 
         service = BlockerService(registry=registry, max_pending=0)
-        server = serve(port=0, service=service)
+        server = ServiceServer(("127.0.0.1", 0), service)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )
@@ -1417,7 +1429,7 @@ class TestProfileOp:
         service = BlockerService(
             registry=registry, metrics=MetricsRegistry()
         )
-        server = serve(port=0, service=service)
+        server = ServiceServer(("127.0.0.1", 0), service)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )

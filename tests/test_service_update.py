@@ -3,7 +3,7 @@ the incremental graph-delta path.
 
 The contracts under test: an update mutates the warm artifact through
 ``apply_delta`` (rebased, not rebuilt), serialises with in-flight
-queries on the same artifact's executor, journals every applied delta
+queries under the same artifact's lock, journals every applied delta
 under a client-supplied monotone ``seq`` so a connection-reset resend
 can never double-apply, evicts stale sibling artifacts of the same
 graph, and — with a cache directory — leaves post-delta artifacts on

@@ -14,7 +14,6 @@ from repro.obs import (
     DEFAULT_WINDOW_SECONDS,
     MetricsRegistry,
     parse_slo,
-    SLO,
     SLOTracker,
 )
 
