@@ -605,6 +605,10 @@ def _cmd_block(args) -> int:
 
 def _cmd_spread(args) -> int:
     graph, seeds = _load(args)
+    bad = [v for v in args.block if not 0 <= v < graph.n]
+    if bad:
+        print(f"error: --block id {bad[0]} out of range [0, {graph.n})")
+        return 2
     blocked = [v for v in args.block if v not in set(seeds)]
     if len(blocked) != len(args.block):
         print("note: ignoring blocked ids that are seeds")

@@ -4,9 +4,12 @@ The paper's key efficiency contribution: estimate, for *every*
 candidate blocker ``u`` at once, the decrease of expected spread caused
 by blocking ``u``.  Per sampled graph ``g``:
 
-1. draw the live-edge graph (one vectorised coin flip per edge);
+1. draw the live-edge graph from the ``EdgeSampler``, in chunks of
+   samples (:func:`~repro.engine.pool.sampler_batches`);
 2. build the dominator tree of the part of ``g`` reachable from the
-   source with Lengauer–Tarjan;
+   source with Lengauer–Tarjan, a whole chunk per call
+   (:meth:`~repro.engine.treebuild.TreeBuilder.build_packed`: the
+   compiled kernel, or the array-native Python path);
 3. the subtree size of ``u`` equals ``sigma->u(s, g)`` (Theorem 6), and
    averaging over ``theta`` samples estimates the spread decrease
    (Theorem 4, with the Theorem 5 error guarantee).
@@ -19,16 +22,17 @@ greedy loops for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ..dominator import dominator_tree_arrays, subtree_sizes
+from ..engine.pool import SampleBatch, sampler_batches
+from ..engine.treebuild import subtree_size_sums, TreeBuilder
 from ..graph import CSRGraph, DiGraph
 from ..rng import RngLike
-from ..sampling import adjacency_from_edges, EdgeSampler, ICSampler
+from ..sampling import EdgeSampler, ICSampler
 
-__all__ = ["DecreaseResult", "decrease_es_computation"]
+__all__ = ["DecreaseResult", "decrease_es_computation", "sampled_decrease"]
 
 
 @dataclass(frozen=True)
@@ -106,32 +110,46 @@ def decrease_es_computation(
         sampler: EdgeSampler = ICSampler(graph_or_sampler, rng)
     else:
         sampler = graph_or_sampler
+    n = sampler.csr.n
+    if not 0 <= source < n:
+        raise IndexError(f"source {source} is not a vertex")
     blocked_list = list(blocked)
     if blocked_list:
         if source in blocked_list:
             raise ValueError("the source cannot be blocked")
         sampler.block(blocked_list)
+    return sampled_decrease(
+        TreeBuilder(sampler.csr), sampler_batches(sampler, theta),
+        source, theta, (),
+    )
 
-    n = sampler.csr.n
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} is not a vertex")
 
-    delta = np.zeros(n, dtype=np.float64)
+def sampled_decrease(
+    builder: TreeBuilder,
+    batches: Iterable[SampleBatch],
+    source: int,
+    theta: int,
+    blocked: Sequence[int],
+) -> DecreaseResult:
+    """Algorithm 2's estimates over ``theta`` samples given in
+    ``batches``, with ``blocked`` cut out of every sample.
+
+    Each batch's trees are rooted at the virtual source with one edge
+    to ``source``, so every vertex's subtree is the one it has in the
+    tree rooted at ``source``; the source's own entry (its reach
+    count) is zeroed.
+    """
+    n = builder.csr.n
+    sums = np.zeros(n + 1, dtype=np.float64)
     spread_total = 0
-    for _ in range(theta):
-        succ = adjacency_from_edges(
-            sampler.csr, sampler.sample_surviving_edges()
+    for batch in batches:
+        lengths, orders, sizes = builder.build_packed(
+            batch, range(batch.theta), [source], blocked
         )
-        order, idom = dominator_tree_arrays(succ, source)
-        spread_total += len(order)
-        if len(order) > 1:
-            sizes = subtree_sizes(idom)
-            np.add.at(
-                delta,
-                np.asarray(order[1:], dtype=np.int64),
-                np.asarray(sizes[1:], dtype=np.float64),
-            )
-    delta /= theta
+        sums += subtree_size_sums(lengths, orders, sizes, n)
+        spread_total += int(lengths.sum()) - batch.theta
+    delta = sums[:n] / theta
+    delta[source] = 0.0
     return DecreaseResult(
         delta=delta, spread=spread_total / theta, theta=theta
     )

@@ -5,8 +5,8 @@ round, so consecutive rounds compare candidates on *different* random
 worlds — each round pays the sampling cost again and the marginal
 estimates carry independent noise.  This variant draws the pool of
 sampled graphs **once** and evaluates every greedy round against the
-same fixed worlds, with blocked vertices filtered out of the pool's
-adjacency:
+same fixed worlds, with blocked vertices cut out of every pooled
+sample when its tree is built:
 
 * *common random numbers*: the marginal decrease of round ``i`` versus
   round ``i+1`` is measured on identical worlds, removing the
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from typing import Sequence, TYPE_CHECKING
 
-import numpy as np
-
-from ..dominator import dominator_tree_arrays, subtree_sizes
+from ..engine.pool import sampler_batches
+from ..engine.treebuild import TreeBuilder
 from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
-from ..sampling import adjacency_from_edges, EdgeSampler, ICSampler
+from ..sampling import EdgeSampler, ICSampler
 from .advanced_greedy import BlockingResult, lazy_blocking, SamplerFactory
+from .decrease import sampled_decrease
 from .lazy import selects_through_sketch
 from .problem import unify_seeds
 
@@ -82,57 +82,25 @@ def static_sample_greedy(
         sampler = sampler_factory(unified.graph, gen)
     source = unified.source
     n = unified.graph.n
+    builder = TreeBuilder(sampler.csr)
+    pool = list(sampler_batches(sampler, theta))
 
-    pool = [
-        adjacency_from_edges(sampler.csr, sampler.sample_surviving_edges())
-        for _ in range(theta)
-    ]
-
-    blocked: set[int] = set()
     blockers: list[int] = []
     round_spreads: list[float] = []
     round_deltas: list[float] = []
-    estimated = 0.0
-
     for _ in range(max(1, min(budget, n - 1))):
-        delta = np.zeros(n, dtype=np.float64)
-        spread_total = 0
-        for succ in pool:
-            filtered = _filtered_adjacency(succ, blocked)
-            order, idom = dominator_tree_arrays(filtered, source)
-            spread_total += len(order)
-            if len(order) > 1:
-                sizes = subtree_sizes(idom)
-                np.add.at(
-                    delta,
-                    np.asarray(order[1:], dtype=np.int64),
-                    np.asarray(sizes[1:], dtype=np.float64),
-                )
-        delta /= theta
-        spread = spread_total / theta
-        if not blockers:
-            estimated = spread
-
-        if len(blockers) >= budget:
-            # budget 0: we only wanted the spread estimate
-            round_spreads.append(spread)
-            break
-
-        values = delta.tolist()
-        best = -1
-        best_value = 0.0
-        for u in range(n):
-            if u != source and u not in blocked and values[u] > best_value:
-                best = u
-                best_value = values[u]
+        result = sampled_decrease(builder, pool, source, theta, blockers)
+        spread = result.spread
         round_spreads.append(spread)
-        if best < 0:
-            estimated = spread
+        estimated = spread
+        if len(blockers) >= budget:
+            break  # budget 0: we only wanted the spread estimate
+        best = result.best_vertex(exclude=[source, *blockers])
+        if best < 0 or result.delta[best] <= 0.0:
             break
-        blocked.add(best)
         blockers.append(best)
-        round_deltas.append(best_value)
-        estimated = spread - best_value
+        round_deltas.append(float(result.delta[best]))
+        estimated = spread - round_deltas[-1]
 
     blockers_original = unified.blockers_to_original(blockers)
     estimated_original = unified.spread_to_original(estimated)
@@ -147,15 +115,3 @@ def static_sample_greedy(
         round_deltas=round_deltas,
     )
 
-
-def _filtered_adjacency(
-    succ: dict[int, list[int]], blocked: set[int]
-) -> dict[int, list[int]]:
-    """The sampled graph with blocked vertices removed."""
-    if not blocked:
-        return succ
-    return {
-        u: [v for v in nbrs if v not in blocked]
-        for u, nbrs in succ.items()
-        if u not in blocked
-    }

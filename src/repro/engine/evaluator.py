@@ -62,6 +62,7 @@ __all__ = [
     "BACKENDS",
     "EngineSpec",
     "build_evaluator",
+    "reach_counts",
 ]
 
 
@@ -204,65 +205,63 @@ class PooledEvaluator(_EvaluatorLifecycle):
         blocked_sets: Sequence[Iterable[int]],
     ) -> list[float]:
         """One estimate per blocked set over the first ``rounds``
-        pooled samples.
-
-        Each estimate is an integer sum of per-sample reach counts
-        divided by ``rounds``.  The compiled reach kernel
-        (:func:`~repro.native.native_reach_counts`) counts straight
-        from the pool's flat sample arrays, one call per blocked set.
-        Without it, the fallback streams chunks of a boolean aliveness
-        matrix through :func:`reach_counts_from_alive`, materialising
-        each chunk once for the whole batch (the judge scores the
-        unblocked and blocked sets together) instead of once per set.
-        Both paths sum the same integers, so results are bit-identical
-        to ``len(blocked_sets)`` separate :meth:`expected_spread`
-        calls, on either path — batching is invisible to callers
-        comparing against serial execution.
+        pooled samples: each is an integer sum of the per-sample
+        :func:`reach_counts` divided by ``rounds``, so batching the
+        sets is invisible to callers comparing against ``len(
+        blocked_sets)`` separate :meth:`expected_spread` calls.
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")
         if not blocked_sets:
             return []
         batch = self.pool.get(rounds)
-        seed_list = list(seeds)
-        blocked_lists = [list(b) for b in blocked_sets]
-        totals = self._native_totals(batch, seed_list, blocked_lists)
-        if totals is None:
-            step = auto_batch_size(max(self.csr.m, self.csr.n))
-            totals = [0] * len(blocked_lists)
-            for lo in range(0, rounds, step):
-                hi = min(lo + step, rounds)
-                alive = batch.alive_matrix(lo, hi)
-                for i, blocked_list in enumerate(blocked_lists):
-                    totals[i] += int(
-                        reach_counts_from_alive(
-                            self.csr, seed_list, alive, blocked_list
-                        ).sum()
-                    )
-        return [total / rounds for total in totals]
+        counts = reach_counts(self.pool.csr, batch, seeds, blocked_sets)
+        return [int(row.sum()) / rounds for row in counts]
 
-    def _native_totals(
-        self,
-        batch: SampleBatch,
-        seed_list: list[int],
-        blocked_lists: list[list[int]],
-    ) -> list[int] | None:
-        """Reach-count totals from the compiled kernel, one per blocked
-        set, or ``None`` when it is unavailable."""
-        csr = self.pool.csr
-        seed_arr = np.asarray(seed_list, dtype=np.int64)
-        totals = []
-        for blocked_list in blocked_lists:
-            # validates every id before it can reach the kernel
-            mask = _blocked_mask(csr.n, blocked_list, seed_list)
-            counts = native_reach_counts(
-                csr.n, csr.indptr, csr.indices, batch.positions,
-                batch.offsets, batch.theta, seed_arr, mask.view(np.uint8),
+
+def reach_counts(
+    csr: CSRGraph,
+    batch: SampleBatch,
+    seeds: Sequence[int],
+    blocked_sets: Sequence[Iterable[int]],
+) -> np.ndarray:
+    """``int64[len(blocked_sets), batch.theta]`` reach counts of
+    ``seeds`` (each once) in every sample of ``batch``.
+
+    The compiled reach kernel (:func:`~repro.native.native_reach_counts`)
+    counts straight from the batch's flat arrays, one call per blocked
+    set.  Without it, the fallback streams chunks of a boolean
+    aliveness matrix through :func:`reach_counts_from_alive`,
+    materialising each chunk once for every blocked set (the judge
+    scores the unblocked and blocked sets together) instead of once
+    per set.  Both paths count the same vertices.  Ids are checked
+    first: an out-of-range seed raises ``IndexError``, an out-of-range
+    or seed blocked id ``ValueError``.
+    """
+    seed_list = list(seeds)
+    blocked_lists = [list(b) for b in blocked_sets]
+    seed_arr = np.asarray(seed_list, dtype=np.int64)
+    out = np.empty((len(blocked_lists), batch.theta), dtype=np.int64)
+    for i, blocked_list in enumerate(blocked_lists):
+        mask = _blocked_mask(csr.n, blocked_list, seed_list)
+        counts = native_reach_counts(
+            csr.n, csr.indptr, csr.indices, batch.positions,
+            batch.offsets, batch.theta, seed_arr, mask.view(np.uint8),
+        )
+        if counts is None:
+            break
+        out[i] = counts
+    else:
+        return out
+    step = auto_batch_size(max(csr.m, csr.n))
+    for lo in range(0, batch.theta, step):
+        hi = min(lo + step, batch.theta)
+        alive = batch.alive_matrix(lo, hi)
+        for i, blocked_list in enumerate(blocked_lists):
+            out[i, lo:hi] = reach_counts_from_alive(
+                csr, seed_list, alive, blocked_list
             )
-            if counts is None:
-                return None
-            totals.append(int(counts.sum()))
-        return totals
+    return out
 
 
 def build_evaluator(

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,7 +44,10 @@ from ..native import native_draw_samples
 from ..obs import span, track
 from ..rng import ensure_rng, RngLike
 
-__all__ = ["PoolDeltaReport", "SampleBatch", "SamplePool", "PoolStats"]
+__all__ = [
+    "PoolDeltaReport", "SampleBatch", "SamplePool", "PoolStats",
+    "sampler_batches",
+]
 
 # cap on the (chunk, m) hash matrix the numpy draw and the delta patch
 # materialise per step; the coin kernel allocates no such matrix
@@ -200,6 +204,22 @@ class SampleBatch:
     @property
     def nbytes(self) -> int:
         return int(self.offsets.nbytes + self.positions.nbytes)
+
+
+def sampler_batches(sampler, theta: int) -> Iterator[SampleBatch]:
+    """``theta`` draws of an :class:`~repro.sampling.EdgeSampler`, in
+    order, as :class:`SampleBatch` chunks of at most
+    ``_COIN_CELL_BUDGET // m`` samples (the numpy draw's bound)."""
+    m = sampler.csr.m
+    chunk = max(1, _COIN_CELL_BUDGET // max(m, 1))
+    for lo in range(0, theta, chunk):
+        draws = [
+            sampler.sample_surviving_edges()
+            for _ in range(min(chunk, theta - lo))
+        ]
+        offsets = np.cumsum([0, *map(len, draws)], dtype=np.int64)
+        positions = np.concatenate(draws).astype(np.int64, copy=False)
+        yield SampleBatch(len(draws), offsets, positions, m)
 
 
 @dataclass(frozen=True)

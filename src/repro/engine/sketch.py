@@ -80,7 +80,7 @@ from ..obs import global_registry, span, track
 from ..rng import RngLike
 from .kernels import postings_csr, ragged_arange
 from .pool import PoolDeltaReport, SampleBatch, SamplePool
-from .treebuild import TreeBuilder
+from .treebuild import _payload_mask, subtree_size_sums, TreeBuilder
 
 __all__ = ["SketchIndex", "SketchStats"]
 
@@ -246,7 +246,6 @@ class _ArenaSketchView:
         self.blocked: frozenset[int] = frozenset()
         self._writable = True
         n = csr.n
-        self._delta_sum = np.zeros(n + 1, dtype=np.float64)
         self._accounted_arena = 0
         self._accounted_postings = 0
 
@@ -263,21 +262,9 @@ class _ArenaSketchView:
         self._order_arena = np.ascontiguousarray(orders, dtype=np.int64)
         self._sizes_arena = np.ascontiguousarray(sizes, dtype=np.int64)
         self._spread_sum = int(self._used - self.theta)
-
-        # aggregate all subtree sizes minus each tree's root entry —
-        # one bincount scatter (exact: all-integer float64 arithmetic,
-        # so the ordering vs per-sample np.add.at scatters cancels)
-        payload_mask = np.ones(self._used, dtype=bool)
-        payload_mask[starts] = False
-        verts = self._order_arena[payload_mask]
-        if verts.shape[0]:
-            self._delta_sum += np.bincount(
-                verts,
-                weights=self._sizes_arena[payload_mask].astype(
-                    np.float64
-                ),
-                minlength=n + 1,
-            )
+        self._delta_sum = subtree_size_sums(
+            self._lengths, self._order_arena, self._sizes_arena, n
+        )
         self._rebuild_postings()
         self._sync_bytes()
 
@@ -574,27 +561,15 @@ class _ArenaSketchView:
         old_flat = np.repeat(
             self._starts[touched], old_lengths
         ) + ragged_arange(old_lengths)
-        old_orders = self._order_arena[old_flat]
-        old_sizes = self._sizes_arena[old_flat]
-        old_mask = _payload_mask(old_lengths)
-        new_mask = _payload_mask(lengths)
-
-        # -/+ subtree-size deltas of every touched sample in one
-        # bincount scatter (all-integer float64 arithmetic, so the
-        # reordering vs per-sample scatters is exact)
-        verts = np.concatenate(
-            [old_orders[old_mask], orders[new_mask]]
+        # -/+ subtree-size totals of every touched sample (exact
+        # integer sums, so the reordering vs per-sample scatters cancels)
+        n = self.csr.n
+        self._delta_sum += subtree_size_sums(
+            lengths, orders, sizes, n
+        ) - subtree_size_sums(
+            old_lengths, self._order_arena[old_flat],
+            self._sizes_arena[old_flat], n,
         )
-        weights = np.concatenate(
-            [
-                -old_sizes[old_mask].astype(np.float64),
-                sizes[new_mask].astype(np.float64),
-            ]
-        )
-        if verts.shape[0]:
-            self._delta_sum += np.bincount(
-                verts, weights=weights, minlength=self.csr.n + 1
-            )
         self._spread_sum += int(lengths.sum()) - int(old_lengths.sum())
 
         # arena write-back: in place when the new tree fits its slot
@@ -798,17 +773,6 @@ def _artifact_shapes_ok(
         arrays[tag].ndim == 1 and arrays[tag].shape[0] == size
         for tag, size in expected.items()
     ) and bool(arrays["palive"].dtype == np.bool_)
-
-
-def _payload_mask(lengths: np.ndarray) -> np.ndarray:
-    """Mask selecting non-root entries of concatenated tree payloads
-    (each tree's root sits at its own offset 0)."""
-    total = int(lengths.sum())
-    mask = np.ones(total, dtype=bool)
-    roots = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=roots[1:])
-    mask[roots] = False
-    return mask
 
 
 class SketchIndex:

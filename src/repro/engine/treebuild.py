@@ -14,13 +14,15 @@ fraction of the graph.  This module is the flat-array replacement:
   compiled batched kernel (:mod:`repro.native`) when the host can
   build it and the per-sample Python path otherwise.
 
-Every tree is a pure function of its sample, and the aggregation the
-sketch index performs over trees is exact integer arithmetic in
-float64, so the native and Python paths are bit-identical — and
-bit-identical to the historical per-sample Python path, which is what
-lets the refactor keep blocker selections and spread estimates
-unchanged at fixed seeds (pinned by ``tests/test_sketch.py`` and the
-``bench_sketch_build.py`` identity check).
+Both the sketch index and Algorithm 2 (:mod:`repro.core.decrease`)
+build their trees here.  Every tree is a pure function of its sample,
+and :func:`subtree_size_sums` aggregates over trees in exact integer
+arithmetic in float64, so the native and Python paths are
+bit-identical — and bit-identical to the historical per-sample
+dict-adjacency path, which keeps blocker selections and spread
+estimates unchanged at fixed seeds (pinned by
+``tests/test_golden_coins.py`` and the ``bench_sketch_build.py``
+identity check).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .pool import SampleBatch
 
 __all__ = [
     "build_sample_tree",
+    "subtree_size_sums",
     "TreeBuilder",
 ]
 
@@ -57,6 +60,30 @@ def build_sample_tree(
     """
     indptr, indices = sample_csr(csr, positions, seeds, blocked)
     return dominator_order_sizes_csr(indptr, indices, csr.n)
+
+
+def _payload_mask(lengths: np.ndarray) -> np.ndarray:
+    """Mask selecting non-root entries of concatenated tree payloads
+    (each tree's root sits at its own offset 0)."""
+    total = int(lengths.sum())
+    mask = np.ones(total, dtype=bool)
+    roots = np.zeros(lengths.shape[0], dtype=np.int64)
+    np.cumsum(lengths[:-1], out=roots[1:])
+    mask[roots] = False
+    return mask
+
+
+def subtree_size_sums(
+    lengths: np.ndarray, orders: np.ndarray, sizes: np.ndarray, n: int
+) -> np.ndarray:
+    """``float64[n + 1]``: each vertex's subtree sizes summed over a
+    :meth:`TreeBuilder.build_packed` payload batch, roots skipped."""
+    keep = _payload_mask(lengths)
+    return np.bincount(
+        orders[keep],
+        weights=sizes[keep].astype(np.float64),
+        minlength=n + 1,
+    )
 
 
 class TreeBuilder:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ..engine.kernels import _checked_ids
 from ..graph import CSRGraph, DiGraph
 from ..rng import ensure_rng, RngLike
 
@@ -78,8 +79,9 @@ class LinearThresholdSampler:
         return frozenset(self._blocked)
 
     def block(self, vertices: Iterable[int]) -> None:
+        _, ids = _checked_ids(self.csr.n, (), vertices)
         changed = False
-        for v in vertices:
+        for v in ids.tolist():
             if v not in self._blocked:
                 self._blocked.add(v)
                 changed = True
@@ -164,7 +166,8 @@ class GeneralTriggeringSampler:
         return frozenset(self._blocked)
 
     def block(self, vertices: Iterable[int]) -> None:
-        self._blocked.update(vertices)
+        _, ids = _checked_ids(self.csr.n, (), vertices)
+        self._blocked.update(ids.tolist())
 
     def unblock(self, vertices: Iterable[int]) -> None:
         self._blocked.difference_update(vertices)

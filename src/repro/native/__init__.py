@@ -23,7 +23,7 @@ process.
 The consumers are
 :meth:`repro.engine.treebuild.TreeBuilder.build_packed`
 (:func:`native_build_trees`),
-:meth:`repro.engine.evaluator.PooledEvaluator.expected_spread_many`
+:func:`repro.engine.evaluator.reach_counts`
 (:func:`native_reach_counts`) and the growth step of
 :class:`repro.engine.pool.SamplePool` (:func:`native_draw_samples`).
 A further kernel follows the same pattern: add its C to

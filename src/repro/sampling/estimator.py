@@ -10,7 +10,9 @@ dominator-subtree estimator: with
 :func:`estimate_spread_sampled` is the Lemma-1 estimator
 ``E[sigma(s, g)] = E({s}, G)`` with a normal-approximation confidence
 interval — handy for sanity checks and for the theta-sweep experiment
-(Figures 5/6).
+(Figures 5/6).  It counts reach through the engine
+(:func:`repro.engine.evaluator.reach_counts`), the pooled evaluator's
+counter.
 """
 
 from __future__ import annotations
@@ -19,7 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..graph import CSRGraph, DiGraph, reachable_set_adj
+import numpy as np
+
+from ..engine.evaluator import reach_counts
+from ..engine.pool import sampler_batches
+from ..graph import CSRGraph, DiGraph
 from ..rng import RngLike
 from .live_edge import ICSampler
 
@@ -140,24 +146,20 @@ def estimate_spread_sampled(
     Draws ``theta`` live-edge graphs and averages the size of the set
     reachable from the seeds.  For multiple seeds, reachability is taken
     from all seeds jointly (equivalent to the unified-seed transform).
+    An out-of-range seed raises ``IndexError``; an out-of-range blocked
+    id ``ValueError``.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     sampler = ICSampler(graph, rng)
     sampler.block(blocked)
-    seed_list = list(seeds)
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(theta):
-        succ = sampler.sample_adjacency()
-        # joint reachability from all seeds: virtual super-source
-        seen: set[int] = set()
-        for s in seed_list:
-            if s not in seen:
-                seen |= reachable_set_adj(succ, s)
-        count = float(len(seen))
-        total += count
-        total_sq += count * count
+    total = 0
+    total_sq = 0
+    for batch in sampler_batches(sampler, theta):
+        # the sampler already dropped every blocked edge
+        counts = reach_counts(sampler.csr, batch, seeds, [()])[0]
+        total += int(counts.sum())
+        total_sq += int(np.dot(counts, counts))
     mean = total / theta
     variance = max(0.0, total_sq / theta - mean * mean)
     std_error = math.sqrt(variance / theta)

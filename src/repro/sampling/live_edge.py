@@ -2,16 +2,18 @@
 
 A *random sampled graph* ``g ~ G`` keeps every edge ``(u, v)``
 independently with probability ``p(u, v)``.  The estimator of
-Algorithm 2 consumes one sampled graph per iteration as an adjacency
-mapping restricted to surviving edges; this module produces those
-mappings efficiently:
+Algorithm 2 consumes one sampled graph per iteration as its surviving
+edge positions, which the engine turns into trees and reach counts
+(:func:`repro.engine.pool.sampler_batches`); this module draws them
+efficiently:
 
 * all edge coins are drawn in one vectorised numpy call;
 * blocking is folded into the *effective* probabilities (an edge
   incident to a blocked vertex survives with probability 0), so the hot
-  loop never tests a blocked set;
-* only surviving edges are touched when building adjacency, which under
-  the TR model is a few percent of ``m``.
+  loop never tests a blocked set.
+
+:func:`adjacency_from_edges` turns a draw into a dict adjacency, the
+reference form tests and benchmarks check the engine against.
 
 :class:`ICSampler` implements the independent cascade distribution;
 :class:`~repro.models.triggering.TriggeringSampler` implements the
@@ -26,6 +28,7 @@ from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..engine.kernels import _checked_ids
 from ..graph import CSRGraph, DiGraph
 from ..rng import ensure_rng, RngLike
 
@@ -45,7 +48,8 @@ class EdgeSampler(Protocol):
         """Restore previously blocked vertices (GreedyReplace phase 2)."""
 
     def sample_surviving_edges(self) -> np.ndarray:
-        """Edge positions (into the CSR arrays) surviving one draw."""
+        """Edge positions (into the CSR arrays) surviving one draw,
+        ascending — the order the engine's kernels read."""
 
 
 def adjacency_from_edges(
@@ -83,10 +87,12 @@ class ICSampler:
 
         Incremental: each call only rewrites the edge slices of the new
         blockers, so the per-greedy-round cost is proportional to the
-        blockers' degrees.
+        blockers' degrees.  Every id is checked against ``[0, n)``
+        before anything changes.
         """
         csr = self.csr
-        for v in vertices:
+        _, ids = _checked_ids(csr.n, (), vertices)
+        for v in ids.tolist():
             if v in self._blocked:
                 continue
             self._blocked.add(v)
@@ -121,13 +127,20 @@ class ICSampler:
         """Remove individual edges (by CSR position) from future draws.
 
         Used by the edge-blocking variant; vertex-level ``unblock`` does
-        not resurrect edges removed this way.
+        not resurrect edges removed this way.  Every position is checked
+        against ``[0, m)`` before anything changes.
         """
+        pos = np.asarray(list(positions), dtype=np.int64)
+        bad = (pos < 0) | (pos >= self.csr.m)
+        if bad.any():
+            raise ValueError(
+                f"blocked edge position {int(pos[bad][0])} out of range "
+                f"[0, {self.csr.m})"
+            )
         if not hasattr(self, "_blocked_edges"):
             self._blocked_edges: set[int] = set()
-        for j in positions:
-            self._blocked_edges.add(int(j))
-            self._peff[j] = 0.0
+        self._blocked_edges.update(pos.tolist())
+        self._peff[pos] = 0.0
 
     def sample_surviving_edges(self) -> np.ndarray:
         mask = self._gen.random(self.csr.m) < self._peff

@@ -101,6 +101,26 @@ class TestCommands:
         assert code == 0
 
 
+    @pytest.mark.parametrize("engine", BACKENDS)
+    def test_spread_rejects_out_of_range_block(self, capsys, engine):
+        for bad in ("-1", "5000"):
+            code = main(
+                [
+                    "spread",
+                    "--dataset", "email-core",
+                    "--scale", "0.08",
+                    "--theta", "20",
+                    "--seeds", "1",
+                    "--engine", engine,
+                    "--block", "1", bad,
+                ]
+            )
+            out = capsys.readouterr().out
+            assert code == 2
+            assert out.startswith(f"error: --block id {bad} out of range")
+            assert len(out.splitlines()) == 1
+
+
 class TestEngineFlag:
     def test_engine_defaults_to_scalar(self):
         args = build_parser().parse_args(["block"])

@@ -16,7 +16,8 @@ from repro.core import decrease_es_computation
 from repro.datasets import figure1_graph, figure1_seed, V
 from repro.dominator import dominator_tree_arrays, subtree_sizes
 from repro.graph import DiGraph
-from repro.sampling import ICSampler, sigma_through_all
+from repro.models import assign_weighted_cascade, LinearThresholdSampler
+from repro.sampling import adjacency_from_edges, ICSampler, sigma_through_all
 from repro.spread import exact_expected_spread
 
 from .conftest import random_digraph
@@ -39,6 +40,34 @@ class TestTheorem6PerSample:
                 order[i]: sizes[i] for i in range(1, len(order))
             }
             assert from_tree == sigma_through_all(succ, 0)
+
+
+class TestMatchesDictReference:
+    """The engine path equals the per-sample dict-adjacency loop it
+    replaced, bit for bit, on the same sampler draws."""
+
+    @pytest.mark.parametrize("make", [ICSampler, LinearThresholdSampler])
+    def test_random_graphs(self, make):
+        rnd = random.Random(33)
+        for trial in range(6):
+            graph = assign_weighted_cascade(random_digraph(30, 0.12, rnd))
+            blocked = [3 + trial]
+            result = decrease_es_computation(
+                make(graph, trial), 0, theta=40, blocked=blocked
+            )
+            sampler = make(graph, trial)
+            sampler.block(blocked)
+            delta = np.zeros(graph.n)
+            total = 0
+            for _ in range(40):
+                succ = adjacency_from_edges(
+                    sampler.csr, sampler.sample_surviving_edges()
+                )
+                order, idom = dominator_tree_arrays(succ, 0)
+                total += len(order)
+                np.add.at(delta, order[1:], subtree_sizes(idom)[1:])
+            assert np.array_equal(result.delta, delta / 40)
+            assert result.spread == total / 40
 
 
 class TestConvergenceToExact:
@@ -105,6 +134,13 @@ class TestInterface:
             decrease_es_computation(graph, 0, theta=0)
         with pytest.raises(IndexError):
             decrease_es_computation(graph, 5, theta=1)
+
+    @pytest.mark.parametrize("source", [-1, 3])
+    def test_bad_source_leaves_the_sampler_unblocked(self, source):
+        sampler = ICSampler(DiGraph.from_edges(3, [(0, 1), (1, 2)]), 0)
+        with pytest.raises(IndexError):
+            decrease_es_computation(sampler, source, theta=1, blocked=[1])
+        assert sampler.blocked == frozenset()
 
     def test_best_vertex_and_exclusion(self):
         graph = DiGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])

@@ -1,16 +1,20 @@
 """Unit tests for sample-size theory and the sampled-spread estimator."""
 
 import math
+import random
 
 import pytest
 
 from repro.datasets import figure1_graph, figure1_seed
-from repro.graph import DiGraph
+from repro.graph import DiGraph, reachable_set_adj
 from repro.sampling import (
     chernoff_failure_probability,
     estimate_spread_sampled,
+    ICSampler,
     required_samples,
 )
+
+from .conftest import random_digraph
 
 
 class TestRequiredSamples:
@@ -89,6 +93,39 @@ class TestEstimateSpreadSampled:
         )
         assert blocked.mean == pytest.approx(3.0, abs=0.05)
 
+    def test_matches_per_sample_reachability(self):
+        """The engine's reach counts equal the dict-adjacency search
+        they replaced, bit for bit, on the same draws."""
+        graph = random_digraph(
+            30, 0.1, random.Random(5), prob_choices=(0.3, 0.7)
+        )
+        seeds, blocked = [0, 4, 4], [7]
+        estimate = estimate_spread_sampled(
+            graph, seeds, theta=60, rng=9, blocked=blocked
+        )
+        sampler = ICSampler(graph, 9)
+        sampler.block(blocked)
+        counts = []
+        for _ in range(60):
+            succ = sampler.sample_adjacency()
+            counts.append(
+                len(set().union(*(reachable_set_adj(succ, s) for s in seeds)))
+            )
+        mean = sum(counts) / 60
+        variance = sum(c * c for c in counts) / 60 - mean * mean
+        assert estimate.mean == mean
+        assert estimate.std_error == math.sqrt(max(0.0, variance) / 60)
+
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
             estimate_spread_sampled(DiGraph(1), [0], theta=0)
+
+    def test_out_of_range_ids(self):
+        graph = DiGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(IndexError):
+            estimate_spread_sampled(graph, [7], theta=5, rng=0)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                estimate_spread_sampled(
+                    graph, [0], theta=5, rng=0, blocked=[bad]
+                )

@@ -1,5 +1,8 @@
 """Tests pinning the experiment registry to the benchmark files."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,31 @@ class TestRegistry:
     def test_unknown_key_raises_with_listing(self):
         with pytest.raises(KeyError, match="available"):
             experiment_command("fig99")
+
+    def test_every_registered_command_collects(self):
+        """What ``repro-imin experiment <key>`` runs gets past pytest
+        collection for every key: one run over all the files."""
+        commands = [experiment_command(key) for key in EXPERIMENTS]
+        flags = commands[0][2:]
+        assert all(command[2:] == flags for command in commands)
+        src = str(BENCH_DIR.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        result = subprocess.run(
+            [
+                sys.executable, "-m", commands[0][0],
+                *(command[1] for command in commands), *flags,
+                "--collect-only", "-q", "-p", "no:cacheprovider",
+            ],
+            cwd=BENCH_DIR.parent,
+            env={
+                **os.environ,
+                "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            },
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout[-3000:]
 
 
 class TestCliIntegration:

@@ -10,8 +10,11 @@ compiled coin kernel, and the numpy fallback under ``REPRO_NATIVE=0``.
 
 The selection pins hold the greedy solvers' blockers, in insertion
 order, and their spread estimates: each method's CELF path on the
-sketch, and AG/GR's sampled-graph loops, which draw their own
-``ICSampler`` coins.  A change to a solver's selection rule moves them.
+sketch, and the paper's sampled-graph loops (AG, GR, static greedy and
+the out-neighbors heuristic), which draw their own ``ICSampler`` coins
+— or, for AG/SG/GR, ``LinearThresholdSampler`` draws — plus the
+Lemma-1 estimate over ``ICSampler`` samples.  A change to a solver's
+selection rule moves them.
 
 A deliberate change of the stream bumps ``_COIN_SCHEME`` in
 ``repro/engine/pool.py`` and re-pins every value here.
@@ -25,10 +28,17 @@ import numpy as np
 import pytest
 
 from repro.bench import pick_seeds, prepare_graph
-from repro.core import solve_imin
+from repro.core import (
+    advanced_greedy,
+    greedy_replace,
+    solve_imin,
+    static_sample_greedy,
+)
 from repro.datasets import load_dataset
 from repro.engine import build_evaluator, EngineSpec
 from repro.graph import barabasi_albert
+from repro.models import LinearThresholdSampler
+from repro.sampling import estimate_spread_sampled
 
 EMAIL_OFFSETS = (
     "75c0c017ec7d315610cf4c5db4c997fddc8b3abbb832732a8872e1f9f1282ad3"
@@ -68,7 +78,24 @@ SKETCH_SELECTIONS = {
 EAGER_SELECTIONS = {
     "advanced-greedy": ([51, 147, 61], "0x1.290a3d70a3d71p+6"),  # 74.26
     "greedy-replace": ([908, 59, 121], "0x1.1c3d70a3d70a4p+6"),  # 71.06
+    "static-greedy": ([51, 702, 300], "0x1.c11eb851eb852p+5"),  # 56.14
 }
+EAGER_OUT_NEIGHBORS = [300, 958, 333]
+# the same loops over Linear Threshold samples (Section V-E)
+LT_SELECTIONS = {
+    "advanced-greedy": (
+        advanced_greedy, [909, 700, 627], "0x1.39851eb851eb9p+7",  # 156.76
+    ),
+    "static-greedy": (
+        static_sample_greedy, [909, 948, 298],
+        "0x1.4cd70a3d70a3ep+7",  # 166.42
+    ),
+    "greedy-replace": (
+        greedy_replace, [681, 300, 327], "0x1.f4e147ae147aep+6",  # 125.22
+    ),
+}
+# Lemma 1 at theta=300 with vertex 176 blocked: mean, std_error
+EMAIL_ESTIMATE = ("0x1.450369d0369d0p+6", "0x1.0b0be9af24b61p+2")
 
 
 def sha256(array: np.ndarray) -> str:
@@ -138,3 +165,31 @@ def test_sampled_graph_selection(email, algorithm):
     blockers, spread = EAGER_SELECTIONS[algorithm]
     assert result.blockers == blockers
     assert result.estimated_spread.hex() == spread
+
+
+def test_out_neighbors_selection(email):
+    graph, seeds = email
+    result = solve_imin(
+        graph, seeds, 3, algorithm="out-neighbors", theta=50, rng=7
+    )
+    assert result.blockers == EAGER_OUT_NEIGHBORS
+
+
+@pytest.mark.parametrize("algorithm", sorted(LT_SELECTIONS))
+def test_linear_threshold_selection(email, algorithm):
+    graph, seeds = email
+    solver, blockers, spread = LT_SELECTIONS[algorithm]
+    result = solver(
+        graph, seeds, 3, theta=50, rng=7,
+        sampler_factory=LinearThresholdSampler,
+    )
+    assert result.blockers == blockers
+    assert result.estimated_spread.hex() == spread
+
+
+def test_sampled_spread_estimate(email):
+    graph, seeds = email
+    estimate = estimate_spread_sampled(
+        graph, seeds, theta=300, rng=7, blocked=[176]
+    )
+    assert (estimate.mean.hex(), estimate.std_error.hex()) == EMAIL_ESTIMATE

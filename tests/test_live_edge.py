@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, DiGraph
+from repro.models import GeneralTriggeringSampler, LinearThresholdSampler
 from repro.sampling import adjacency_from_edges, EdgeSampler, ICSampler
 
 
@@ -104,3 +105,35 @@ class TestBlocking:
         for _ in range(10):
             succ = sampler.sample_adjacency()
             assert 2 not in succ.get(1, [])
+
+
+SAMPLERS = {
+    "ic": lambda graph: ICSampler(graph, rng=8),
+    "lt": lambda graph: LinearThresholdSampler(graph, rng=8),
+    "general": lambda graph: GeneralTriggeringSampler(
+        graph, draw=lambda v, sources, gen: sources, rng=8
+    ),
+}
+
+
+class TestOutOfRangeIds:
+    """Blocking an id outside the graph raises before any state moves."""
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("kind", sorted(SAMPLERS))
+    def test_block_rejects_vertex(self, graph, kind, bad):
+        sampler = SAMPLERS[kind](graph)
+        before = [sampler.sample_surviving_edges() for _ in range(5)]
+        sampler = SAMPLERS[kind](graph)
+        with pytest.raises(ValueError, match=r"blocked vertex .* \[0, 4\)"):
+            sampler.block([1, bad])
+        assert sampler.blocked == frozenset()
+        after = [sampler.sample_surviving_edges() for _ in range(5)]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_block_edges_rejects_position(self, graph, bad):
+        sampler = ICSampler(graph, rng=9)
+        with pytest.raises(ValueError, match=r"edge position .* \[0, 4\)"):
+            sampler.block_edges([0, bad])
+        assert np.array_equal(sampler._peff, sampler.csr.probs)
