@@ -111,7 +111,7 @@ def run_build_benchmark(
 
     # end-to-end cold index: sampling + batched build + aggregation
     start = time.perf_counter()
-    with SketchIndex(csr, rng=rng) as index:
+    with SketchIndex(SamplePool(csr, rng=rng)) as index:
         index.expected_spread(seeds, theta)
         t_cold_index = time.perf_counter() - start
 

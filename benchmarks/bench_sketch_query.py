@@ -78,7 +78,7 @@ class RebuildPerStep:
         key = tuple(sorted(int(v) for v in blocked))
         if key != self._blocked:
             self.close()
-            self._index = SketchIndex(self.csr, pool=self.pool)
+            self._index = SketchIndex(self.pool)
             self._blocked = key
         return self._index
 
@@ -115,7 +115,7 @@ def run_query_benchmark(
     pool.get(theta)  # shared samples: excluded from every timing
 
     def arena_once():
-        with SketchIndex(csr, pool=pool) as index:
+        with SketchIndex(pool) as index:
             start = time.perf_counter()
             index.expected_spread(seeds, theta)
             t_cold = time.perf_counter() - start
@@ -124,7 +124,7 @@ def run_query_benchmark(
             t_select = time.perf_counter() - start
             # one representative transition on a fresh warm view: the
             # top pick's rebase plus the whole-candidate gains sweep
-            with SketchIndex(csr, pool=pool) as fresh:
+            with SketchIndex(pool) as fresh:
                 fresh.expected_spread(seeds, theta)
                 start = time.perf_counter()
                 fresh.decrease_estimates(

@@ -494,6 +494,9 @@ def _cmd_datasets() -> int:
 
 
 def _load(args) -> tuple:
+    if args.rng < 0:
+        print("error: --rng must be non-negative")
+        raise SystemExit(2)
     graph = load_dataset(args.dataset, scale=args.scale)
     graph = prepare_graph(graph, args.model, rng=args.rng)
     seeds = pick_seeds(graph, args.seeds, rng=args.rng)

@@ -10,7 +10,7 @@ form.  Its pieces:
 :mod:`repro.engine.pool`
     Persistent, optionally disk-backed (mmapped) live-edge sample pool
     with hit/miss stats — the paper's sample-reuse trick generalised
-    across queries and processes.
+    across queries and processes, and the ``pooled`` backend.
 :mod:`repro.engine.treebuild`
     Batched, array-native construction of per-sample dominator trees
     straight from the pooled sample arrays — through the compiled
@@ -18,10 +18,10 @@ form.  Its pieces:
     serial Python otherwise, bit-identical either way.
 :mod:`repro.engine.sketch`
     The dominator-tree sketch index — the paper's Algorithm 2
-    estimator as a persistent, incrementally-rebased backend with O(1)
-    marginal gains; each view keeps its trees in a pooled arena with
-    an inverted membership index (vertex -> samples postings) for
-    vectorized rebases.
+    estimator over a borrowed sample pool, as a persistent,
+    incrementally-rebased backend with O(1) marginal gains; each view
+    keeps its trees in a pooled arena with an inverted membership
+    index (vertex -> samples postings) for vectorized rebases.
 :mod:`repro.engine.spec`
     :class:`EngineSpec`, the frozen value that names one engine
     configuration (backend, model, theta, seed, cache dir).
@@ -40,7 +40,6 @@ Algorithms and the benchmark harness accept any
 from .evaluator import (
     BACKENDS,
     build_evaluator,
-    PooledEvaluator,
     ScalarEvaluator,
     SpreadEvaluator,
     VectorizedEvaluator,
@@ -65,7 +64,6 @@ __all__ = [
     "SpreadEvaluator",
     "ScalarEvaluator",
     "VectorizedEvaluator",
-    "PooledEvaluator",
     "BACKENDS",
     "MODELS",
     "EngineSpec",

@@ -39,6 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph
+from ..graph.delta import _vertex_id
 from ..rng import ensure_rng, RngLike
 
 __all__ = [
@@ -114,24 +115,34 @@ def _coin_survive(gen: np.random.Generator, probs32: np.ndarray):
     return make_survive
 
 
+def _id_array(ids: Iterable[int], what: str) -> np.ndarray:
+    """``ids`` as int64; a bool, float or string id raises
+    ``ValueError`` (GraphDelta's check) instead of being coerced onto
+    a vertex — ``1.7`` and ``True`` would read as 1, ``"958"`` as 958."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+        return ids.astype(np.int64, copy=False)
+    return np.asarray([_vertex_id(v, what) for v in ids], dtype=np.int64)
+
+
 def _checked_ids(
     n: int, seeds: Iterable[int], blocked: Iterable[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(seeds, blocked)`` as int64 arrays, after checking every id.
 
-    Out-of-range ids raise the sketch index's errors (``ValueError``
-    for a blocked id, ``IndexError`` for a seed) instead of letting
-    numpy wrap a negative id onto another vertex — or, in a native
-    kernel, read out of bounds.
+    Non-integer ids raise ``ValueError``; out-of-range ids raise the
+    sketch index's errors (``ValueError`` for a blocked id,
+    ``IndexError`` for a seed) instead of letting numpy wrap a
+    negative id onto another vertex — or, in a native kernel, read
+    out of bounds.
     """
-    blocked_arr = np.asarray(list(blocked), dtype=np.int64)
+    blocked_arr = _id_array(blocked, "blocked")
     bad = (blocked_arr < 0) | (blocked_arr >= n)
     if bad.any():
         raise ValueError(
             f"blocked vertex {int(blocked_arr[bad][0])} out of range "
             f"[0, {n})"
         )
-    seed_arr = np.asarray(list(seeds), dtype=np.int64)
+    seed_arr = _id_array(seeds, "seed")
     bad = (seed_arr < 0) | (seed_arr >= n)
     if bad.any():
         raise IndexError(f"seed {int(seed_arr[bad][0])} is not a vertex")

@@ -26,8 +26,11 @@ and — optionally — processes:
   back **memory-mapped** — a second process (or a later run) pays no
   sampling cost and shares pages with its siblings.
 
-``SamplePool.stats`` exposes hit/miss/disk counters so benchmarks and
-services can observe cache effectiveness.
+The pool is also the ``pooled`` backend of
+:func:`~repro.engine.build_evaluator`: :meth:`SamplePool.expected_spread`
+averages :func:`reach_counts` over the pool's first ``rounds``
+samples.  ``SamplePool.stats`` exposes hit/miss/disk counters so
+benchmarks and services can observe cache effectiveness.
 """
 
 from __future__ import annotations
@@ -35,18 +38,24 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph, GraphDelta
-from ..native import native_draw_samples
+from ..native import native_draw_samples, native_reach_counts
 from ..obs import span, track
 from ..rng import ensure_rng, RngLike
+from .kernels import (
+    _blocked_mask,
+    _checked_ids,
+    auto_batch_size,
+    reach_counts_from_alive,
+)
 
 __all__ = [
     "PoolDeltaReport", "SampleBatch", "SamplePool", "PoolStats",
-    "sampler_batches",
+    "reach_counts", "sampler_batches",
 ]
 
 # cap on the (chunk, m) hash matrix the numpy draw and the delta patch
@@ -222,6 +231,71 @@ def sampler_batches(sampler, theta: int) -> Iterator[SampleBatch]:
         yield SampleBatch(len(draws), offsets, positions, m)
 
 
+def reach_counts(
+    csr: CSRGraph,
+    batch: SampleBatch,
+    seeds: Sequence[int],
+    blocked_sets: Sequence[Iterable[int]],
+) -> np.ndarray:
+    """``int64[len(blocked_sets), batch.theta]`` reach counts of
+    ``seeds`` (each once) in every sample of ``batch``.
+
+    The compiled reach kernel (:func:`~repro.native.native_reach_counts`)
+    counts straight from the batch's flat arrays, one call per blocked
+    set.  Without it, the fallback streams chunks of a boolean
+    aliveness matrix through :func:`reach_counts_from_alive`,
+    materialising each chunk once for every blocked set (the judge
+    scores the unblocked and blocked sets together) instead of once
+    per set.  Both paths count the same vertices.  Ids are checked
+    first: an out-of-range seed raises ``IndexError``, an out-of-range
+    or seed blocked id ``ValueError``.
+    """
+    seed_list = list(seeds)
+    blocked_lists = [list(b) for b in blocked_sets]
+    seed_arr, _ = _checked_ids(csr.n, seed_list, ())
+    out = np.empty((len(blocked_lists), batch.theta), dtype=np.int64)
+    for i, blocked_list in enumerate(blocked_lists):
+        mask = _blocked_mask(csr.n, blocked_list, seed_list)
+        counts = native_reach_counts(
+            csr.n, csr.indptr, csr.indices, batch.positions,
+            batch.offsets, batch.theta, seed_arr, mask.view(np.uint8),
+        )
+        if counts is None:
+            break
+        out[i] = counts
+    else:
+        return out
+    step = auto_batch_size(max(csr.m, csr.n))
+    for lo in range(0, batch.theta, step):
+        hi = min(lo + step, batch.theta)
+        alive = batch.alive_matrix(lo, hi)
+        for i, blocked_list in enumerate(blocked_lists):
+            out[i, lo:hi] = reach_counts_from_alive(
+                csr, seed_list, alive, blocked_list
+            )
+    return out
+
+
+class _EvaluatorLifecycle:
+    """Uniform close/context-manager surface of every backend.
+
+    The sketch index drops its cached views on ``close()``; the other
+    backends (the pool among them) have nothing to release but gain
+    the same ``with build_evaluator(...) as ev:`` shape so callers —
+    the CLI, the service, benchmarks — never special-case the backend
+    when tearing down.
+    """
+
+    def close(self) -> None:
+        """No-op: nothing to release."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 @dataclass(frozen=True)
 class PoolDeltaReport:
     """What one :meth:`SamplePool.apply_delta` actually changed."""
@@ -240,7 +314,7 @@ class PoolDeltaReport:
         return int(self.touched.shape[0])
 
 
-class SamplePool:
+class SamplePool(_EvaluatorLifecycle):
     """Growing, optionally disk-backed pool of live-edge samples.
 
     Parameters
@@ -258,6 +332,13 @@ class SamplePool:
     cache_key:
         Explicit stream identity for the disk fingerprint, for callers
         that pass a live generator but still want persistence.
+
+    The pool is the ``pooled`` spread evaluator: ``rounds`` selects
+    how many pooled samples an estimate averages over, so repeated
+    queries — e.g. a greedy loop probing many blocked sets — pay
+    traversal cost only, and estimates share the pool's worlds
+    (*common random numbers*, which cancel between-query sampling
+    noise when comparing blocked sets).
     """
 
     def __init__(
@@ -360,6 +441,35 @@ class SamplePool:
             positions=self._positions[: self._offsets[theta]],
             m=self.csr.m,
         )
+
+    def expected_spread(
+        self,
+        seeds: Sequence[int],
+        rounds: int,
+        blocked: Iterable[int] = (),
+    ) -> float:
+        """Estimate of ``E(seeds, G[V \\ blocked])`` over the first
+        ``rounds`` pooled samples (seeds counted, per Definition 3)."""
+        return self.expected_spread_many(seeds, rounds, [list(blocked)])[0]
+
+    def expected_spread_many(
+        self,
+        seeds: Sequence[int],
+        rounds: int,
+        blocked_sets: Sequence[Iterable[int]],
+    ) -> list[float]:
+        """One estimate per blocked set over the first ``rounds``
+        pooled samples: each is an integer sum of the per-sample
+        :func:`reach_counts` divided by ``rounds``, so batching the
+        sets is invisible to callers comparing against ``len(
+        blocked_sets)`` separate :meth:`expected_spread` calls.
+        """
+        if rounds <= 0:
+            raise ValueError("rounds must be positive")
+        if not blocked_sets:
+            return []
+        counts = reach_counts(self.csr, self.get(rounds), seeds, blocked_sets)
+        return [int(row.sum()) / rounds for row in counts]
 
     # ------------------------------------------------------------------
     # incremental updates

@@ -18,9 +18,10 @@ query becomes tree arithmetic:
 :class:`SketchIndex` packages this as a persistent, stateful index
 behind the :class:`~repro.engine.evaluator.SpreadEvaluator` protocol:
 
-* samples come from a :class:`~repro.engine.pool.SamplePool`, so they
-  are chunk-seeded (bit-identical regardless of growth history) and
-  shareable with the pooled Monte-Carlo backend and across processes;
+* samples come from a borrowed :class:`~repro.engine.pool.SamplePool`,
+  so they are chunk-seeded (bit-identical regardless of growth
+  history) and shared with the pool's own ``pooled`` spread answers
+  and across processes;
 * trees are built **array-native and batched**
   (:mod:`repro.engine.treebuild`) — via the compiled batched kernel
   (:mod:`repro.native`) when the host can build it, the pure-Python
@@ -49,10 +50,10 @@ one ``searchsorted`` over ``v * theta + t`` keys, and writes the
 rebuilt trees back into the arena in one flat scatter.
 
 Every answer of a rebased view is bit-identical to a view built cold
-at the same blocker set, and its spreads equal the pooled Monte-Carlo
-backend's over the same samples; the tests pin both, plus a per-sample
-reference build and the exact enumerator (:mod:`repro.spread.exact`)
-on small graphs.
+at the same blocker set, and its spreads equal the ``pooled`` backend's
+(the pool's own) over the same samples; the tests pin both, plus a
+per-sample reference build and the exact enumerator
+(:mod:`repro.spread.exact`) on small graphs.
 
 Multi-seed queries use a virtual super-source (id ``n``) with
 deterministic edges to every seed — joint reachability on the *same*
@@ -75,11 +76,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..graph import CSRGraph, DiGraph, GraphDelta
+from ..graph import CSRGraph, GraphDelta
 from ..obs import global_registry, span, track
-from ..rng import RngLike
-from .kernels import postings_csr, ragged_arange
-from .pool import PoolDeltaReport, SampleBatch, SamplePool
+from .kernels import _checked_ids, postings_csr, ragged_arange
+from .pool import (
+    _EvaluatorLifecycle,
+    PoolDeltaReport,
+    SampleBatch,
+    SamplePool,
+)
 from .treebuild import _payload_mask, subtree_size_sums, TreeBuilder
 
 __all__ = ["SketchIndex", "SketchStats"]
@@ -775,21 +780,14 @@ def _artifact_shapes_ok(
     ) and bool(arrays["palive"].dtype == np.bool_)
 
 
-class SketchIndex:
+class SketchIndex(_EvaluatorLifecycle):
     """Persistent dominator-tree sketches behind ``SpreadEvaluator``.
 
-    Parameters
-    ----------
-    graph:
-        Graph (or frozen CSR) whose live-edge distribution is sampled.
-    rng:
-        Seed / generator for the sample pool.  An integer seed makes
-        results bit-reproducible (and keys the optional disk cache).
-    pool:
-        Share an existing :class:`SamplePool` (e.g. with a pooled
-        Monte-Carlo evaluator) instead of creating one.
-    cache_dir / cache_key:
-        Sample-pool persistence knobs, forwarded verbatim.
+    ``pool`` is the :class:`SamplePool` the sketches are built from;
+    the index borrows it (its graph, samples and disk identity) and
+    persists its arena views next to the pool's files.  The pool's
+    own :meth:`~SamplePool.expected_spread` answers on the same
+    samples, bit-identically to :meth:`expected_spread` here.
 
     ``rounds`` in the evaluator protocol selects ``theta``, the number
     of pooled samples the sketches are built from — the Theorem 5
@@ -797,26 +795,16 @@ class SketchIndex:
     :func:`repro.sampling.resolve_theta`.
     """
 
-    backend = "sketch"
-
-    def __init__(
-        self,
-        graph: DiGraph | CSRGraph,
-        rng: RngLike = None,
-        pool: SamplePool | None = None,
-        cache_dir=None,
-        cache_key: str | None = None,
-    ) -> None:
-        if pool is not None:
-            self.pool = pool
-        else:
-            self.pool = SamplePool(
-                graph, rng, cache_dir=cache_dir, cache_key=cache_key
-            )
-        self.csr = self.pool.csr
-        self.builder = TreeBuilder(self.csr)
+    def __init__(self, pool: SamplePool) -> None:
+        self.pool = pool
+        self.builder = TreeBuilder(pool.csr)
         self.stats = SketchStats()
         self._views: dict[tuple[tuple[int, ...], int], _ArenaSketchView] = {}
+
+    @property
+    def csr(self) -> CSRGraph:
+        """The borrowed pool's frozen graph (swapped by a delta)."""
+        return self.pool.csr
 
     # ------------------------------------------------------------------
     # view management
@@ -824,12 +812,10 @@ class SketchIndex:
     def _view(self, seeds: Sequence[int], theta: int):
         if theta <= 0:
             raise ValueError("theta must be positive")
-        seed_tuple = tuple(dict.fromkeys(int(s) for s in seeds))
+        seed_arr, _ = _checked_ids(self.csr.n, seeds, ())
+        seed_tuple = tuple(dict.fromkeys(seed_arr.tolist()))
         if not seed_tuple:
             raise ValueError("at least one seed is required")
-        for s in seed_tuple:
-            if not 0 <= s < self.csr.n:
-                raise IndexError(f"seed {s} is not a vertex")
         key = (seed_tuple, theta)
         # pop-then-reinsert both refreshes LRU recency and stays safe
         # against a concurrent close() clearing the dict between the
@@ -917,7 +903,6 @@ class SketchIndex:
             for view in self._views.values():
                 view.rebase(frozenset())
             report = self.pool.apply_delta(delta)
-            self.csr = self.pool.csr
             self.builder = TreeBuilder(self.csr)
             touched_hist, rebuilt_counter = _delta_metrics()
             touched_hist.observe(report.touched_count)
@@ -937,30 +922,19 @@ class SketchIndex:
             return report
 
     def close(self) -> None:
-        """Drop the cached views (and join the evaluator lifecycle)."""
+        """Drop the cached views."""
         views = list(self._views.values())
         self._views.clear()
         for view in views:
             view.drop()
 
-    def __enter__(self) -> "SketchIndex":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def _blocked_set(
         self, seeds: Sequence[int], blocked: Iterable[int]
     ) -> frozenset[int]:
-        blocked_set = frozenset(int(v) for v in blocked)
-        n = self.csr.n
-        for v in blocked_set:
-            if not 0 <= v < n:
-                raise ValueError(
-                    f"blocked vertex {v} out of range [0, {n})"
-                )
-        for s in seeds:
-            if int(s) in blocked_set:
+        seed_arr, blocked_arr = _checked_ids(self.csr.n, seeds, blocked)
+        blocked_set = frozenset(blocked_arr.tolist())
+        for s in seed_arr.tolist():
+            if s in blocked_set:
                 raise ValueError(f"seed {s} cannot be blocked")
         return blocked_set
 
@@ -995,13 +969,9 @@ class SketchIndex:
         otherwise silently read the virtual root's slot or fall off
         the gain array).
         """
-        v = int(v)
-        if not 0 <= v < self.csr.n:
-            raise ValueError(
-                f"vertex {v} out of range [0, {self.csr.n})"
-            )
+        _, candidate = _checked_ids(self.csr.n, (), [v])
         blocked_set = self._blocked_set(seeds, blocked)
-        return self._view(seeds, rounds).gain(v, blocked_set)
+        return self._view(seeds, rounds).gain(int(candidate[0]), blocked_set)
 
     def decrease_estimates(
         self,

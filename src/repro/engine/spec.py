@@ -50,7 +50,8 @@ class EngineSpec:
     theta: int = 200
     """Sample count the artifact is sized for (the Theorem-5 knob)."""
     seed: int = 7
-    """Integer root seed: keys RNG streams and the disk cache."""
+    """Non-negative integer root seed: keys RNG streams and the disk
+    cache."""
     cache_dir: str | Path | None = None
     """Directory for persistent, memory-mappable artifacts (sample
     pools and arena sketch views); ``None`` = memory only."""
@@ -72,6 +73,8 @@ class EngineSpec:
             raise ValueError("theta must be positive")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     # ------------------------------------------------------------------
     # derived identities

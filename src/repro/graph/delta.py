@@ -44,7 +44,8 @@ __all__ = ["GraphDelta"]
 
 def _vertex_id(value, what: str) -> int:
     """An integer of any integer type (numpy's too), never a bool,
-    float or string — ``int()`` would truncate ``0.9`` to vertex 0."""
+    float or string — ``int()`` would truncate ``0.9`` to vertex 0.
+    The engine checks seed and blocked ids with it too."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)

@@ -11,7 +11,7 @@ dominator-subtree estimator: with
 ``E[sigma(s, g)] = E({s}, G)`` with a normal-approximation confidence
 interval — handy for sanity checks and for the theta-sweep experiment
 (Figures 5/6).  It counts reach through the engine
-(:func:`repro.engine.evaluator.reach_counts`), the pooled evaluator's
+(:func:`repro.engine.pool.reach_counts`), the pooled backend's
 counter.
 """
 
@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.evaluator import reach_counts
-from ..engine.pool import sampler_batches
+from ..engine.pool import reach_counts, sampler_batches
 from ..graph import CSRGraph, DiGraph
 from ..rng import RngLike
 from .live_edge import ICSampler

@@ -1,12 +1,13 @@
 """Size-bounded LRU cache of warm serving artifacts.
 
 A *serving artifact* is everything the engine needs resident to answer
-blocker/spread queries instantly: the model-prepared graph frozen to
-CSR, a materialised :class:`~repro.engine.pool.SamplePool` of
-``theta`` live-edge samples, a pooled Monte-Carlo evaluator over those
-samples (used for spread queries — common random numbers across every
-query), and a :class:`~repro.engine.sketch.SketchIndex` sharing the
-same pool (used for blocker selection — O(1) marginal gains).
+blocker/spread queries instantly: a materialised
+:class:`~repro.engine.pool.SamplePool` of ``theta`` live-edge samples
+over the model-prepared graph frozen to CSR (it answers spread queries
+itself — common random numbers across every query), a
+:class:`~repro.engine.sketch.SketchIndex` over that pool (used for
+blocker selection — O(1) marginal gains), and an independent judge
+pool over the same CSR that scores each selection.
 
 Artifacts are keyed by :class:`ArtifactKey` ``(graph, model, theta,
 seed)`` and built deterministically from the key via an
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 
 from ..bench import pick_seeds, prepare_graph
 from ..core import solve_imin
-from ..engine import build_evaluator, EngineSpec, SamplePool
+from ..engine import build_evaluator, EngineSpec
 from ..graph import GraphDelta
 from ..obs import span, track
 from .registry import GraphRegistry
@@ -301,9 +302,9 @@ class SharedLock:
 class Artifact:
     """One warm ``(graph, model, theta, seed)`` serving state.
 
-    Every query and mutation holds :attr:`lock`: the pooled evaluator
-    and the sketch index share mutable state (the growing pool, the
-    rebased trees), and answers must be independent of request
+    Every query and mutation holds :attr:`lock`: spreads and the
+    sketch index share mutable state (the growing pool, the rebased
+    trees), and answers must be independent of request
     interleaving — the concurrency contract the service's tests pin
     down.  Spreads that read already-drawn samples hold it shared, so
     they run concurrently (the reach kernel releases the GIL);
@@ -326,31 +327,22 @@ class Artifact:
         self.key = key
         self.graph = graph
         spec = key.spec(cache_dir=cache_dir)
-        self.pool = SamplePool(
-            graph,
-            rng=key.seed,
-            cache_dir=cache_dir,
-            cache_key=f"service-{spec.cache_key(stream=0)}",
-        )
-        self.pooled = build_evaluator(
-            graph, spec.with_engine("pooled"), pool=self.pool
-        )
-        # With a cache_dir, the index persists each warm arena view
-        # next to the pool snapshot and rehydrates it memory-mapped on
-        # rebuild instead of re-deriving theta trees.
-        self.sketch = build_evaluator(
-            graph, spec.with_engine("sketch"), pool=self.pool
-        )
+        # the sketch draws (or attaches) the stream-0 pool, which
+        # answers spreads too.  With a cache_dir, the index persists
+        # each warm arena view next to the pool snapshot and rehydrates
+        # it memory-mapped on rebuild instead of re-deriving theta trees.
+        self.sketch = build_evaluator(graph, spec)
+        self.pool = self.sketch.pool
         # final quality in block() is judged on an *independent* sample
         # stream (same discipline as the CLI's stream-0/stream-1 split):
         # judging on the selection pool would score the winning blocker
         # set on the very samples that selected it, biasing the
         # reported spread optimistically.  The judge pool draws lazily
-        # on the first block query — spread-only workloads never pay it.
+        # on the first block query — spread-only workloads never pay
+        # it — over the CSR the stream-0 pool already froze.
         self.judge = build_evaluator(
-            graph, spec.with_engine("pooled"), stream=1
+            self.csr, spec.with_engine("pooled"), stream=1
         )
-        self.csr = self.pool.csr
         self.built_at = time.time()
         self.applied_seq = 0
         """Journal position this artifact's state reflects (set by the
@@ -363,6 +355,11 @@ class Artifact:
         # materialise (or mmap-attach) the samples up front: the cache
         # hands out *warm* artifacts, never lazily-cold ones
         self.pool.get(key.theta)
+
+    @property
+    def csr(self):
+        """The frozen graph the stream-0 pool samples (a delta swaps it)."""
+        return self.pool.csr
 
     # ------------------------------------------------------------------
     # queries
@@ -402,9 +399,7 @@ class Artifact:
         # drawing more samples grows the pool: only then exclusively
         hold = self.lock.shared() if theta <= self.pool.theta else self.lock
         with hold:
-            return self.pooled.expected_spread_many(
-                seeds, theta, blocked_sets
-            )
+            return self.pool.expected_spread_many(seeds, theta, blocked_sets)
 
     def block(
         self,
@@ -464,19 +459,16 @@ class Artifact:
         the pre-delta graph, one that loses answers against the
         post-delta graph — never a half-applied mix.  The sketch's
         :meth:`~repro.engine.sketch.SketchIndex.apply_delta` patches
-        the *shared* selection pool (rebasing only touched trees and
+        the stream-0 pool spreads read (rebasing only touched trees and
         re-persisting under the post-delta fingerprint); the judge's
-        independent stream-1 pool is patched the same way, and the
-        pooled evaluator just resyncs to the shared pool's new CSR.
+        independent stream-1 pool is patched the same way.
         """
         with self.lock:
             delta.check_against(self.graph)
             rebuilt_before = self.sketch.stats.delta_trees_rebuilt
             delta.apply_to(self.graph)
             report = self.sketch.apply_delta(delta)
-            self.pooled.refresh_graph()
             self.judge.apply_delta(delta)
-            self.csr = self.pool.csr
             return {
                 "inserts": len(delta.inserts),
                 "deletes": len(delta.deletes),
@@ -500,11 +492,7 @@ class Artifact:
         indexes.  A live gauge: it grows as block queries warm views
         and shrinks as the index drops them, so the cache's LRU byte
         bound tracks what the artifact actually holds in memory."""
-        return (
-            self.pool.nbytes
-            + self.judge.pool.nbytes
-            + self.sketch.nbytes
-        )
+        return self.pool.nbytes + self.judge.nbytes + self.sketch.nbytes
 
     def describe(self) -> dict[str, object]:
         return {
@@ -522,7 +510,6 @@ class Artifact:
         # the sketch's view cache out from under an in-flight query
         with self.lock:
             self.sketch.close()
-            self.pooled.close()
             self.judge.close()
 
 
@@ -536,7 +523,9 @@ class ArtifactCache:
     duplicating the most expensive operation the service performs,
     and no update of that graph can land between a build's journal
     replay and its insertion.  Locks are taken in one order: graph
-    lock, then the cache lock, then an artifact's lock.
+    lock, then the cache lock, then an artifact's lock — except that an
+    evicted artifact is closed, which takes its lock, only after the
+    cache lock is released.
     """
 
     def __init__(
@@ -564,29 +553,35 @@ class ArtifactCache:
     # lookup
     # ------------------------------------------------------------------
     def get(self, key: ArtifactKey) -> Artifact:
-        with self._lock:
-            artifact = self._artifacts.get(key)
-            if artifact is not None:
-                self._artifacts.move_to_end(key)
-                self.stats.hits += 1
-                # artifact footprints grow after insertion (block
-                # queries warm sketch views, counted in nbytes), so
-                # the byte bound is re-enforced on hits too; the hit
-                # key was just made most-recent and is never evicted
-                self._shrink()
-                return artifact
-            self.stats.misses += 1
-        with self.journal.graph_lock(key.graph):
+        evicted: list[Artifact] = []
+        try:
             with self._lock:
                 artifact = self._artifacts.get(key)
-                if artifact is not None:  # built by the flight we joined
+                if artifact is not None:
                     self._artifacts.move_to_end(key)
+                    self.stats.hits += 1
+                    # artifact footprints grow after insertion (block
+                    # queries warm sketch views, counted in nbytes), so
+                    # the byte bound is re-enforced on hits too; the hit
+                    # key was just made most-recent and is never evicted
+                    evicted = self._shrink()
                     return artifact
-            artifact = self._build(key)
-            with self._lock:
-                self._artifacts[key] = artifact
-                self._shrink()
-            return artifact
+                self.stats.misses += 1
+            with self.journal.graph_lock(key.graph):
+                with self._lock:
+                    artifact = self._artifacts.get(key)
+                    if artifact is not None:  # built by the flight we joined
+                        self._artifacts.move_to_end(key)
+                        return artifact
+                artifact = self._build(key)
+                with self._lock:
+                    self._artifacts[key] = artifact
+                    evicted = self._shrink()
+                return artifact
+        finally:
+            # closed with no lock held (see _shrink)
+            for old in evicted:
+                old.close()
 
     def _build(self, key: ArtifactKey) -> Artifact:
         with span("cache.build"):
@@ -663,18 +658,22 @@ class ArtifactCache:
         graph and must rebuild through the journal replay."""
         with self._lock:
             stale = [
-                k for k in self._artifacts
+                self._artifacts.pop(k) for k in list(self._artifacts)
                 if k.graph == graph and k != keep
             ]
-            evicted = 0
-            for k in stale:
-                artifact = self._artifacts.pop(k)
-                artifact.close()
-                self.stats.evictions += 1
-                evicted += 1
-            return evicted
+            self.stats.evictions += len(stale)
+        for artifact in stale:
+            artifact.close()
+        return len(stale)
 
-    def _shrink(self) -> None:
+    def _shrink(self) -> list[Artifact]:
+        """Pop least-recent entries until the bounds hold.
+
+        The caller holds the cache lock and closes the returned
+        artifacts only after releasing it: ``close()`` waits for an
+        artifact's in-flight query, and every request on every graph
+        would otherwise wait behind it."""
+        evicted = []
         # never evict below one entry: the key just inserted must
         # survive its own insertion even if it alone exceeds max_bytes
         while len(self._artifacts) > 1 and (
@@ -684,9 +683,9 @@ class ArtifactCache:
                 and self._total_bytes() > self.max_bytes
             )
         ):
-            _, evicted = self._artifacts.popitem(last=False)
-            evicted.close()
+            evicted.append(self._artifacts.popitem(last=False)[1])
             self.stats.evictions += 1
+        return evicted
 
     def _total_bytes(self) -> int:
         return sum(a.nbytes for a in self._artifacts.values())
@@ -726,6 +725,7 @@ class ArtifactCache:
 
     def close(self) -> None:
         with self._lock:
-            for artifact in self._artifacts.values():
-                artifact.close()
+            artifacts = list(self._artifacts.values())
             self._artifacts.clear()
+        for artifact in artifacts:
+            artifact.close()

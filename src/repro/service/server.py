@@ -455,6 +455,8 @@ class BlockerService:
         if theta <= 0:
             raise RequestError("theta must be positive")
         seed = _as_int(request, "seed", DEFAULTS["seed"])
+        if seed < 0:
+            raise RequestError("seed must be non-negative")
         return ArtifactKey(graph, model, theta, seed)
 
     def _artifact(self, key: ArtifactKey) -> Artifact:

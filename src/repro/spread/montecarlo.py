@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph
+from ..graph.delta import _vertex_id
 from ..rng import ensure_rng, python_rng, RngLike
 
 __all__ = [
@@ -104,13 +105,17 @@ class MonteCarloEngine:
         stamp = self._stamp
         block_mark = self._block_mark
         n = self.csr.n
-        # range checks first: a negative id would silently wrap onto
-        # another vertex's mark
+        # type and range checks first: a bool id would index as 0/1
+        # and a negative one wrap onto another vertex's mark
         for v in blocked:
+            if type(v) is not int:
+                _vertex_id(v, "blocked")
             if not 0 <= v < n:
                 raise ValueError(f"blocked vertex {v} out of range [0, {n})")
             block_mark[v] = stamp
         for s in seeds:
+            if type(s) is not int:
+                _vertex_id(s, "seed")
             if not 0 <= s < n:
                 raise IndexError(f"seed {s} is not a vertex")
             if block_mark[s] == stamp:

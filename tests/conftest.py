@@ -165,5 +165,5 @@ def reference_sketch(kind: str, pool: SamplePool):
     cold-built :class:`SketchIndex`, ``"legacy"`` the per-sample
     :class:`LegacySketch`."""
     if kind == "arena":
-        return SketchIndex(pool.csr, pool=pool)
+        return SketchIndex(pool)
     return LegacySketch(pool)

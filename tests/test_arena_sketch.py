@@ -245,7 +245,7 @@ class TestArenaLegacyParity:
         theta = 120
         seeds = [0, 5, 9]
         legacy = LegacySketch(pool)
-        arena = SketchIndex(csr, pool=pool)
+        arena = SketchIndex(pool)
         walk = [[], [7], [7, 30], [7, 30, 61], [30], [], [61, 100]]
         touched = []
         for before, blocked in zip([[]] + walk, walk):
@@ -270,7 +270,7 @@ class TestArenaLegacyParity:
         graph, csr, pool = wc_setup
         results = [
             greedy_replace(graph, [0, 5], 6, theta=120, evaluator=evaluator)
-            for evaluator in (LegacySketch(pool), SketchIndex(csr, pool=pool))
+            for evaluator in (LegacySketch(pool), SketchIndex(pool))
         ]
         assert results[0].blockers == results[1].blockers
         assert results[0].round_deltas == results[1].round_deltas
@@ -284,7 +284,7 @@ class TestArenaLegacyParity:
             ).blockers
             for evaluator in (
                 LegacySketch(SamplePool(toy, rng=13)),
-                SketchIndex(toy, rng=13),
+                SketchIndex(SamplePool(toy, rng=13)),
             )
         ]
         assert picks[0] == picks[1]
@@ -299,7 +299,7 @@ class TestArenaLegacyParity:
         graph, csr, pool = wc_setup
         theta = 120
         seeds = [0, 5]
-        warm = SketchIndex(csr, pool=pool)
+        warm = SketchIndex(pool)
         walk = [
             [], [7, 30, 61], [7], [7, 30, 61, 100], [], [30, 61], [30],
             [7, 30, 61],
@@ -321,7 +321,7 @@ class TestArenaLegacyParity:
         graph, csr, pool = wc_setup
         theta = 60
         seeds = [0, 5]
-        arena = SketchIndex(csr, pool=pool)
+        arena = SketchIndex(pool)
         arena.expected_spread(seeds, theta, list(range(10, 50)))
         view = next(iter(arena._views.values()))
         cap_before = view._order_arena.shape[0]
@@ -332,7 +332,7 @@ class TestArenaLegacyParity:
         assert view._used > used_before
         assert view._order_arena.shape[0] >= cap_before
         # and answers still match a cold rebuild exactly
-        cold = SketchIndex(csr, pool=pool)
+        cold = SketchIndex(pool)
         assert arena.expected_spread(
             seeds, theta
         ) == cold.expected_spread(seeds, theta)
@@ -353,7 +353,7 @@ class TestExactReference:
             if u != v and not graph.has_edge(u, v):
                 graph.add_edge(u, v, probability=float(gen.integers(0, 2)))
         seeds = [0, 1]
-        sketch = SketchIndex(graph, rng=5)
+        sketch = SketchIndex(SamplePool(graph, rng=5))
         for blocked in ([], [7, 12], [7], [12, 20, 33], []):
             exact = exact_expected_spread(graph, seeds, blocked)
             assert sketch.expected_spread(seeds, 16, blocked) == exact
@@ -393,7 +393,7 @@ class _ExplodingBuilder:
 class TestByteGaugeFailureInjection:
     @pytest.mark.parametrize("reference", ["legacy", "arena"])
     def test_failed_rebase_leaves_gauge_consistent(self, toy, reference):
-        sketch = SketchIndex(toy, rng=13)
+        sketch = SketchIndex(SamplePool(toy, rng=13))
         sketch.builder = _ExplodingBuilder(sketch.builder)
         sketch.expected_spread([figure1_seed], 80)
         before = sketch.stats.as_dict()
@@ -423,20 +423,26 @@ class TestByteGaugeFailureInjection:
 # ----------------------------------------------------------------------
 class TestBoundsChecks:
     def test_marginal_gain_rejects_out_of_range(self, toy):
-        sketch = SketchIndex(toy, rng=3)
+        sketch = SketchIndex(SamplePool(toy, rng=3))
         n = sketch.csr.n
         # v == n is the virtual root's slot: historically a silent 0.0
         for bad in (n, n + 7, -1, -n - 2):
             with pytest.raises(ValueError, match=rf"\[0, {n}\)"):
                 sketch.marginal_gain(bad, [figure1_seed], 40)
 
+    def test_marginal_gain_rejects_non_integer_ids(self, toy):
+        sketch = SketchIndex(SamplePool(toy, rng=3))
+        for bad in (1.9, True, "1"):
+            with pytest.raises(ValueError, match="must be integers"):
+                sketch.marginal_gain(bad, [figure1_seed], 40)
+
     def test_marginal_gain_in_range_still_works(self, toy):
-        sketch = SketchIndex(toy, rng=3)
+        sketch = SketchIndex(SamplePool(toy, rng=3))
         gain = sketch.marginal_gain(V(5), [figure1_seed], 40)
         assert gain >= 0.0
 
     def test_blocked_ids_out_of_range_rejected(self, toy):
-        sketch = SketchIndex(toy, rng=3)
+        sketch = SketchIndex(SamplePool(toy, rng=3))
         n = sketch.csr.n
         with pytest.raises(ValueError, match=rf"\[0, {n}\)"):
             sketch.expected_spread([figure1_seed], 40, [n])
@@ -446,4 +452,4 @@ class TestBoundsChecks:
     def test_unknown_layout_rejected(self, toy):
         # one layout: the index takes no layout knob any more
         with pytest.raises(TypeError, match="layout"):
-            SketchIndex(toy, rng=3, layout="legacy")
+            SketchIndex(SamplePool(toy, rng=3), layout="legacy")

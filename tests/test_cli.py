@@ -120,6 +120,16 @@ class TestCommands:
             assert out.startswith(f"error: --block id {bad} out of range")
             assert len(out.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["block", "spread"])
+    def test_negative_rng_rejected(self, capsys, command):
+        argv = [command, "--dataset", "email-core", "--scale", "0.08"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--rng", "-1"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == (
+            "error: --rng must be non-negative\n"
+        )
+
 
 class TestEngineFlag:
     def test_engine_defaults_to_scalar(self):

@@ -2,9 +2,12 @@
 
 Keeps README/DESIGN/EXPERIMENTS honest as the code evolves: every
 module path mentioned must exist, every bench target must be a file,
-and the public API snippets must import.
+every class-like name in backticks must be defined, and the public API
+snippets must import.
 """
 
+import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -59,6 +62,54 @@ class TestDesignReferences:
     def test_paper_match_is_confirmed(self, design_text):
         # the reproduction must state the paper-text check result
         assert "Paper-text check" in design_text
+
+
+# a backticked dotted name whose head has a lowercase letter, as in
+# `SketchIndex.apply_delta` or `CSRGraph`; calls and file names such
+# as `DESIGN.md` or `BENCH_service.json` do not match
+_CAMEL_SPAN = re.compile(
+    r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.[A-Za-z_]\w*)*`"
+)
+
+
+def _defined_names() -> set[str]:
+    """Classes, functions and module-level assignments of every
+    ``repro`` module and of ``tests/conftest.py``."""
+    names: set[str] = set()
+    sources = [*(ROOT / "src" / "repro").rglob("*.py")]
+    sources.append(ROOT / "tests" / "conftest.py")
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                names.add(node.name)
+        for node in tree.body:
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign)
+                else []
+            )
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+class TestClassNames:
+    def test_backticked_camel_case_names_are_defined(self):
+        documents = [ROOT / "README.md", ROOT / "DESIGN.md"]
+        documents += sorted((ROOT / "docs").glob("*.md"))
+        defined = _defined_names()
+        missing = set()
+        for document in documents:
+            text = document.read_text(encoding="utf-8")
+            for match in _CAMEL_SPAN.finditer(text):
+                name = match.group(1)
+                if sum(c.isupper() for c in name) < 2:
+                    continue  # one hump (`Trace`, `None`): not CamelCase
+                if name not in defined and not hasattr(builtins, name):
+                    missing.add(f"{document.relative_to(ROOT)}: {name}")
+        assert not missing, sorted(missing)
 
 
 class TestReadmeReferences:

@@ -19,7 +19,6 @@ from repro.engine import (
     batch_cascades,
     build_evaluator,
     EngineSpec,
-    PooledEvaluator,
     ragged_arange,
     SamplePool,
     SpreadEvaluator,
@@ -137,7 +136,7 @@ class TestParity:
     def test_protocol_runtime_checkable(self, toy):
         assert isinstance(MonteCarloEngine(toy), SpreadEvaluator)
         assert isinstance(VectorizedEvaluator(toy), SpreadEvaluator)
-        assert isinstance(PooledEvaluator(toy), SpreadEvaluator)
+        assert isinstance(SamplePool(toy), SpreadEvaluator)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +204,7 @@ class TestSamplePool:
         assert list(tmp_path.iterdir()) == []
 
     def test_pooled_evaluator_common_random_numbers(self, toy):
-        evaluator = PooledEvaluator(toy, rng=2)
+        evaluator = SamplePool(toy, rng=2)
         a = evaluator.expected_spread([figure1_seed], 300)
         b = evaluator.expected_spread([figure1_seed], 300)
         assert a == b  # identical worlds, identical estimate
@@ -365,7 +364,10 @@ class TestFactory:
 class TestOutOfRangeIds:
     """Every backend rejects ids outside ``[0, n)`` with the sketch
     index's errors, instead of numpy wrapping ``-1`` onto vertex
-    ``n - 1`` or a bare ``IndexError`` from an array lookup."""
+    ``n - 1`` or a bare ``IndexError`` from an array lookup — and
+    non-integer ids with GraphDelta's error, instead of reading
+    ``1.7``, ``True`` or ``"1"`` as vertex 1 (or a bare ``TypeError``
+    from the scalar engine's list lookup)."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
@@ -375,8 +377,15 @@ class TestOutOfRangeIds:
             ([0], [5], ValueError, r"blocked vertex 5 out of range \[0, 5\)"),
             ([-1], [], IndexError, "seed -1 is not a vertex"),
             ([5], [], IndexError, "seed 5 is not a vertex"),
+            ([0], [1.7], ValueError, "vertex ids must be integers, got 1.7"),
+            ([0], [True], ValueError, "vertex ids must be integers, got True"),
+            ([0], ["1"], ValueError, "vertex ids must be integers, got '1'"),
+            ([0.6], [], ValueError, "vertex ids must be integers, got 0.6"),
         ],
-        ids=["blocked-negative", "blocked-n", "seed-negative", "seed-n"],
+        ids=[
+            "blocked-negative", "blocked-n", "seed-negative", "seed-n",
+            "blocked-float", "blocked-bool", "blocked-str", "seed-float",
+        ],
     )
     def test_rejected(self, backend, seeds, blocked, error, message):
         path = DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -426,17 +435,17 @@ class TestBuildEvaluator:
         spec = EngineSpec(engine="pooled", seed=5, cache_dir=tmp_path)
         first = build_evaluator(toy, spec, stream=0)
         first.expected_spread([figure1_seed], 40)
-        assert first.pool.stats.disk_saves == 1
+        assert first.stats.disk_saves == 1
         second = build_evaluator(toy, spec, stream=0)
-        assert second.pool.stats.disk_loads == 1
+        assert second.stats.disk_loads == 1
         # a different stream must not attach the stream-0 pool
         other = build_evaluator(toy, spec, stream=1)
-        assert other.pool.stats.disk_loads == 0
+        assert other.stats.disk_loads == 0
 
 
 class TestExpectedSpreadMany:
     def test_matches_individual_calls_bitwise(self, toy):
-        evaluator = PooledEvaluator(toy, rng=11)
+        evaluator = SamplePool(toy, rng=11)
         seeds = [figure1_seed]
         blocked_sets = [[], [4], [1, 3], [4, 8], [2]]
         batched = evaluator.expected_spread_many(
@@ -449,11 +458,11 @@ class TestExpectedSpreadMany:
         assert batched == singles
 
     def test_empty_batch(self, toy):
-        evaluator = PooledEvaluator(toy, rng=11)
+        evaluator = SamplePool(toy, rng=11)
         assert evaluator.expected_spread_many([figure1_seed], 10, []) == []
 
     def test_rejects_nonpositive_rounds(self, toy):
-        evaluator = PooledEvaluator(toy, rng=11)
+        evaluator = SamplePool(toy, rng=11)
         with pytest.raises(ValueError):
             evaluator.expected_spread_many([figure1_seed], 0, [[]])
 
@@ -461,7 +470,7 @@ class TestExpectedSpreadMany:
         # more rounds than one 1024-sample chunk, so the batched loop
         # crosses chunk windows
         rounds = 2500
-        evaluator = PooledEvaluator(toy, rng=2)
+        evaluator = SamplePool(toy, rng=2)
         batched = evaluator.expected_spread_many(
             [figure1_seed], rounds, [[], [4]]
         )

@@ -18,7 +18,7 @@ from repro import assign_weighted_cascade, EngineSpec
 from repro.datasets import figure1_graph
 from repro.engine import (
     build_evaluator,
-    PooledEvaluator,
+    SamplePool,
     ScalarEvaluator,
     SketchIndex,
     VectorizedEvaluator,
@@ -59,6 +59,7 @@ class TestEngineSpec:
             ({"workers": 2.5}, "workers"),
             ({"workers": True}, "workers"),
             ({"workers": "2"}, "workers"),
+            ({"seed": -1}, "seed must be non-negative"),
         ],
     )
     def test_validation(self, patch, fragment):
@@ -91,7 +92,7 @@ class TestSpecFactories:
         [
             ("scalar", ScalarEvaluator),
             ("vectorized", VectorizedEvaluator),
-            ("pooled", PooledEvaluator),
+            ("pooled", SamplePool),
             ("sketch", SketchIndex),
         ],
     )
@@ -110,8 +111,8 @@ class TestSpecFactories:
             assert a.expected_spread([0], 64) == (
                 b.expected_spread([0], 64)
             )
-            assert a.pool.get(64).positions.tolist() != (
-                c.pool.get(64).positions.tolist()
+            assert a.get(64).positions.tolist() != (
+                c.get(64).positions.tolist()
             )
 
     def test_spec_cache_dir_persists_pool(self, graph, tmp_path):
@@ -123,7 +124,7 @@ class TestSpecFactories:
         assert list(tmp_path.glob("pool-*.npy"))
         with build_evaluator(graph, spec) as second:
             second.expected_spread([0], 32)
-            assert second.pool.stats.disk_loads == 1
+            assert second.stats.disk_loads == 1
 
     @pytest.mark.parametrize(
         "config, kwargs, fragment",
@@ -147,7 +148,7 @@ class TestSpecFactories:
         "engine, backend",
         [
             ("vectorized", VectorizedEvaluator),
-            ("pooled", PooledEvaluator),
+            ("pooled", SamplePool),
             ("sketch", SketchIndex),
         ],
     )
@@ -159,8 +160,11 @@ class TestSpecFactories:
         its backend class constructed with ``rng=seed``."""
         blocked_sets = ([], [2], [3, 5])
         spec = EngineSpec(engine=engine, seed=5)
-        with build_evaluator(graph, spec) as built, \
-                backend(graph, rng=5) as direct:
+        direct = (
+            SketchIndex(SamplePool(graph, rng=5)) if backend is SketchIndex
+            else backend(graph, rng=5)
+        )
+        with build_evaluator(graph, spec) as built, direct:
             for blocked in blocked_sets:
                 assert built.expected_spread([0], 64, blocked) == (
                     direct.expected_spread([0], 64, blocked)

@@ -116,7 +116,7 @@ def test_email_core_pool(email):
     pooled = build_evaluator(
         graph, EngineSpec(engine="pooled", theta=200, seed=7)
     )
-    batch = pooled.pool.get(200)
+    batch = pooled.get(200)
     assert sha256(batch.offsets) == EMAIL_OFFSETS
     assert sha256(batch.positions) == EMAIL_POSITIONS
     assert pooled.expected_spread(seeds, 200, []).hex() == EMAIL_SPREAD
@@ -124,7 +124,7 @@ def test_email_core_pool(email):
 
 def test_grown_ba_pool():
     graph = prepare_graph(barabasi_albert(2000, 4, rng=7), "wc")
-    pool = build_evaluator(graph, EngineSpec(engine="pooled", seed=7)).pool
+    pool = build_evaluator(graph, EngineSpec(engine="pooled", seed=7))
     pool.get(7)
     batch = pool.get(300)
     assert sha256(batch.offsets) == BA_OFFSETS

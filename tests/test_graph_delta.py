@@ -332,7 +332,7 @@ class TestSketchDeltaIdentity:
             seeds = [int(gen.integers(n))]
             parked = [v for v in range(min(3, n)) if v not in seeds][:2]
 
-            index = SketchIndex(graph.copy(), rng=7)
+            index = SketchIndex(SamplePool(graph.copy(), rng=7))
             # warm the view and park it on a non-empty blocker set so
             # the delta path exercises the rebase-to-base contract
             index.expected_spread(seeds, theta, parked)
@@ -359,7 +359,7 @@ class TestSketchDeltaIdentity:
         graph = random_graph(gen, 20, 60)
         seeds = [0]
         theta = 80
-        index = SketchIndex(graph.copy(), rng=3)
+        index = SketchIndex(SamplePool(graph.copy(), rng=3))
         index.expected_spread(seeds, theta)
         for _ in range(3):
             delta = random_delta(gen, graph)
@@ -376,7 +376,7 @@ class TestSketchDeltaIdentity:
         gen = np.random.default_rng(23)
         graph = random_graph(gen, 16, 48)
         theta = 60
-        index = SketchIndex(graph.copy(), rng=5)
+        index = SketchIndex(SamplePool(graph.copy(), rng=5))
         index.expected_spread([1], theta)
         delta = random_delta(gen, graph)
         report = index.apply_delta(delta)
@@ -413,7 +413,7 @@ class TestDeltaPersistence:
         theta = 60
 
         index = SketchIndex(
-            graph.copy(), rng=7, cache_dir=tmp_path
+            SamplePool(graph.copy(), rng=7, cache_dir=tmp_path)
         )
         index.expected_spread(seeds, theta)
         index.apply_delta(delta)
@@ -424,7 +424,7 @@ class TestDeltaPersistence:
         # a fresh process over the mutated graph and the same cache
         # dir must land on the patched artifacts, not rebuild
         mutated = delta.apply_to(graph.copy())
-        again = SketchIndex(mutated, rng=7, cache_dir=tmp_path)
+        again = SketchIndex(SamplePool(mutated, rng=7, cache_dir=tmp_path))
         assert again.expected_spread(seeds, theta) == expected
         assert np.array_equal(
             again.decrease_estimates(seeds, theta), gains

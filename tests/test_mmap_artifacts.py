@@ -281,8 +281,8 @@ answers = {
     "repaired": again,
     "disk_loads": [
         sketch_engine.pool.stats.disk_loads,
-        pooled_engine.pool.stats.disk_loads,
-        repaired.pool.stats.disk_loads,
+        pooled_engine.stats.disk_loads,
+        repaired.stats.disk_loads,
     ],
 }
 print(json.dumps(answers))

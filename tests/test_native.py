@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import native
-from repro.engine import PooledEvaluator, reach_counts_from_alive, SamplePool
+from repro.engine import reach_counts_from_alive, SamplePool
 from repro.engine.pool import _thresholds
 from repro.graph import barabasi_albert, CSRGraph, DiGraph, GraphDelta
 from repro.models import assign_trivalency, assign_weighted_cascade
@@ -155,8 +155,8 @@ def assert_native_matches_fallback(
     evaluator, seeds, rounds, blocked_sets, monkeypatch
 ):
     """Per-sample counts and per-set estimates agree on both paths."""
-    csr = evaluator.pool.csr
-    batch = evaluator.pool.get(rounds)
+    csr = evaluator.csr
+    batch = evaluator.get(rounds)
     alive = batch.alive_matrix(0, rounds)
     for blocked in blocked_sets:
         mask = np.zeros(csr.n, dtype=np.uint8)
@@ -175,7 +175,7 @@ def assert_native_matches_fallback(
     with monkeypatch.context() as patch:
         # the wrapper's "kernel unavailable" answer forces the fallback
         patch.setattr(
-            "repro.engine.evaluator.native_reach_counts",
+            "repro.engine.pool.native_reach_counts",
             lambda *args, **kwargs: None,
         )
         fallback_estimates = evaluator.expected_spread_many(
@@ -193,14 +193,14 @@ class TestReachKernel:
     )
     def test_wc_graph_blocked_sets(self, wc_setup, blocked, monkeypatch):
         graph, csr, pool = wc_setup
-        evaluator = PooledEvaluator(csr, pool=pool)
+        evaluator = pool
         assert_native_matches_fallback(
             evaluator, [0, 5, 17], 120, [blocked], monkeypatch
         )
 
     def test_duplicate_seeds_count_once(self, wc_setup, monkeypatch):
         graph, csr, pool = wc_setup
-        evaluator = PooledEvaluator(csr, pool=pool)
+        evaluator = pool
         twice = assert_native_matches_fallback(
             evaluator, [5, 0, 5, 0], 120, [[], [7]], monkeypatch
         )
@@ -210,7 +210,7 @@ class TestReachKernel:
         graph = DiGraph.from_edges(
             6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 0.5
         )
-        evaluator = PooledEvaluator(graph, rng=4)
+        evaluator = SamplePool(graph, rng=4)
         sink_only = assert_native_matches_fallback(
             evaluator, [5], 50, [[], [3]], monkeypatch
         )
@@ -222,7 +222,7 @@ class TestReachKernel:
     def test_rounds_below_pool_theta(self, wc_setup, monkeypatch):
         graph, csr, pool = wc_setup
         assert pool.theta == 120
-        evaluator = PooledEvaluator(csr, pool=pool)
+        evaluator = pool
         assert_native_matches_fallback(
             evaluator, [0, 5], 37, [[], [11, 12]], monkeypatch
         )
@@ -233,15 +233,15 @@ class TestReachKernel:
         attached = SamplePool(csr, rng=3, cache_dir=tmp_path)
         assert attached.stats.disk_loads == 1
         assert isinstance(attached.get(80).positions, np.memmap)
-        evaluator = PooledEvaluator(csr, pool=attached)
+        evaluator = attached
         assert_native_matches_fallback(
             evaluator, [0, 5, 17], 80, [[], [3, 9]], monkeypatch
         )
 
     def test_pool_after_delta(self, wc_setup, monkeypatch):
         graph, csr, _ = wc_setup
-        evaluator = PooledEvaluator(csr, rng=8)
-        evaluator.pool.get(90)
+        evaluator = SamplePool(csr, rng=8)
+        evaluator.get(90)
         edges = [
             (u, int(csr.indices[j]))
             for u in (0, 5, 9)
@@ -252,7 +252,7 @@ class TestReachKernel:
             deletes=edges[:3],
             reweights=[(u, v, 1.0) for u, v in edges[3:]],
         ))
-        assert evaluator.pool.csr.m == csr.m - 1
+        assert evaluator.csr.m == csr.m - 1
         assert_native_matches_fallback(
             evaluator, [0, 5, 9], 90, [[], [399], [1, 2]], monkeypatch
         )
@@ -261,7 +261,7 @@ class TestReachKernel:
         self, wc_setup, monkeypatch
     ):
         graph, csr, pool = wc_setup
-        evaluator = PooledEvaluator(csr, pool=pool)
+        evaluator = pool
 
         def spread(blocked_sets):
             return evaluator.expected_spread_many([0], 20, blocked_sets)

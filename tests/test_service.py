@@ -22,9 +22,12 @@ import weakref
 
 import pytest
 
+from repro.bench import prepare_graph
 from repro.datasets import figure1_graph
+from repro.engine import build_evaluator, EngineSpec
 from repro.graph import GraphDelta
 from repro.service import (
+    Artifact,
     ArtifactCache,
     ArtifactKey,
     BlockerService,
@@ -173,13 +176,13 @@ class TestArtifactCache:
         # artifact's reported footprint grows by exactly the bytes
         # the SketchStats gauge reports
         artifact = cache.get(TOY_KEY)
-        pools_only = artifact.pool.nbytes + artifact.judge.pool.nbytes
+        pools_only = artifact.pool.nbytes + artifact.judge.nbytes
         assert artifact.sketch.stats.tree_bytes == 0
         assert artifact.nbytes == pools_only
         artifact.block([0], budget=1)
         tree_bytes = artifact.sketch.stats.tree_bytes
         assert tree_bytes > 0
-        pools_only = artifact.pool.nbytes + artifact.judge.pool.nbytes
+        pools_only = artifact.pool.nbytes + artifact.judge.nbytes
         assert artifact.nbytes == pools_only + tree_bytes
         assert cache.describe()["total_bytes"] == artifact.nbytes
         artifact.close()
@@ -218,6 +221,90 @@ class TestArtifactCache:
         assert cache.stats.rehydrations == 1
         assert rebuilt.pool.stats.generated == 0  # attached, not drawn
         assert rebuilt.pool.stats.disk_loads == 1
+
+    def test_eviction_closes_outside_the_cache_lock(self, registry):
+        """Closing an evicted artifact waits for its in-flight query;
+        no other request may wait behind that close."""
+        cache = ArtifactCache(registry, max_entries=1)
+        key_a = ArtifactKey("toy", "wc", 50, 1)
+        key_b = ArtifactKey("toy", "wc", 50, 2)
+        artifact_a = cache.get(key_a)
+        holding, closing, release = (threading.Event() for _ in range(3))
+        close_a = artifact_a.close
+
+        def close():
+            closing.set()
+            close_a()
+
+        artifact_a.close = close
+
+        def in_flight_query():
+            with artifact_a.lock:
+                holding.set()
+                release.wait(timeout=30)
+
+        elapsed = {}
+
+        def timed(name, call):
+            start = time.perf_counter()
+            call()
+            elapsed[name] = time.perf_counter() - start
+
+        query = threading.Thread(target=in_flight_query)
+        evictor = threading.Thread(target=cache.get, args=(key_b,))
+        others = [
+            threading.Thread(target=timed, args=("describe", cache.describe)),
+            threading.Thread(
+                target=timed, args=("hit", lambda: cache.get(key_b))
+            ),
+        ]
+        query.start()
+        try:
+            assert holding.wait(timeout=10)
+            evictor.start()  # inserts B, evicts A, then closes A
+            assert closing.wait(timeout=30)
+            for thread in others:
+                thread.start()
+            for thread in others:
+                thread.join(timeout=1.0)
+            assert sorted(elapsed) == ["describe", "hit"]
+            assert all(seconds < 1.0 for seconds in elapsed.values())
+            assert evictor.is_alive()  # A's close is still pending
+            # the counter and the byte total moved at removal
+            assert cache.stats.evictions == 1
+            assert cache.keys() == [key_b]
+            assert cache.describe()["total_bytes"] == (
+                cache.peek(key_b).nbytes
+            )
+        finally:
+            release.set()
+            for thread in (query, evictor, *others):
+                if thread.is_alive():
+                    thread.join(timeout=10)
+        assert not query.is_alive() and not evictor.is_alive()
+        assert artifact_a.sketch.stats.tree_bytes == 0
+
+    def test_pool_streams_share_the_engine_cache_names(
+        self, registry, tmp_path
+    ):
+        """The service's pools follow ``spec.cache_key(stream)``: a
+        plain engine build over the same graph attaches them."""
+        key = ArtifactKey("toy", "wc", 60, 3)
+        prepared = prepare_graph(
+            registry.get(key.graph).copy(), key.model, rng=key.seed
+        )
+        artifact = Artifact(key, prepared, cache_dir=tmp_path)
+        spec = EngineSpec(
+            engine="pooled", model=key.model, theta=key.theta,
+            seed=key.seed, cache_dir=tmp_path,
+        )
+        stream0 = build_evaluator(prepared, spec)
+        assert stream0.stats.disk_loads == 1
+        assert stream0.cache_digest == artifact.pool.cache_digest
+        artifact.block([0], budget=1)
+        stream1 = build_evaluator(prepared, spec, stream=1)
+        assert stream1.stats.disk_loads == 1
+        assert stream1.cache_digest == artifact.judge.cache_digest
 
     def test_single_flight_builds(self, registry):
         cache = ArtifactCache(registry, max_entries=3)
@@ -460,7 +547,7 @@ class TestArtifact:
     def test_block_judged_on_independent_stream(self, cache):
         """The winner is never scored on the samples that picked it."""
         artifact = cache.get(TOY_KEY)
-        assert artifact.judge.pool is not artifact.pool
+        assert artifact.judge is not artifact.pool
         outcome = artifact.block([0], budget=1)
         judged = artifact.judge.expected_spread_many(
             [0], TOY_KEY.theta, [[], outcome["blockers"]]
@@ -519,6 +606,17 @@ class TestBlockerService:
         assert response["error"]["code"] == code
         assert response["error"]["op"] == "spread"
         assert fragment in response["error"]["message"]
+
+    def test_negative_seed_rejected_before_any_build(self, registry):
+        service = BlockerService(registry=registry)
+        response = service.handle(
+            {"op": "spread", "graph": "email-core", "seed": -1}
+        )
+        assert response["error"]["code"] == "bad_params"
+        assert "seed must be non-negative" in response["error"]["message"]
+        records = {r["name"]: r for r in registry.describe()}
+        assert not records["email-core"]["loaded"]
+        assert service.cache.stats.misses == 0
 
     def test_spread_drops_seed_blockers(self, registry):
         service = BlockerService(registry=registry)
@@ -867,7 +965,7 @@ class TestServiceAgainstEngine:
                 "seed": 7, "seeds": [0], "blocked": [4],
             }
         )
-        direct = artifact.pooled.expected_spread([0], 100, [4])
+        direct = artifact.pool.expected_spread([0], 100, [4])
         assert response["result"]["spread"] == direct
 
 

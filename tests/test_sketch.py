@@ -162,7 +162,7 @@ class TestArrayNativeBuild:
         csr = CSRGraph(toy)
         pool = SamplePool(csr, rng=9)
         theta = 100
-        sketch = SketchIndex(toy, pool=pool)
+        sketch = SketchIndex(pool)
         sweep = sketch.decrease_estimates([figure1_seed], theta)
         spread = sketch.expected_spread([figure1_seed], theta)
         legacy = legacy_sample_trees(
@@ -201,7 +201,7 @@ class TestArrayNativeBuild:
     def test_tree_bytes_gauge(self, toy):
         # the gauge is the sum over every cached view, and LRU eviction
         # of a view gives its bytes back
-        sketch = SketchIndex(toy, rng=13)
+        sketch = SketchIndex(SamplePool(toy, rng=13))
         assert sketch.stats.tree_bytes == 0
 
         def resident():
@@ -219,7 +219,7 @@ class TestArrayNativeBuild:
         assert sketch.stats.tree_bytes == 0
 
     def test_arena_bytes_gauge(self, toy):
-        sketch = SketchIndex(toy, rng=13)
+        sketch = SketchIndex(SamplePool(toy, rng=13))
         sketch.expected_spread([figure1_seed], 80)
         view = next(iter(sketch._views.values()))
         arena = view._arena_nbytes()
@@ -245,8 +245,8 @@ class TestDeterminism:
     def test_bit_identical_across_theta_request_chunking(self, toy):
         # the pool is chunk-seeded: the first theta samples are the
         # same arrays whether requested at once or grown in stages
-        direct = SketchIndex(toy, rng=5)
-        staged = SketchIndex(toy, rng=5)
+        direct = SketchIndex(SamplePool(toy, rng=5))
+        staged = SketchIndex(SamplePool(toy, rng=5))
         for theta in (17, 60, 120):
             staged.expected_spread([figure1_seed], theta)
         a = direct.expected_spread([figure1_seed], 120)
@@ -258,8 +258,8 @@ class TestDeterminism:
         )
 
     def test_fixed_seed_reproducible(self, toy):
-        a = SketchIndex(toy, rng=9).expected_spread([figure1_seed], 70)
-        b = SketchIndex(toy, rng=9).expected_spread([figure1_seed], 70)
+        a = SketchIndex(SamplePool(toy, rng=9)).expected_spread([figure1_seed], 70)
+        b = SketchIndex(SamplePool(toy, rng=9)).expected_spread([figure1_seed], 70)
         assert a == b
 
     def test_solver_results_reproducible(self, toy):
