@@ -119,7 +119,7 @@ def run_update_benchmark(
     every rung for the timing contrast and the identity check."""
     graph = assign_weighted_cascade(barabasi_albert(n, attach, rng=rng))
     seeds = pick_seeds(graph, num_seeds, rng=rng)
-    spec = EngineSpec(engine="sketch", theta=theta, seed=rng)
+    spec = EngineSpec(engine="sketch", seed=rng)
 
     start = time.perf_counter()
     index = build_evaluator(CSRGraph(graph), spec)

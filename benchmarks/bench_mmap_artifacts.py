@@ -99,7 +99,6 @@ def run_mmap_benchmark(
         cache_dir = tmp.name
     spec = EngineSpec(
         engine="sketch",
-        theta=theta,
         seed=rng,
         cache_dir=cache_dir,
     )

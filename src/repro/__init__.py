@@ -99,9 +99,7 @@ from .sampling import (
 from .spread import (
     exact_activation_probabilities,
     exact_expected_spread,
-    expected_spread_mcs,
     MonteCarloEngine,
-    simulate_cascade,
 )
 
 __version__ = "1.0.0"
@@ -119,8 +117,6 @@ __all__ = [
     "LinearThresholdSampler",
     # spread computation
     "MonteCarloEngine",
-    "simulate_cascade",
-    "expected_spread_mcs",
     # the evaluation engine
     "SpreadEvaluator",
     "EngineSpec",

@@ -533,18 +533,17 @@ _SHORT_NAMES = {
 }
 
 
-def _engine_spec(args, theta: int | None = None) -> EngineSpec:
+def _engine_spec(args) -> EngineSpec:
     """The :class:`~repro.engine.EngineSpec` the CLI flags pin down."""
     return EngineSpec(
         engine=args.engine,
         model=args.model,
-        theta=theta if theta is not None else 200,
         seed=args.rng,
         cache_dir=getattr(args, "cache_dir", None),
     )
 
 
-def _make_engine(args, graph, stream: int = 0, theta: int | None = None):
+def _make_engine(args, graph, stream: int = 0):
     """The injected evaluator, or None for the historical default.
 
     A thin shell over :func:`repro.engine.build_evaluator` (shared
@@ -556,9 +555,7 @@ def _make_engine(args, graph, stream: int = 0, theta: int | None = None):
     """
     if args.engine == "scalar":
         return None
-    return build_evaluator(
-        graph, _engine_spec(args, theta), stream=stream
-    )
+    return build_evaluator(graph, _engine_spec(args), stream=stream)
 
 
 def _cmd_block(args) -> int:
@@ -570,7 +567,7 @@ def _cmd_block(args) -> int:
     algorithm = _SHORT_NAMES.get(args.algorithm, args.algorithm)
     theta = _resolve_theta(args, graph, default=200)
     with contextlib.ExitStack() as stack:
-        selector = _make_engine(args, graph, stream=0, theta=theta)
+        selector = _make_engine(args, graph, stream=0)
         if selector is not None:
             stack.enter_context(selector)
         start = time.perf_counter()
@@ -588,7 +585,7 @@ def _cmd_block(args) -> int:
         # final quality is judged by a separate evaluator stream so the
         # selection's random worlds are never reused to score their
         # winner
-        judge = _make_engine(args, graph, stream=1, theta=theta)
+        judge = _make_engine(args, graph, stream=1)
         if judge is not None:
             stack.enter_context(judge)
         spread = evaluate_spread(
@@ -620,7 +617,7 @@ def _cmd_spread(args) -> int:
         f"model={args.model} seeds={seeds} blocked={blocked}"
     )
     theta = _resolve_theta(args, graph, default=2000)
-    evaluator = _make_engine(args, graph, theta=theta)
+    evaluator = _make_engine(args, graph)
     if evaluator is not None:
         with evaluator:
             mean = evaluator.expected_spread(seeds, theta, blocked)

@@ -24,7 +24,7 @@ form.  Its pieces:
     index (vertex -> samples postings) for vectorized rebases.
 :mod:`repro.engine.spec`
     :class:`EngineSpec`, the frozen value that names one engine
-    configuration (backend, model, theta, seed, cache dir).
+    configuration (backend, model, seed, cache dir).
 :mod:`repro.engine.evaluator`
     The :class:`SpreadEvaluator` protocol, the backend implementations
     and :func:`build_evaluator`, the one factory, which builds the
@@ -46,8 +46,6 @@ from .evaluator import (
 )
 from .spec import EngineSpec, MODELS
 from .kernels import (
-    batch_activation_counts,
-    batch_cascades,
     batch_spread,
     postings_csr,
     ragged_arange,
@@ -68,9 +66,7 @@ __all__ = [
     "MODELS",
     "EngineSpec",
     "build_evaluator",
-    "batch_cascades",
     "batch_spread",
-    "batch_activation_counts",
     "reach_counts_from_alive",
     "ragged_arange",
     "SamplePool",

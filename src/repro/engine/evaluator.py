@@ -42,7 +42,7 @@ import numpy as np
 from ..graph import CSRGraph, DiGraph
 from ..rng import ensure_rng, RngLike
 from ..spread import MonteCarloEngine
-from .kernels import batch_activation_counts, batch_spread
+from .kernels import batch_spread
 from .pool import _EvaluatorLifecycle, SamplePool
 from .sketch import SketchIndex
 from .spec import BACKENDS, EngineSpec
@@ -100,18 +100,6 @@ class VectorizedEvaluator(_EvaluatorLifecycle):
     ) -> float:
         return batch_spread(self.csr, seeds, rounds, self._gen, blocked)
 
-    def activation_frequencies(
-        self,
-        seeds: Sequence[int],
-        rounds: int,
-        blocked: Iterable[int] = (),
-    ) -> np.ndarray:
-        """Per-vertex activation frequency estimate of ``P_G(x, S)``."""
-        counts = batch_activation_counts(
-            self.csr, seeds, rounds, self._gen, blocked
-        )
-        return counts / rounds
-
 
 def build_evaluator(
     graph: DiGraph | CSRGraph,
@@ -124,10 +112,9 @@ def build_evaluator(
 
     The one engine factory.  ``spec`` (an
     :class:`~repro.engine.spec.EngineSpec`) selects the backend, seeds
-    it, and configures ``cache_dir``; its ``model``/
-    ``theta`` fields key artifacts (the factory consumes an
-    already-prepared graph and per-query ``rounds``, so it does not
-    read them).  On top of the raw backends it adds:
+    it, and configures ``cache_dir``; its ``model`` only keys
+    artifacts (the factory consumes an already-prepared graph).  On
+    top of the raw backends it adds:
 
     * **independent streams from one seed** — ``stream`` derives the
       generator ``default_rng(SeedSequence((seed, stream)))``, so e.g.

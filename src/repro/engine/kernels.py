@@ -45,9 +45,7 @@ from ..rng import ensure_rng, RngLike
 __all__ = [
     "ragged_arange",
     "auto_batch_size",
-    "batch_cascades",
     "batch_spread",
-    "batch_activation_counts",
     "reach_counts_from_alive",
     "sample_csr",
     "postings_csr",
@@ -78,11 +76,7 @@ def ragged_arange(counts: np.ndarray) -> np.ndarray:
 def auto_batch_size(n: int, requested: int | None = None) -> int:
     """Batch size bounded so the activation matrix stays affordable."""
     cap = max(1, _STATE_CELL_BUDGET // max(n, 1))
-    if requested is None:
-        return min(1024, cap)
-    if requested <= 0:
-        raise ValueError("batch_size must be positive")
-    return min(requested, cap)
+    return min(1024 if requested is None else requested, cap)
 
 
 def _probs32(csr: CSRGraph) -> np.ndarray:
@@ -223,11 +217,9 @@ def _run_batches(
     blocked: Iterable[int],
     batch_size: int | None,
     make_survive,
-    per_round: np.ndarray | None,
-    vertex_counts: np.ndarray | None,
-) -> None:
-    """Shared driver: run ``rounds`` cascades in batches, accumulating
-    per-round active counts and/or per-vertex activation counts."""
+) -> np.ndarray:
+    """Shared driver: run ``rounds`` cascades in batches; returns each
+    round's active count as ``int64[rounds]``."""
     if rounds <= 0:
         raise ValueError("rounds must be positive")
     n = csr.n
@@ -237,13 +229,12 @@ def _run_batches(
     seed_arr = np.asarray(seed_list, dtype=np.int64)
     outdeg = csr.out_degrees()
     size = auto_batch_size(n, batch_size)
+    per_round = np.empty(rounds, dtype=np.int64)
     pos = 0
     while pos < rounds:
         b = min(size, rounds - pos)
         active_flat = np.zeros(b * n, dtype=bool)
         round_counts = np.full(b, seed_arr.size, dtype=np.int64)
-        if vertex_counts is not None and seed_arr.size:
-            vertex_counts[seed_arr] += b
         survive = make_survive(pos, b)
         if seed_arr.size:
             rows = np.repeat(np.arange(b, dtype=np.int64), seed_arr.size)
@@ -259,33 +250,9 @@ def _run_batches(
             )
             if frontier is not None:
                 round_counts += np.bincount(frontier[0], minlength=b)
-                if vertex_counts is not None:
-                    vertex_counts += np.bincount(frontier[1], minlength=n)
-        if per_round is not None:
-            per_round[pos: pos + b] = round_counts
+        per_round[pos: pos + b] = round_counts
         pos += b
-
-
-def batch_cascades(
-    graph: DiGraph | CSRGraph,
-    seeds: Sequence[int],
-    rounds: int,
-    rng: RngLike = None,
-    blocked: Iterable[int] = (),
-    batch_size: int | None = None,
-) -> np.ndarray:
-    """Active-vertex count of ``rounds`` independent IC cascades.
-
-    Vectorized equivalent of calling
-    :meth:`MonteCarloEngine.simulate` ``rounds`` times (different RNG
-    stream, same distribution).  Returns ``int64[rounds]``.
-    """
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
-    gen = ensure_rng(rng)
-    out = np.empty(rounds if rounds > 0 else 0, dtype=np.int64)
-    _run_batches(csr, seeds, rounds, blocked, batch_size,
-                 _coin_survive(gen, _probs32(csr)), out, None)
-    return out
+    return per_round
 
 
 def batch_spread(
@@ -294,33 +261,19 @@ def batch_spread(
     rounds: int,
     rng: RngLike = None,
     blocked: Iterable[int] = (),
-    batch_size: int | None = None,
 ) -> float:
-    """Monte-Carlo estimate of ``E(S, G[V \\ blocked])``, vectorized."""
-    counts = batch_cascades(graph, seeds, rounds, rng, blocked, batch_size)
-    return float(counts.sum()) / rounds
+    """Monte-Carlo estimate of ``E(S, G[V \\ blocked])``, vectorized.
 
-
-def batch_activation_counts(
-    graph: DiGraph | CSRGraph,
-    seeds: Sequence[int],
-    rounds: int,
-    rng: RngLike = None,
-    blocked: Iterable[int] = (),
-    batch_size: int | None = None,
-) -> np.ndarray:
-    """Per-vertex activation counts over ``rounds`` cascades.
-
-    ``counts / rounds`` estimates the activation probability
-    ``P_G(x, S)`` of Definition 3; vectorized counterpart of
-    :meth:`MonteCarloEngine.activation_frequencies`.
+    The average active count of ``rounds`` independent IC cascades:
+    the same distribution as :meth:`MonteCarloEngine.expected_spread`,
+    from a different RNG stream.
     """
     csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
-    gen = ensure_rng(rng)
-    counts = np.zeros(csr.n, dtype=np.int64)
-    _run_batches(csr, seeds, rounds, blocked, batch_size,
-                 _coin_survive(gen, _probs32(csr)), None, counts)
-    return counts
+    counts = _run_batches(
+        csr, seeds, rounds, blocked, None,
+        _coin_survive(ensure_rng(rng), _probs32(csr)),
+    )
+    return float(counts.sum()) / rounds
 
 
 def sample_csr(
@@ -414,7 +367,6 @@ def reach_counts_from_alive(
             f"alive matrix must be (B, m={csr.m}), got {alive.shape}"
         )
     b = alive.shape[0]
-    out = np.empty(b, dtype=np.int64)
 
     def make_survive(pos: int, _b: int):
         def survive(erows: np.ndarray, eids: np.ndarray) -> np.ndarray:
@@ -422,5 +374,4 @@ def reach_counts_from_alive(
 
         return survive
 
-    _run_batches(csr, seeds, b, blocked, b, make_survive, out, None)
-    return out
+    return _run_batches(csr, seeds, b, blocked, b, make_survive)

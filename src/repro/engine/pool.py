@@ -322,16 +322,16 @@ class SamplePool(_EvaluatorLifecycle):
     graph:
         Graph (or frozen CSR) whose live-edge distribution is sampled.
     rng:
-        Seed / generator for the coin flips.  An **integer** seed also
-        keys the on-disk cache; with generator/fresh entropy the pool
-        is memory-only unless ``cache_key`` names the stream.
+        Seed / generator for the coin flips.
     cache_dir:
         Directory for persisted pools.  Created on demand.  Files are
         ``pool-<fingerprint>.{offsets,positions}.npy`` and are loaded
         memory-mapped.
     cache_key:
-        Explicit stream identity for the disk fingerprint, for callers
-        that pass a live generator but still want persistence.
+        Stream identity for the disk fingerprint: a pool persists
+        under ``cache_dir`` only when it has one, and
+        :func:`~repro.engine.build_evaluator` always passes
+        ``spec.cache_key(stream)``.
 
     The pool is the ``pooled`` spread evaluator: ``rounds`` selects
     how many pooled samples an estimate averages over, so repeated
@@ -362,8 +362,6 @@ class SamplePool(_EvaluatorLifecycle):
         self._theta = 0
         self._offsets = np.zeros(1, dtype=np.int64)
         self._positions = np.zeros(0, dtype=np.int64)
-        if cache_key is None and isinstance(rng, int):
-            cache_key = f"seed{rng}"
         self._cache_key = cache_key
         self._cache_dir = None if cache_dir is None else Path(cache_dir)
         self._cache_paths: tuple[Path, Path] | None = None

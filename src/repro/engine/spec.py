@@ -16,9 +16,8 @@ signatures, and each layer invented its own partial subset.
 The dataclass is frozen and hashable, so a spec can key caches and be
 shared across threads; :meth:`cache_key` derives the stable on-disk
 stream identity (model + seed + stream) that the pool and sketch
-persistence layers fingerprint.  ``theta`` (the Theorem-5 sample
-count) rides along because artifacts are keyed by it — the evaluator
-factory accepts per-query ``rounds`` and does not consume it directly.
+persistence layers fingerprint.  The sample count is not part of it:
+queries pass ``rounds``, and a pool grows to whatever they ask for.
 
 A spec is the only way to configure an engine:
 :func:`repro.engine.build_evaluator` takes one (plus the runtime-only
@@ -47,8 +46,6 @@ class EngineSpec:
     """Edge-probability model, one of :data:`MODELS` — keys prepared
     graphs and on-disk artifacts; the evaluator factories themselves
     consume already-prepared graphs."""
-    theta: int = 200
-    """Sample count the artifact is sized for (the Theorem-5 knob)."""
     seed: int = 7
     """Non-negative integer root seed: keys RNG streams and the disk
     cache."""
@@ -67,10 +64,6 @@ class EngineSpec:
                 f"unknown model {self.model!r}: expected one of "
                 + ", ".join(MODELS)
             )
-        if isinstance(self.theta, bool) or not isinstance(self.theta, int):
-            raise ValueError("theta must be an integer")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
         if self.seed < 0:
@@ -91,14 +84,3 @@ class EngineSpec:
     def with_engine(self, engine: str) -> "EngineSpec":
         """This spec with a different backend (same identity knobs)."""
         return replace(self, engine=engine)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "engine": self.engine,
-            "model": self.model,
-            "theta": self.theta,
-            "seed": self.seed,
-            "cache_dir": (
-                None if self.cache_dir is None else str(self.cache_dir)
-            ),
-        }

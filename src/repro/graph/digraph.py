@@ -142,9 +142,9 @@ class DiGraph:
     def version(self) -> int:
         """Mutation counter: bumped by every edge insert/update/delete.
 
-        Lets caches of derived structures (frozen CSRs, simulation
-        engines) detect that a graph changed — including in-place
-        probability reassignment, which leaves ``n`` and ``m`` alone.
+        Lets holders of derived structures (a frozen CSR, say) detect
+        that a graph changed — including in-place probability
+        reassignment, which leaves ``n`` and ``m`` alone.
         """
         return self._version
 

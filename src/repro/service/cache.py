@@ -77,7 +77,6 @@ class ArtifactKey:
         return EngineSpec(
             engine="sketch",
             model=self.model,
-            theta=self.theta,
             seed=self.seed,
             cache_dir=cache_dir,
         )

@@ -512,14 +512,14 @@ class BlockerService:
         finally:
             telemetry.completed.inc()
 
-    def _seeds(self, request: dict, artifact: Artifact) -> list[int]:
-        seeds = request.get("seeds")
-        if seeds is None:
-            count = _as_int(request, "num_seeds", DEFAULTS["num_seeds"])
-            if count < 1:
-                raise RequestError("num_seeds must be >= 1")
+    def _seeds(
+        self, request: dict, count: int | None, artifact: Artifact
+    ) -> list[int]:
+        """The request's ``seeds``, or ``count`` default seeds when it
+        names none (``count`` comes from :func:`_num_seeds`)."""
+        if count is not None:
             return artifact.default_seeds(count)
-        seeds = _vertex_list(seeds, "seeds", artifact.csr.n)
+        seeds = _vertex_list(request["seeds"], "seeds", artifact.csr.n)
         if not seeds:
             raise RequestError("seeds must be non-empty")
         return seeds
@@ -626,10 +626,12 @@ class BlockerService:
 
     def _op_warm(self, request: dict) -> dict:
         key = self._artifact_key(request)
+        builds_view = request.get("seeds") is not None or request.get("sketch")
+        count = _num_seeds(request) if builds_view else None
         with span("service.resolve"):
             artifact = self._artifact(key)
-        if request.get("seeds") is not None or request.get("sketch"):
-            seeds = self._seeds(request, artifact)
+        if builds_view:
+            seeds = self._seeds(request, count, artifact)
             # a view build holds the artifact lock exclusively, so it
             # is admitted, counted and traced like a block
             self._run(key, artifact.lock, lambda: artifact.warm_sketch(seeds))
@@ -637,9 +639,10 @@ class BlockerService:
 
     def _op_spread(self, request: dict) -> dict:
         key = self._artifact_key(request)
+        count = _num_seeds(request)
         with span("service.resolve"):
             artifact = self._artifact(key)
-        seeds = self._seeds(request, artifact)
+        seeds = self._seeds(request, count, artifact)
         blocked = _vertex_list(
             request.get("blocked", []), "blocked", artifact.csr.n
         )
@@ -663,9 +666,7 @@ class BlockerService:
 
     def _op_block(self, request: dict) -> dict:
         key = self._artifact_key(request)
-        with span("service.resolve"):
-            artifact = self._artifact(key)
-        seeds = self._seeds(request, artifact)
+        count = _num_seeds(request)
         budget = _as_int(request, "budget", 10)
         if budget < 1:
             raise RequestError("budget must be >= 1")
@@ -678,6 +679,11 @@ class BlockerService:
         rng = request.get("rng")
         if rng is not None:
             rng = _as_int(request, "rng", 0)
+            if rng < 0:
+                raise RequestError("rng must be non-negative")
+        with span("service.resolve"):
+            artifact = self._artifact(key)
+        seeds = self._seeds(request, count, artifact)
         outcome = self._run(
             key,
             artifact.lock,
@@ -879,6 +885,18 @@ def _as_int(request: dict, field_name: str, default: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise RequestError(f"{field_name} must be an integer")
     return value
+
+
+def _num_seeds(request: dict) -> int | None:
+    """How many default seeds a request without ``seeds`` asks for, or
+    ``None`` when it names its own; needs no graph, so it is checked
+    before the artifact is built."""
+    if request.get("seeds") is not None:
+        return None
+    count = _as_int(request, "num_seeds", DEFAULTS["num_seeds"])
+    if count < 1:
+        raise RequestError("num_seeds must be >= 1")
+    return count
 
 
 def _vertex_list(value, field_name: str, n: int) -> list[int]:

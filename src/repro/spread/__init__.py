@@ -6,12 +6,7 @@ from .exact import (
     exact_expected_spread,
     exact_spread_dag,
 )
-from .montecarlo import (
-    MonteCarloEngine,
-    expected_spread_mcs,
-    shared_engine,
-    simulate_cascade,
-)
+from .montecarlo import MonteCarloEngine
 from .temporal import (
     cascade_timeline,
     containment_report,
@@ -21,9 +16,6 @@ from .temporal import (
 
 __all__ = [
     "MonteCarloEngine",
-    "simulate_cascade",
-    "expected_spread_mcs",
-    "shared_engine",
     "exact_activation_probabilities",
     "exact_expected_spread",
     "exact_spread_dag",

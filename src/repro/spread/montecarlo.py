@@ -13,21 +13,13 @@ the toy graph implies.  We follow that convention everywhere.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ..graph import CSRGraph, DiGraph
 from ..graph.delta import _vertex_id
 from ..rng import ensure_rng, python_rng, RngLike
 
-__all__ = [
-    "MonteCarloEngine",
-    "simulate_cascade",
-    "expected_spread_mcs",
-    "shared_engine",
-]
+__all__ = ["MonteCarloEngine"]
 
 
 class MonteCarloEngine:
@@ -35,7 +27,10 @@ class MonteCarloEngine:
 
     The engine keeps version-stamped visit buffers so repeated
     ``expected_spread`` calls (the inner loop of BaselineGreedy) never
-    reallocate.  Blocking is expressed per call via ``blocked`` ids.
+    reallocate.  Blocking is expressed per call via ``blocked`` ids;
+    seed and blocked ids are checked as every backend checks them.
+    :meth:`levels` runs one cascade as a timeline, which
+    :mod:`repro.spread.temporal` builds on.
     """
 
     def __init__(self, graph: DiGraph | CSRGraph, rng: RngLike = None):
@@ -50,19 +45,11 @@ class MonteCarloEngine:
 
         ``engine.reseed(s)`` then ``expected_spread(...)`` reproduces
         ``MonteCarloEngine(graph, s).expected_spread(...)`` exactly —
-        what lets :func:`shared_engine` reuse buffers across calls
-        without changing any fixed-seed result.
+        what lets one engine's buffers serve many seeded runs without
+        changing any fixed-seed result.
         """
         self._rand = python_rng(ensure_rng(rng))
         return self
-
-    def simulate(
-        self,
-        seeds: Sequence[int],
-        blocked: Iterable[int] = (),
-    ) -> int:
-        """One cascade round; returns the number of active vertices."""
-        return self._run(list(seeds), list(blocked))
 
     def expected_spread(
         self,
@@ -80,22 +67,48 @@ class MonteCarloEngine:
             total += self._run(seed_list, blocked_list)
         return total / rounds
 
-    def activation_frequencies(
+    def levels(
         self,
         seeds: Sequence[int],
-        rounds: int,
         blocked: Iterable[int] = (),
-    ) -> np.ndarray:
-        """Per-vertex activation frequency estimate of ``P_G(x, S)``."""
-        if rounds <= 0:
-            raise ValueError("rounds must be positive")
-        counts = np.zeros(self.csr.n, dtype=np.int64)
+    ) -> list[list[int]]:
+        """One cascade as timesteps: ``result[t]`` lists the vertices
+        activated at step ``t`` (``result[0]`` is the seed set).
+
+        Walks breadth-first, so each level is one timestep of the IC
+        model; :meth:`expected_spread`'s rounds only count, so they
+        walk depth-first.
+        """
         seed_list = list(seeds)
-        blocked_list = list(blocked)
-        for _ in range(rounds):
-            for v in self._run_collect(seed_list, blocked_list):
-                counts[v] += 1
-        return counts / rounds
+        stamp = self._prepare(seed_list, list(blocked))
+        visit = self._visit_mark
+        block = self._block_mark
+        indptr = self.csr.indptr_list
+        indices = self.csr.indices_list
+        probs = self.csr.probs_list
+        rand = self._rand.random
+        frontier: list[int] = []
+        for s in seed_list:
+            if visit[s] != stamp:
+                visit[s] = stamp
+                frontier.append(s)
+        out = [frontier]
+        while True:
+            nxt: list[int] = []
+            for u in frontier:
+                for j in range(indptr[u], indptr[u + 1]):
+                    v = indices[j]
+                    if (
+                        visit[v] != stamp
+                        and block[v] != stamp
+                        and rand() < probs[j]
+                    ):
+                        visit[v] = stamp
+                        nxt.append(v)
+            if not nxt:
+                return out
+            out.append(nxt)
+            frontier = nxt
 
     # ------------------------------------------------------------------
     # internals
@@ -150,95 +163,3 @@ class MonteCarloEngine:
                     active += 1
                     stack.append(v)
         return active
-
-    def _run_collect(self, seeds: list[int], blocked: list[int]) -> list[int]:
-        stamp = self._prepare(seeds, blocked)
-        visit = self._visit_mark
-        block = self._block_mark
-        indptr = self.csr.indptr_list
-        indices = self.csr.indices_list
-        probs = self.csr.probs_list
-        rand = self._rand.random
-        out: list[int] = []
-        for s in seeds:
-            if visit[s] != stamp:
-                visit[s] = stamp
-                out.append(s)
-        head = 0
-        while head < len(out):
-            u = out[head]
-            head += 1
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
-                if (
-                    visit[v] != stamp
-                    and block[v] != stamp
-                    and rand() < probs[j]
-                ):
-                    visit[v] = stamp
-                    out.append(v)
-        return out
-
-
-# ----------------------------------------------------------------------
-# per-graph engine cache: the convenience wrappers below used to build
-# a fresh engine — and re-freeze a fresh CSRGraph — on every call, which
-# dominated benchmark loops.  Keyed weakly so graphs die normally.
-# Entries remember the graph's mutation version so in-place edits
-# (including pure probability reassignment) rebuild the engine.
-# ----------------------------------------------------------------------
-_ENGINE_CACHE: "weakref.WeakKeyDictionary[DiGraph, tuple[int, MonteCarloEngine]]" = (  # noqa: E501
-    weakref.WeakKeyDictionary()
-)
-
-
-def shared_engine(
-    graph: DiGraph | CSRGraph, rng: RngLike = None
-) -> MonteCarloEngine:
-    """The cached engine for ``graph``, reseeded with ``rng``.
-
-    Cached per :class:`DiGraph`, invalidated by the graph's mutation
-    ``version`` — any ``add_edge``/``remove_edge``/probability
-    reassignment since caching rebuilds the frozen CSR.  ``CSRGraph``
-    inputs are never cached: an engine holds a strong reference to its
-    CSR, which would pin a weakly-keyed entry forever, and building an
-    engine over an existing CSR is cheap anyway (no freeze).
-    """
-    if isinstance(graph, CSRGraph):
-        return MonteCarloEngine(graph, rng)
-    cached = _ENGINE_CACHE.get(graph)
-    if cached is not None and cached[0] == graph.version:
-        return cached[1].reseed(rng)
-    engine = MonteCarloEngine(graph, rng)
-    _ENGINE_CACHE[graph] = (graph.version, engine)
-    return engine
-
-
-def simulate_cascade(
-    graph: DiGraph | CSRGraph,
-    seeds: Sequence[int],
-    rng: RngLike = None,
-    blocked: Iterable[int] = (),
-) -> int:
-    """Convenience one-shot cascade; see :class:`MonteCarloEngine`."""
-    return shared_engine(graph, rng).simulate(seeds, blocked)
-
-
-def expected_spread_mcs(
-    graph: DiGraph | CSRGraph,
-    seeds: Sequence[int],
-    rounds: int = 1000,
-    rng: RngLike = None,
-    blocked: Iterable[int] = (),
-) -> float:
-    """Monte-Carlo estimate of ``E(S, G[V \\ blocked])``.
-
-    The paper uses ``r = 10000`` rounds on a C++ testbed; pure-Python
-    callers typically pass 500–2000, which the Chernoff analysis in
-    :mod:`repro.sampling.estimator` shows is adequate at our scales.
-
-    Repeated calls on the same graph object reuse a cached engine (and
-    its frozen CSR) via :func:`shared_engine`; fixed-seed results are
-    identical to constructing a fresh engine per call.
-    """
-    return shared_engine(graph, rng).expected_spread(seeds, rounds, blocked)

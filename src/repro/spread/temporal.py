@@ -12,6 +12,9 @@ does blocking slow it down?"), so this module exposes it:
   cumulative active count per timestep;
 * :func:`containment_report` — blocked-vs-unblocked curve comparison
   with the step at which the cascades diverge.
+
+Every cascade here is :meth:`MonteCarloEngine.levels`, so timelines
+draw the engine's coins and reject the ids it rejects.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph
-from ..rng import ensure_rng, python_rng, RngLike
+from ..rng import ensure_rng, RngLike
+from .montecarlo import MonteCarloEngine
 
 __all__ = [
     "cascade_timeline",
@@ -40,36 +44,7 @@ def cascade_timeline(
 ) -> list[list[int]]:
     """One IC cascade as levels: ``result[t]`` = vertices activated at
     timestep ``t`` (``result[0]`` is the seed set)."""
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
-    rand = python_rng(rng).random
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    probs = csr.probs_list
-    banned = set(blocked)
-    for s in seeds:
-        if s in banned:
-            raise ValueError(f"seed {s} cannot be blocked")
-
-    active: set[int] = set()
-    frontier: list[int] = []
-    for s in seeds:
-        if s not in active:
-            active.add(s)
-            frontier.append(s)
-    levels = [list(frontier)]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
-                if v not in active and v not in banned and rand() < probs[j]:
-                    active.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        levels.append(nxt)
-        frontier = nxt
-    return levels
+    return MonteCarloEngine(graph, rng).levels(seeds, blocked)
 
 
 def expected_activation_curve(
@@ -88,12 +63,13 @@ def expected_activation_curve(
     """
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
+    engine = MonteCarloEngine(graph)
     totals = np.zeros(max_steps + 1, dtype=np.float64)
+    seed_list = list(seeds)
     blocked_list = list(blocked)
     gen = ensure_rng(rng)  # one stream: each round draws fresh coins
     for _ in range(rounds):
-        levels = cascade_timeline(csr, seeds, gen, blocked_list)
+        levels = engine.reseed(gen).levels(seed_list, blocked_list)
         cumulative = 0
         for t in range(max_steps + 1):
             if t < len(levels):

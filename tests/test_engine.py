@@ -15,8 +15,7 @@ import pytest
 from repro.datasets import figure1_graph, figure1_seed
 from repro.engine import (
     BACKENDS,
-    batch_activation_counts,
-    batch_cascades,
+    batch_spread,
     build_evaluator,
     EngineSpec,
     ragged_arange,
@@ -24,13 +23,8 @@ from repro.engine import (
     SpreadEvaluator,
     VectorizedEvaluator,
 )
-from repro.graph import CSRGraph, DiGraph
-from repro.spread import (
-    exact_expected_spread,
-    expected_spread_mcs,
-    MonteCarloEngine,
-    shared_engine,
-)
+from repro.graph import DiGraph
+from repro.spread import exact_expected_spread, MonteCarloEngine
 
 EXACT = 7.66  # Example 1's expected spread of the Figure 1 graph
 ROUNDS = 4000
@@ -52,40 +46,33 @@ class TestKernels:
         assert ragged_arange(np.zeros(0, dtype=np.int64)).size == 0
 
     def test_batch_cascades_shape_and_range(self, toy):
-        counts = batch_cascades(toy, [figure1_seed], 100, rng=1)
-        assert counts.shape == (100,)
-        assert counts.min() >= 1  # the seed always counts
-        assert counts.max() <= toy.n
+        spread = batch_spread(toy, [figure1_seed], 100, rng=1)
+        assert 1 <= spread <= toy.n  # the seed always counts
 
     def test_small_batch_sizes_partition_rounds(self, toy):
-        # batch_size smaller than rounds exercises the chunk loop
-        counts = batch_cascades(toy, [figure1_seed], 37, rng=5,
-                                batch_size=8)
-        assert counts.shape == (37,)
+        # 2500 rounds cross two 1024-cascade batch windows; with p=1
+        # edges every round activates all 3 vertices, so a window that
+        # dropped or repeated rounds would move the average off 3
+        graph = DiGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert batch_spread(graph, [0], 2500, rng=5) == 3.0
+        spread = batch_spread(toy, [figure1_seed], 2500, rng=5)
+        assert abs(spread - EXACT) < TOL
 
     def test_blocked_seed_rejected(self, toy):
         with pytest.raises(ValueError):
-            batch_cascades(toy, [figure1_seed], 10, rng=0,
-                           blocked=[figure1_seed])
+            batch_spread(toy, [figure1_seed], 10, rng=0,
+                         blocked=[figure1_seed])
 
     def test_rounds_must_be_positive(self, toy):
         with pytest.raises(ValueError):
-            batch_cascades(toy, [figure1_seed], 0, rng=0)
-
-    def test_activation_counts_match_spread(self, toy):
-        rounds = 2000
-        counts = batch_activation_counts(toy, [figure1_seed], rounds, rng=3)
-        # summing per-vertex frequencies recovers the expected spread
-        assert counts[figure1_seed] == rounds
-        assert abs(counts.sum() / rounds - EXACT) < TOL
+            batch_spread(toy, [figure1_seed], 0, rng=0)
 
     def test_deterministic_edge_probabilities(self):
         # p=1 edges always fire, p=0 never: exact spread regardless of rng
         graph = DiGraph.from_edges(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.0)]
         )
-        counts = batch_cascades(graph, [0], 50)
-        assert (counts == 3).all()
+        assert batch_spread(graph, [0], 50) == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -180,12 +167,12 @@ class TestSamplePool:
                               np.sort(batch.surviving(t)))
 
     def test_disk_cache_roundtrip(self, toy, tmp_path):
-        pool = SamplePool(toy, rng=5, cache_dir=tmp_path)
+        pool = SamplePool(toy, rng=5, cache_dir=tmp_path, cache_key="seed5")
         batch = pool.get(80)
         assert pool.stats.disk_saves == 1
 
         # a second pool (fresh process in spirit) attaches mmapped
-        reloaded = SamplePool(toy, rng=5, cache_dir=tmp_path)
+        reloaded = SamplePool(toy, rng=5, cache_dir=tmp_path, cache_key="seed5")
         assert reloaded.stats.disk_loads == 1
         assert reloaded.theta == 80
         batch2 = reloaded.get(80)
@@ -201,6 +188,12 @@ class TestSamplePool:
         pool = SamplePool(toy, rng=npr.default_rng(3), cache_dir=tmp_path)
         pool.get(10)
         assert pool.stats.disk_saves == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_int_seed_alone_does_not_persist(self, toy, tmp_path):
+        # a pool persists only under an explicit cache_key, the name
+        # build_evaluator derives from EngineSpec.cache_key(stream)
+        SamplePool(toy, rng=7, cache_dir=tmp_path).get(20)
         assert list(tmp_path.iterdir()) == []
 
     def test_pooled_evaluator_common_random_numbers(self, toy):
@@ -222,8 +215,8 @@ class TestSamplePool:
     def test_attached_pool_grows_with_fresh_worlds(self, toy, tmp_path):
         # regression: continuing a disk-attached pool must not replay
         # the persisted prefix as "new" samples
-        SamplePool(toy, rng=5, cache_dir=tmp_path).get(50)
-        attached = SamplePool(toy, rng=5, cache_dir=tmp_path)
+        SamplePool(toy, rng=5, cache_dir=tmp_path, cache_key="seed5").get(50)
+        attached = SamplePool(toy, rng=5, cache_dir=tmp_path, cache_key="seed5")
         grown = attached.get(100)
         fresh = SamplePool(toy, rng=5).get(100)
         assert np.array_equal(np.asarray(grown.offsets),
@@ -293,55 +286,6 @@ class TestInjection:
             ),
             abs=3 * TOL,
         )
-
-
-# ----------------------------------------------------------------------
-# the shared-engine cache behind the convenience wrappers
-# ----------------------------------------------------------------------
-class TestSharedEngine:
-    def test_fixed_seed_matches_fresh_engine(self, toy):
-        cached = expected_spread_mcs(toy, [figure1_seed], 300, rng=21)
-        fresh = MonteCarloEngine(toy, 21).expected_spread(
-            [figure1_seed], 300
-        )
-        assert cached == fresh
-
-    def test_engine_object_reused(self, toy):
-        first = shared_engine(toy, 1)
-        second = shared_engine(toy, 2)
-        assert first is second
-
-    def test_csr_input_never_cached(self, toy):
-        # a cached engine strongly references its own CSR key, which
-        # would pin a weak entry forever — so CSR inputs bypass caching
-        csr = CSRGraph(toy)
-        assert shared_engine(csr, 1) is not shared_engine(csr, 1)
-
-    def test_csr_input_stays_collectable(self, toy):
-        import gc
-        import weakref
-
-        csr = CSRGraph(toy)
-        shared_engine(csr, 1)
-        ref = weakref.ref(csr)
-        del csr
-        gc.collect()
-        assert ref() is None
-
-    def test_mutated_graph_invalidated(self):
-        graph = DiGraph.from_edges(3, [(0, 1, 1.0)])
-        engine = shared_engine(graph, 1)
-        graph.add_edge(1, 2, 1.0)
-        assert shared_engine(graph, 1) is not engine
-        assert expected_spread_mcs(graph, [0], 10, rng=0) == 3.0
-
-    def test_probability_reassignment_invalidated(self):
-        # in-place probability edits keep n and m unchanged; the
-        # version counter must still invalidate the cached engine
-        graph = DiGraph.from_edges(2, [(0, 1, 1.0)])
-        assert expected_spread_mcs(graph, [0], 10, rng=0) == 2.0
-        graph.add_edge(0, 1, 0.0)  # re-add: replaces the probability
-        assert expected_spread_mcs(graph, [0], 10, rng=0) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -479,14 +423,3 @@ class TestExpectedSpreadMany:
             for blocked in ([], [4])
         ]
         assert batched == singles
-
-
-class TestVersionedInvalidation:
-    def test_add_vertex_invalidates_shared_engine(self):
-        from repro.spread import simulate_cascade
-
-        graph = DiGraph.from_edges(3, [(0, 1, 1.0)])
-        simulate_cascade(graph, [0], rng=1)  # caches an n=3 engine
-        w = graph.add_vertex()
-        # regression: a stale cached engine raised IndexError here
-        assert simulate_cascade(graph, [w], rng=1) == 1

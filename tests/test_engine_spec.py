@@ -35,7 +35,6 @@ class TestEngineSpec:
         spec = EngineSpec()
         assert spec.engine == "sketch"
         assert spec.model == "wc"
-        assert spec.theta == 200
         assert spec.seed == 7
         assert spec.cache_dir is None
 
@@ -50,6 +49,7 @@ class TestEngineSpec:
             ({"engine": "quantum"}, "engine"),
             ({"model": "ic"}, "model"),
             ({"layout": "columnar"}, "layout"),  # not a field: TypeError
+            # not a field either: TypeError
             ({"theta": 0}, "theta"),
             ({"theta": True}, "theta"),
             ({"seed": "seven"}, "seed"),
@@ -80,10 +80,6 @@ class TestEngineSpec:
         assert pooled.engine == "pooled"
         assert pooled.seed == spec.seed
         assert spec.engine == "sketch"  # original untouched
-
-    def test_as_dict_round_trips(self):
-        spec = EngineSpec(model="tr", theta=50, seed=9)
-        assert EngineSpec(**spec.as_dict()) == spec
 
 
 class TestSpecFactories:

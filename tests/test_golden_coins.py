@@ -16,6 +16,10 @@ the out-neighbors heuristic), which draw their own ``ICSampler`` coins
 Lemma-1 estimate over ``ICSampler`` samples.  A change to a solver's
 selection rule moves them.
 
+The timeline pins hold one scalar-engine cascade, level by level, and
+one expected activation curve; they move if the engine's coin order
+or its blocked check changes.
+
 A deliberate change of the stream bumps ``_COIN_SCHEME`` in
 ``repro/engine/pool.py`` and re-pins every value here.
 """
@@ -39,6 +43,7 @@ from repro.engine import build_evaluator, EngineSpec
 from repro.graph import barabasi_albert
 from repro.models import LinearThresholdSampler
 from repro.sampling import estimate_spread_sampled
+from repro.spread import cascade_timeline, expected_activation_curve
 
 EMAIL_OFFSETS = (
     "75c0c017ec7d315610cf4c5db4c997fddc8b3abbb832732a8872e1f9f1282ad3"
@@ -96,6 +101,21 @@ LT_SELECTIONS = {
 }
 # Lemma 1 at theta=300 with vertex 176 blocked: mean, std_error
 EMAIL_ESTIMATE = ("0x1.450369d0369d0p+6", "0x1.0b0be9af24b61p+2")
+# scalar-engine timelines from 3 seeds with two step-1 vertices blocked
+TIMELINE_BLOCKED = [173, 405]
+EMAIL_TIMELINE = [[627, 687, 947], [511]]
+# expected_activation_curve at rounds=50, max_steps=16
+EMAIL_CURVE = [
+    "0x1.8000000000000p+1", "0x1.71eb851eb851fp+2",
+    "0x1.1000000000000p+3", "0x1.6b851eb851eb8p+3",
+    "0x1.b70a3d70a3d71p+3", "0x1.f8f5c28f5c28fp+3",
+    "0x1.1c28f5c28f5c3p+4", "0x1.375c28f5c28f6p+4",
+    "0x1.55c28f5c28f5cp+4", "0x1.7851eb851eb85p+4",
+    "0x1.947ae147ae148p+4", "0x1.b333333333333p+4",
+    "0x1.d570a3d70a3d7p+4", "0x1.f47ae147ae148p+4",
+    "0x1.0b0a3d70a3d71p+5", "0x1.1a3d70a3d70a4p+5",
+    "0x1.270a3d70a3d71p+5",
+]
 
 
 def sha256(array: np.ndarray) -> str:
@@ -114,7 +134,7 @@ def email():
 def test_email_core_pool(email):
     graph, seeds = email
     pooled = build_evaluator(
-        graph, EngineSpec(engine="pooled", theta=200, seed=7)
+        graph, EngineSpec(engine="pooled", seed=7)
     )
     batch = pooled.get(200)
     assert sha256(batch.offsets) == EMAIL_OFFSETS
@@ -134,7 +154,7 @@ def test_grown_ba_pool():
 def test_greedy_replace_blockers(email):
     graph, seeds = email
     sketch = build_evaluator(
-        graph, EngineSpec(engine="sketch", theta=200, seed=7)
+        graph, EngineSpec(engine="sketch", seed=7)
     )
     result = solve_imin(
         graph, seeds, 3, algorithm="greedy-replace", theta=200, rng=7,
@@ -147,7 +167,7 @@ def test_greedy_replace_blockers(email):
 def test_sketch_selection(email, algorithm):
     graph, seeds = email
     sketch = build_evaluator(
-        graph, EngineSpec(engine="sketch", theta=200, seed=7)
+        graph, EngineSpec(engine="sketch", seed=7)
     )
     result = solve_imin(
         graph, seeds, 20, algorithm=algorithm, theta=200, mcs_rounds=200,
@@ -193,3 +213,20 @@ def test_sampled_spread_estimate(email):
         graph, seeds, theta=300, rng=7, blocked=[176]
     )
     assert (estimate.mean.hex(), estimate.std_error.hex()) == EMAIL_ESTIMATE
+
+
+def test_cascade_timeline(email):
+    graph, _ = email
+    seeds = pick_seeds(graph, 3, rng=7)
+    timeline = cascade_timeline(graph, seeds, rng=7, blocked=TIMELINE_BLOCKED)
+    assert timeline == EMAIL_TIMELINE
+
+
+def test_expected_activation_curve(email):
+    graph, _ = email
+    seeds = pick_seeds(graph, 3, rng=7)
+    curve = expected_activation_curve(
+        graph, seeds, rounds=50, rng=7, blocked=TIMELINE_BLOCKED,
+        max_steps=16,
+    )
+    assert [value.hex() for value in curve.tolist()] == EMAIL_CURVE

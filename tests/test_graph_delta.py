@@ -262,7 +262,8 @@ class TestPoolDeltaIdentity:
         gen = np.random.default_rng(3)
         graph = random_graph(gen, 12, 30)
         pool = SamplePool(
-            CSRGraph(graph.copy()), rng=5, cache_dir=tmp_path / "a"
+            CSRGraph(graph.copy()), rng=5, cache_dir=tmp_path / "a",
+            cache_key="seed5",
         )
         pool.get(16)
         before = pool.cache_digest
@@ -273,7 +274,7 @@ class TestPoolDeltaIdentity:
         # hash, independent of directory)
         fresh = SamplePool(
             CSRGraph(delta.apply_to(graph)), rng=5,
-            cache_dir=tmp_path / "b",
+            cache_dir=tmp_path / "b", cache_key="seed5",
         )
         assert pool.cache_digest == fresh.cache_digest
 
@@ -413,7 +414,9 @@ class TestDeltaPersistence:
         theta = 60
 
         index = SketchIndex(
-            SamplePool(graph.copy(), rng=7, cache_dir=tmp_path)
+            SamplePool(
+                graph.copy(), rng=7, cache_dir=tmp_path, cache_key="seed7"
+            )
         )
         index.expected_spread(seeds, theta)
         index.apply_delta(delta)
@@ -424,7 +427,9 @@ class TestDeltaPersistence:
         # a fresh process over the mutated graph and the same cache
         # dir must land on the patched artifacts, not rebuild
         mutated = delta.apply_to(graph.copy())
-        again = SketchIndex(SamplePool(mutated, rng=7, cache_dir=tmp_path))
+        again = SketchIndex(
+            SamplePool(mutated, rng=7, cache_dir=tmp_path, cache_key="seed7")
+        )
         assert again.expected_spread(seeds, theta) == expected
         assert np.array_equal(
             again.decrease_estimates(seeds, theta), gains

@@ -37,7 +37,7 @@ def graph():
 
 def spec_for(tmp_path, **overrides) -> EngineSpec:
     params = dict(
-        engine="sketch", theta=THETA, seed=11, cache_dir=tmp_path
+        engine="sketch", seed=11, cache_dir=tmp_path
     )
     params.update(overrides)
     return EngineSpec(**params)
@@ -99,7 +99,7 @@ class TestPersistRoundTrip:
         with build(graph, tmp_path) as cold:
             cold.expected_spread(SEEDS, THETA)  # persist
         reference = build_evaluator(
-            graph, EngineSpec(engine="sketch", theta=THETA, seed=11)
+            graph, EngineSpec(engine="sketch", seed=11)
         )
         with reference, build(graph, tmp_path) as warm:
             ref_picks, ref_trace = greedy_blockers(reference, 4)
@@ -159,7 +159,7 @@ class TestArtifactKeying:
             assert warm.stats.rehydrations == 1
 
     def test_memory_only_pool_never_persists(self, graph):
-        spec = EngineSpec(engine="sketch", theta=THETA, seed=11)
+        spec = EngineSpec(engine="sketch", seed=11)
         with build_evaluator(graph, spec) as index:
             index.expected_spread(SEEDS, THETA)
             assert index.stats.persists == 0
@@ -262,7 +262,7 @@ graph = assign_weighted_cascade(barabasi_albert(500, 3, rng=1))
 
 def ask(engine):
     evaluator = build_evaluator(graph, EngineSpec(
-        engine=engine, theta=50, seed=7, cache_dir=cache_dir,
+        engine=engine, seed=7, cache_dir=cache_dir,
     ))
     return evaluator, [
         evaluator.expected_spread([0, 1], 50, blocked)
@@ -302,7 +302,7 @@ class TestDamagedPoolFiles:
     @pytest.fixture(scope="class")
     def undamaged(self, ba_graph):
         cold = build_evaluator(
-            ba_graph, EngineSpec(engine="pooled", theta=50, seed=7)
+            ba_graph, EngineSpec(engine="pooled", seed=7)
         )
         return [
             cold.expected_spread([0, 1], 50, blocked)
@@ -317,7 +317,7 @@ class TestDamagedPoolFiles:
         self, kind, ba_graph, undamaged, tmp_path
     ):
         persisted = build_evaluator(ba_graph, EngineSpec(
-            engine="pooled", theta=50, seed=7, cache_dir=tmp_path,
+            engine="pooled", seed=7, cache_dir=tmp_path,
         ))
         assert persisted.expected_spread([0, 1], 50, []) == undamaged[0]
         env = dict(os.environ)

@@ -4,18 +4,14 @@ import pytest
 
 from repro.datasets import figure1_graph, figure1_seed, V
 from repro.graph import DiGraph
-from repro.spread import (
-    expected_spread_mcs,
-    MonteCarloEngine,
-    simulate_cascade,
-)
+from repro.spread import MonteCarloEngine
 
 
 class TestDeterministicGraphs:
     def test_all_one_probabilities_reach_everything(self):
         graph = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         engine = MonteCarloEngine(graph, rng=0)
-        assert engine.simulate([0]) == 4
+        assert engine.expected_spread([0], rounds=1) == 4
         assert engine.expected_spread([0], rounds=10) == 4.0
 
     def test_zero_probability_edges_never_fire(self):
@@ -31,7 +27,7 @@ class TestDeterministicGraphs:
     def test_duplicate_seeds_counted_once(self):
         graph = DiGraph(2)
         engine = MonteCarloEngine(graph, rng=0)
-        assert engine.simulate([0, 0]) == 1
+        assert engine.expected_spread([0, 0], rounds=1) == 1
 
 
 class TestBlocking:
@@ -62,17 +58,27 @@ class TestStatisticalAccuracy:
 
     def test_single_edge_probability(self):
         graph = DiGraph.from_edges(2, [(0, 1, 0.3)])
-        estimate = expected_spread_mcs(graph, [0], rounds=20000, rng=7)
+        estimate = MonteCarloEngine(graph, rng=7).expected_spread(
+            [0], rounds=20000
+        )
         assert estimate == pytest.approx(1.3, abs=0.03)
 
-    def test_activation_frequencies_match_exact(self):
+
+class TestReseed:
+    def test_reseed_replays_a_fresh_engine(self):
+        # one engine serves every round of an activation curve, so a
+        # reseeded engine must draw a fresh engine's coins whatever it
+        # ran before
         graph = figure1_graph()
-        engine = MonteCarloEngine(graph, rng=3)
-        freq = engine.activation_frequencies([figure1_seed], rounds=20000)
-        assert freq[V(8)] == pytest.approx(0.6, abs=0.03)
-        assert freq[V(7)] == pytest.approx(0.06, abs=0.015)
-        assert freq[V(1)] == 1.0
-        assert freq[V(5)] == 1.0
+        engine = MonteCarloEngine(graph, rng=1)
+        engine.expected_spread([figure1_seed], rounds=50, blocked=[V(5)])
+        fresh = MonteCarloEngine(graph, rng=21)
+        assert engine.reseed(21).expected_spread([figure1_seed], 300) == (
+            fresh.expected_spread([figure1_seed], 300)
+        )
+        assert engine.reseed(21).levels([figure1_seed]) == (
+            MonteCarloEngine(graph, rng=21).levels([figure1_seed])
+        )
 
 
 class TestValidation:
@@ -81,8 +87,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             engine.expected_spread([0], rounds=0)
         with pytest.raises(ValueError):
-            engine.activation_frequencies([0], rounds=-1)
-
-    def test_one_shot_helper(self):
-        graph = DiGraph.from_edges(2, [(0, 1)])
-        assert simulate_cascade(graph, [0], rng=0) == 2
+            engine.expected_spread([0], rounds=-1)

@@ -229,8 +229,8 @@ class TestReachKernel:
 
     def test_memory_mapped_pool(self, wc_setup, tmp_path, monkeypatch):
         graph, csr, _ = wc_setup
-        SamplePool(csr, rng=3, cache_dir=tmp_path).get(80)
-        attached = SamplePool(csr, rng=3, cache_dir=tmp_path)
+        SamplePool(csr, rng=3, cache_dir=tmp_path, cache_key="seed3").get(80)
+        attached = SamplePool(csr, rng=3, cache_dir=tmp_path, cache_key="seed3")
         assert attached.stats.disk_loads == 1
         assert isinstance(attached.get(80).positions, np.memmap)
         evaluator = attached
@@ -311,7 +311,9 @@ def numpy_draws(patch):
 
 def grown_pool(graph, steps, rng=5, cache_dir=None):
     """A pool grown through ``steps``, returned with its last batch."""
-    pool = SamplePool(graph, rng=rng, cache_dir=cache_dir)
+    pool = SamplePool(
+        graph, rng=rng, cache_dir=cache_dir, cache_key=f"seed{rng}"
+    )
     for theta in steps:
         batch = pool.get(theta)
     return pool, batch
@@ -384,12 +386,12 @@ class TestCoinKernel:
             numpy_draws(patch)
             grown_pool(graph, [40], cache_dir=tmp_path)
             _, reference = grown_pool(graph, [130])
-        attached = SamplePool(graph, rng=5, cache_dir=tmp_path)
+        attached = SamplePool(graph, rng=5, cache_dir=tmp_path, cache_key="seed5")
         assert attached.stats.disk_loads == 1
         assert isinstance(attached.get(40).positions, np.memmap)
         assert_same_samples(attached.get(130), reference)
         # the grown pool was re-persisted: a third process attaches it
-        again = SamplePool(graph, rng=5, cache_dir=tmp_path)
+        again = SamplePool(graph, rng=5, cache_dir=tmp_path, cache_key="seed5")
         assert again.theta == 130
         assert_same_samples(again.get(130), reference)
 

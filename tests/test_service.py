@@ -295,8 +295,8 @@ class TestArtifactCache:
         )
         artifact = Artifact(key, prepared, cache_dir=tmp_path)
         spec = EngineSpec(
-            engine="pooled", model=key.model, theta=key.theta,
-            seed=key.seed, cache_dir=tmp_path,
+            engine="pooled", model=key.model, seed=key.seed,
+            cache_dir=tmp_path,
         )
         stream0 = build_evaluator(prepared, spec)
         assert stream0.stats.disk_loads == 1
@@ -616,6 +616,30 @@ class TestBlockerService:
         assert "seed must be non-negative" in response["error"]["message"]
         records = {r["name"]: r for r in registry.describe()}
         assert not records["email-core"]["loaded"]
+        assert service.cache.stats.misses == 0
+
+    @pytest.mark.parametrize(
+        "request_fields, fragment",
+        [
+            ({"op": "block", "budget": 0}, "budget"),
+            ({"op": "block", "algorithm": "nope"}, "algorithm"),
+            ({"op": "block", "rng": -1, "algorithm": "random"}, "rng"),
+            ({"op": "spread", "num_seeds": 0}, "num_seeds"),
+            ({"op": "block", "num_seeds": 0}, "num_seeds"),
+            ({"op": "warm", "sketch": True, "num_seeds": 0}, "num_seeds"),
+        ],
+        ids=[
+            "block-budget", "block-algorithm", "block-rng",
+            "spread-num-seeds", "block-num-seeds", "warm-num-seeds",
+        ],
+    )
+    def test_graph_free_fields_rejected_before_any_build(
+        self, registry, request_fields, fragment
+    ):
+        service = BlockerService(registry=registry)
+        response = service.handle({"graph": "email-core", **request_fields})
+        assert response["error"]["code"] == "bad_params"
+        assert fragment in response["error"]["message"]
         assert service.cache.stats.misses == 0
 
     def test_spread_drops_seed_blockers(self, registry):

@@ -79,12 +79,14 @@ class TestCompatibility:
         )
         ag = advanced_greedy(graph, [0], 8, theta=300, rng=9)
         static = static_sample_greedy(graph, [0], 8, theta=300, rng=10)
-        from repro.spread import expected_spread_mcs
+        from repro.spread import MonteCarloEngine
 
-        ag_spread = expected_spread_mcs(graph, [0], 3000, rng=11,
-                                        blocked=ag.blockers)
-        st_spread = expected_spread_mcs(graph, [0], 3000, rng=11,
-                                        blocked=static.blockers)
+        ag_spread = MonteCarloEngine(graph, 11).expected_spread(
+            [0], 3000, blocked=ag.blockers
+        )
+        st_spread = MonteCarloEngine(graph, 11).expected_spread(
+            [0], 3000, blocked=static.blockers
+        )
         # sample reuse should not cost more than ~15% quality here
         assert st_spread <= ag_spread * 1.15 + 0.5
 

@@ -117,3 +117,42 @@ class TestContainmentReport:
         )
         assert report.divergence_step == -1
         assert report.final_reduction == 0.0
+
+
+def _timeline(graph, seeds, blocked):
+    return cascade_timeline(graph, seeds, rng=0, blocked=blocked)
+
+
+def _curve(graph, seeds, blocked):
+    return expected_activation_curve(
+        graph, seeds, rounds=5, rng=0, blocked=blocked, max_steps=4
+    )
+
+
+def _report(graph, seeds, blocked):
+    return containment_report(graph, seeds, blocked, rounds=5, rng=0)
+
+
+@pytest.mark.parametrize(
+    "seeds, blocked, error, fragment",
+    [
+        ([-1], [], IndexError, "seed -1 is not a vertex"),
+        ([9], [], IndexError, "seed 9 is not a vertex"),
+        ([True], [], ValueError, "integers, got True"),
+        ([0.5], [], ValueError, "integers, got 0.5"),
+        ([figure1_seed], [9], ValueError, r"blocked vertex 9 out of range"),
+    ],
+    ids=["seed-negative", "seed-n", "seed-bool", "seed-float", "blocked-n"],
+)
+@pytest.mark.parametrize(
+    "run", [_timeline, _curve, _report], ids=["timeline", "curve", "report"]
+)
+def test_timelines_check_ids_like_the_engine(
+    run, seeds, blocked, error, fragment
+):
+    """Every timeline runs on the scalar engine, so a bad id raises its
+    error instead of wrapping, being ignored or reading as vertex 1."""
+    graph = figure1_graph()
+    assert graph.n == 9
+    with pytest.raises(error, match=fragment):
+        run(graph, seeds, blocked)
