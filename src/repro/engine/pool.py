@@ -6,8 +6,9 @@ sampled graphs answers *every* candidate's decrease query in a round.
 and — optionally — processes:
 
 * samples (Definition 4's random sampled graphs) are materialised
-  **once** per graph, in a compact flat-array layout (``offsets`` +
-  surviving edge ``positions``, the same CSR idea one level up);
+  **once** per graph, in a compact flat-array layout (int64
+  ``offsets`` + int32 surviving edge ``positions``, the same CSR idea
+  one level up: 4 bytes per live edge plus 8 per sample);
 * a request for ``theta`` samples is served from the pool's prefix when
   enough samples exist (a *hit*) and triggers incremental generation of
   only the shortfall otherwise (a *miss* grows the pool, it never
@@ -43,7 +44,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph, GraphDelta
-from ..native import native_draw_samples, native_reach_counts
+from ..native import (
+    native_draw_samples,
+    native_reach_counts,
+    POSITIONS_DTYPE,
+)
 from ..obs import span, track
 from ..rng import ensure_rng, RngLike
 from .kernels import (
@@ -62,10 +67,15 @@ __all__ = [
 # materialise per step; the coin kernel allocates no such matrix
 _COIN_CELL_BUDGET = 8_000_000
 
-# tag mixed into the disk fingerprint: bump when the coin scheme
-# changes so a persisted pool can never attach under a different
-# sample distribution
-_COIN_SCHEME = "coins2"
+# tag mixed into the disk fingerprint: bump when the coin scheme or
+# the array layout changes so a persisted pool can never attach under
+# a different sample distribution or be overwritten in place by one
+# of another dtype
+_COIN_SCHEME = "coins2-int32"
+
+# the largest edge count whose positions fit POSITIONS_DTYPE; a pool
+# refuses a bigger graph (there is no wider fallback)
+_MAX_EDGES = int(np.iinfo(POSITIONS_DTYPE).max)
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -111,11 +121,21 @@ def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return thr, sure
 
 
+def _check_edge_count(m: int) -> None:
+    """Refuse a graph whose edge positions overflow the pool's dtype."""
+    if m > _MAX_EDGES:
+        raise ValueError(
+            f"a sample pool holds at most {_MAX_EDGES} edges "
+            f"({POSITIONS_DTYPE} positions), got {m}"
+        )
+
+
 def _well_formed(offsets: np.ndarray, positions: np.ndarray) -> bool:
     """Structural check of a persisted ``(offsets, positions)`` pair.
 
-    Both arrays are 1-D int64, the offsets start at 0 and never
-    decrease, and the positions cover the last window (a longer
+    Both arrays are 1-D, the offsets int64 and the positions
+    :data:`~repro.native.POSITIONS_DTYPE`, the offsets start at 0 and
+    never decrease, and the positions cover the last window (a longer
     positions file is a consistent prefix, see :meth:`SamplePool._persist`).
     O(theta): the positions are never scanned, so a damaged position
     *value* inside a well-shaped file passes.
@@ -124,7 +144,7 @@ def _well_formed(offsets: np.ndarray, positions: np.ndarray) -> bool:
         offsets.ndim == 1
         and positions.ndim == 1
         and offsets.dtype == np.int64
-        and positions.dtype == np.int64
+        and positions.dtype == POSITIONS_DTYPE
         and offsets.shape[0] >= 1
         and offsets[0] == 0
         and not np.any(offsets[1:] < offsets[:-1])
@@ -220,6 +240,7 @@ def sampler_batches(sampler, theta: int) -> Iterator[SampleBatch]:
     order, as :class:`SampleBatch` chunks of at most
     ``_COIN_CELL_BUDGET // m`` samples (the numpy draw's bound)."""
     m = sampler.csr.m
+    _check_edge_count(m)
     chunk = max(1, _COIN_CELL_BUDGET // max(m, 1))
     for lo in range(0, theta, chunk):
         draws = [
@@ -227,7 +248,7 @@ def sampler_batches(sampler, theta: int) -> Iterator[SampleBatch]:
             for _ in range(min(chunk, theta - lo))
         ]
         offsets = np.cumsum([0, *map(len, draws)], dtype=np.int64)
-        positions = np.concatenate(draws).astype(np.int64, copy=False)
+        positions = np.concatenate(draws).astype(POSITIONS_DTYPE)
         yield SampleBatch(len(draws), offsets, positions, m)
 
 
@@ -333,6 +354,9 @@ class SamplePool(_EvaluatorLifecycle):
         :func:`~repro.engine.build_evaluator` always passes
         ``spec.cache_key(stream)``.
 
+    A graph with more than ``2**31 - 1`` edges raises ``ValueError``:
+    positions are int32.
+
     The pool is the ``pooled`` spread evaluator: ``rounds`` selects
     how many pooled samples an estimate averages over, so repeated
     queries — e.g. a greedy loop probing many blocked sets — pay
@@ -349,6 +373,7 @@ class SamplePool(_EvaluatorLifecycle):
         cache_key: str | None = None,
     ) -> None:
         self.csr = graph if isinstance(graph, CSRGraph) else CSRGraph(graph)
+        _check_edge_count(self.csr.m)
         # edge (u, v)'s coin in sample t is a pure function of
         # (root, u, v, t): a counter-based splitmix64 stream keyed by
         # the stable edge identity.  A pool attached from disk
@@ -361,7 +386,7 @@ class SamplePool(_EvaluatorLifecycle):
         self.stats = PoolStats()
         self._theta = 0
         self._offsets = np.zeros(1, dtype=np.int64)
-        self._positions = np.zeros(0, dtype=np.int64)
+        self._positions = np.zeros(0, dtype=POSITIONS_DTYPE)
         self._cache_key = cache_key
         self._cache_dir = None if cache_dir is None else Path(cache_dir)
         self._cache_paths: tuple[Path, Path] | None = None
@@ -529,6 +554,8 @@ class SamplePool(_EvaluatorLifecycle):
             [(u, v) for u, v, _ in delta.reweights]
         )
         n_ins = len(delta.inserts)
+        new_m = m - del_pos.size + n_ins
+        _check_edge_count(new_m)
         ins_u = np.array(
             [u for u, _, _ in delta.inserts], dtype=np.int64
         )
@@ -557,7 +584,7 @@ class SamplePool(_EvaluatorLifecycle):
         np.cumsum(kept_counts + ins_counts, out=new_indptr[1:])
         prefix = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(keep.astype(np.int64), out=prefix[1:])
-        remap = np.full(m, -1, dtype=np.int64)
+        remap = np.full(m, -1, dtype=POSITIONS_DTYPE)
         kept_j = np.nonzero(keep)[0]
         rows = csr.src[kept_j]
         remap[kept_j] = (
@@ -571,7 +598,6 @@ class SamplePool(_EvaluatorLifecycle):
             u = int(ins_u[i])
             ins_pos[i] = next_slot[u]
             next_slot[u] += 1
-        new_m = m - del_pos.size + n_ins
         new_indices = np.empty(new_m, dtype=csr.indices.dtype)
         new_probs = np.empty(new_m, dtype=np.float64)
         new_indices[remap[kept_j]] = csr.indices[kept_j]
@@ -585,21 +611,27 @@ class SamplePool(_EvaluatorLifecycle):
             new_indptr, new_indices, new_probs
         )
 
-        # -- re-decide exactly the affected coins ---------------------
+        # -- drop the entries of deleted and reweighted edges ---------
+        # one boolean gather over the pool finds the few dropped
+        # entries; the offsets give their samples, so no per-entry
+        # sample id is ever materialised
         theta = self._theta
         offsets = np.asarray(self._offsets)
-        positions = np.asarray(self._positions)
-        rew_mask = np.zeros(m, dtype=bool)
-        rew_mask[rew_pos] = True
-        entry_keep = keep[positions] & ~rew_mask[positions]
-        sample_ids = np.repeat(
-            np.arange(theta, dtype=np.int64),
-            np.diff(offsets).astype(np.int64),
+        positions = np.asarray(self._positions[: offsets[theta]])
+        gone = ~keep
+        gone[rew_pos] = True
+        dropped = np.flatnonzero(gone[positions])
+        dropped_samples = np.searchsorted(
+            offsets, dropped, side="right"
+        ) - 1
+        kept_per_sample = np.diff(offsets) - np.bincount(
+            dropped_samples, minlength=theta
         )
-        kept_samples = sample_ids[entry_keep]
-        kept_newpos = remap[positions[entry_keep]]
         # samples that lose a live deleted edge are touched outright
-        deleted_live = sample_ids[~keep[positions]]
+        deleted_live = dropped_samples[~keep[positions[dropped]]]
+        # the remap is monotone over kept edges, so every sample's kept
+        # window stays ascending
+        kept = np.delete(remap[positions], dropped)
 
         # reweights + inserts: hash once per (edge, sample); the
         # reweighted edges' *old* coins are recomputed the same way
@@ -663,30 +695,30 @@ class SamplePool(_EvaluatorLifecycle):
             np.concatenate([deleted_live, flipped])
         )
 
-        # -- merge kept entries with additions, sorted per sample -----
-        # kept entries are already (sample, position)-sorted because
-        # the remap is order-preserving; only the additions need a
-        # sort, and they are tiny relative to the pool
+        # -- insert the additions into the kept windows ---------------
+        # the additions are tiny relative to the pool: sort them by
+        # (sample, position), find each one's slot by a search inside
+        # its sample's kept window, and move everything in one insert
+        kept_offsets = np.zeros(theta + 1, dtype=np.int64)
+        np.cumsum(kept_per_sample, out=kept_offsets[1:])
+        new_positions = kept
         if add_samples.size:
             order = np.lexsort((add_pos, add_samples))
             add_samples = add_samples[order]
-            add_pos = add_pos[order]
-        stride = np.int64(max(new_m, 1))
-        kept_keys = kept_samples * stride + kept_newpos
-        add_keys = add_samples * stride + add_pos
-        total = kept_keys.size + add_keys.size
-        new_positions = np.empty(total, dtype=np.int64)
-        at_kept = np.arange(kept_keys.size, dtype=np.int64)
-        at_kept += np.searchsorted(add_keys, kept_keys, side="left")
-        at_add = np.arange(add_keys.size, dtype=np.int64)
-        at_add += np.searchsorted(kept_keys, add_keys, side="right")
-        new_positions[at_kept] = kept_newpos
-        new_positions[at_add] = add_pos
-        counts = np.bincount(
-            kept_samples, minlength=theta
-        ) + np.bincount(add_samples, minlength=theta)
-        new_offsets = np.zeros(theta + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_offsets[1:])
+            add_pos = add_pos[order].astype(POSITIONS_DTYPE)
+            samples, starts = np.unique(add_samples, return_index=True)
+            ends = [*starts[1:], add_samples.size]
+            points = np.empty(add_samples.size, dtype=np.int64)
+            for t, lo, hi in zip(samples, starts, ends):
+                a, b = kept_offsets[t], kept_offsets[t + 1]
+                points[lo:hi] = a + np.searchsorted(
+                    kept[a:b], add_pos[lo:hi]
+                )
+            new_positions = np.insert(kept, points, add_pos)
+        new_offsets = kept_offsets
+        new_offsets[1:] += np.cumsum(
+            np.bincount(add_samples, minlength=theta)
+        )
 
         # -- swap state and re-key the persisted artifact -------------
         self.csr = new_csr
@@ -747,7 +779,8 @@ class SamplePool(_EvaluatorLifecycle):
         of the coin kernel."""
         m = self.csr.m
         chunk = self._chunk
-        chunks_pos: list[np.ndarray] = [np.asarray(self._positions)]
+        drawn = self._offsets[self._theta]
+        chunks_pos: list[np.ndarray] = [np.asarray(self._positions[:drawn])]
         chunks_counts: list[np.ndarray] = []
         for lo in range(self._theta, target, chunk):
             # one (window, m) hash matrix per step, bounded by the
@@ -761,7 +794,7 @@ class SamplePool(_EvaluatorLifecycle):
                 coins = (h < thr) | sure
                 rows, pos = np.nonzero(coins)
                 counts = np.bincount(rows, minlength=hi - lo)
-                chunks_pos.append(pos.astype(np.int64, copy=False))
+                chunks_pos.append(pos.astype(POSITIONS_DTYPE))
                 chunks_counts.append(counts.astype(np.int64, copy=False))
             else:
                 chunks_counts.append(np.zeros(hi - lo, dtype=np.int64))

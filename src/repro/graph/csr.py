@@ -44,7 +44,6 @@ class CSRGraph:
         "probs",
         "src",
         "__dict__",
-        "__weakref__",
     )
 
     def __init__(self, graph: DiGraph) -> None:

@@ -33,7 +33,7 @@ class DiGraph:
     algorithms only ever iterate in-neighbours.
     """
 
-    __slots__ = ("_succ", "_pred", "_m", "_version", "__weakref__")
+    __slots__ = ("_succ", "_pred", "_m")
 
     def __init__(self, n: int = 0) -> None:
         if n < 0:
@@ -41,7 +41,6 @@ class DiGraph:
         self._succ: list[dict[int, float]] = [{} for _ in range(n)]
         self._pred: list[list[int]] = [[] for _ in range(n)]
         self._m = 0
-        self._version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -72,7 +71,6 @@ class DiGraph:
         """Append a fresh isolated vertex and return its id."""
         self._succ.append({})
         self._pred.append([])
-        self._version += 1
         return len(self._succ) - 1
 
     def add_edge(self, u: int, v: int, probability: float = 1.0) -> None:
@@ -94,7 +92,6 @@ class DiGraph:
             self._pred[v].append(u)
             self._m += 1
         self._succ[u][v] = probability
-        self._version += 1
 
     def combine_edge(self, u: int, v: int, probability: float) -> None:
         """Merge a parallel edge ``u -> v`` using the noisy-or rule.
@@ -123,7 +120,6 @@ class DiGraph:
         del self._succ[u][v]
         self._pred[v].remove(u)
         self._m -= 1
-        self._version += 1
 
     # ------------------------------------------------------------------
     # inspection
@@ -137,16 +133,6 @@ class DiGraph:
     def m(self) -> int:
         """Number of directed edges."""
         return self._m
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by every edge insert/update/delete.
-
-        Lets holders of derived structures (a frozen CSR, say) detect
-        that a graph changed — including in-place probability
-        reassignment, which leaves ``n`` and ``m`` alone.
-        """
-        return self._version
 
     def vertices(self) -> range:
         """All vertex ids."""

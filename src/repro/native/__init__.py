@@ -49,6 +49,7 @@ import numpy as np
 from ..obs import global_registry
 
 __all__ = [
+    "POSITIONS_DTYPE",
     "native_build_available",
     "native_build_trees",
     "native_cache_dir",
@@ -161,7 +162,14 @@ def _compile() -> Path | None:
         return None
 
 
+# the dtype of a sample pool's edge positions, the one place it is
+# named: every kernel reads (and the coin kernel writes) them as
+# int32_t, so a pool holds 4 bytes per surviving edge and caps the
+# graph at 2^31 - 1 edges (offsets stay int64)
+POSITIONS_DTYPE = np.dtype(np.int32)
+
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_POSP = np.ctypeslib.ndpointer(dtype=POSITIONS_DTYPE, flags="C_CONTIGUOUS")
 _U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 
@@ -180,7 +188,7 @@ def _load() -> "ctypes.CDLL | bool":
                         ctypes.c_int64,  # n
                         _I64P,  # indptr
                         _I64P,  # edge_dst
-                        _I64P,  # positions
+                        _POSP,  # positions
                         _I64P,  # offsets
                         _I64P,  # sample_idx
                         ctypes.c_int64,  # batch
@@ -196,7 +204,7 @@ def _load() -> "ctypes.CDLL | bool":
                         ctypes.c_int64,  # n
                         _I64P,  # indptr
                         _I64P,  # edge_dst
-                        _I64P,  # positions
+                        _POSP,  # positions
                         _I64P,  # offsets
                         ctypes.c_int64,  # rounds
                         _I64P,  # seeds
@@ -219,12 +227,24 @@ def _load() -> "ctypes.CDLL | bool":
                     lib.repro_coin_fill.restype = None
                     lib.repro_coin_fill.argtypes = coin_args + [
                         _I64P,  # offsets
-                        _I64P,  # positions
+                        _POSP,  # positions
                     ]
                     _lib = lib
                 except OSError:
                     _lib = False
     return _lib
+
+
+def _positions(positions: np.ndarray) -> np.ndarray:
+    """A pool's ``positions`` as the kernels read them, never converted:
+    a widening cast would copy the whole pool on every call, and a
+    narrowing one would wrap edge ids onto other edges."""
+    positions = np.asarray(positions)
+    if positions.dtype != POSITIONS_DTYPE:
+        raise TypeError(
+            f"positions must be {POSITIONS_DTYPE}, got {positions.dtype}"
+        )
+    return np.ascontiguousarray(positions)
 
 
 def native_build_available() -> bool:
@@ -250,9 +270,11 @@ def native_build_trees(
 
     ``offsets``/``positions`` are the pool's flat sample arrays (no
     packing or copying: the kernel indexes the requested
-    ``sample_idx`` windows directly); ``indptr`` is the base graph's
-    CSR row-pointer array and ``blocked_mask`` a ``uint8[n]`` mask.
-    Output arrays are trimmed to the written payload.
+    ``sample_idx`` windows directly; positions of any dtype but
+    :data:`POSITIONS_DTYPE` raise ``TypeError``); ``indptr`` is the
+    base graph's CSR row-pointer array and ``blocked_mask`` a
+    ``uint8[n]`` mask.  Output arrays are trimmed to the written
+    payload.
     """
     lib = _load()
     if lib is False:
@@ -267,7 +289,7 @@ def native_build_trees(
     )
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
-    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    positions = _positions(positions)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     sample_idx = np.ascontiguousarray(sample_idx, dtype=np.int64)
     seeds = np.ascontiguousarray(seeds, dtype=np.int64)
@@ -337,7 +359,8 @@ def native_reach_counts(
     are identical either way).
 
     ``offsets``/``positions`` are the pool's flat sample arrays, read in
-    place (a memory-mapped pool is never copied); ``indptr``/
+    place (a memory-mapped pool is never copied, and positions of any
+    dtype but :data:`POSITIONS_DTYPE` raise ``TypeError``); ``indptr``/
     ``edge_dst`` are the base graph's CSR arrays and ``blocked_mask`` a
     ``uint8[n]`` mask.  Counts include the seeds, each once.  The GIL
     is released for the count.
@@ -357,7 +380,7 @@ def native_reach_counts(
     )
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
-    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    positions = _positions(positions)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     seeds = np.ascontiguousarray(seeds, dtype=np.int64)
     blocked_mask = np.ascontiguousarray(blocked_mask, dtype=np.uint8)
@@ -403,8 +426,9 @@ def native_draw_samples(
     ``keys``/``thr``/``sure`` are the per-edge stream keys, uint64
     thresholds and always-survive mask of ``repro.engine.pool``;
     ``offsets``/``positions`` hold the ``theta`` samples drawn so far
-    (a memory-mapped pool is read, never written).  A count pass sizes
-    one int64 positions array of old + new survivors; the first
+    (a memory-mapped pool is read, never written; positions of any
+    dtype but :data:`POSITIONS_DTYPE` raise ``TypeError``).  A count
+    pass sizes one positions array of old + new survivors; the first
     ``offsets[theta]`` entries are copied from ``positions`` and a fill
     pass writes each new sample's survivors after them, ascending.
     Nothing else of size θ×m or θ×survivors is allocated.  The GIL is
@@ -431,8 +455,11 @@ def native_draw_samples(
     # arrays allocated here; check what it is handed before it crosses
     if keys.ndim != 1 or thr.shape != (m,) or sure.shape != (m,):
         raise ValueError("keys, thr and sure must be 1-D with m entries")
+    if m > np.iinfo(POSITIONS_DTYPE).max:
+        raise ValueError(f"{m} edges overflow {POSITIONS_DTYPE} positions")
     if not 0 <= theta <= target:
         raise ValueError(f"cannot grow {theta} samples to {target}")
+    positions = _positions(positions)
     if offsets.ndim != 1 or positions.ndim != 1:
         raise ValueError("offsets and positions must be 1-D")
     if offsets.shape[0] < theta + 1:
@@ -448,7 +475,7 @@ def native_draw_samples(
     new_offsets[: theta + 1] = offsets[: theta + 1]
     np.cumsum(counts, out=new_offsets[theta + 1:])
     new_offsets[theta + 1:] += drawn
-    new_positions = np.empty(int(new_offsets[target]), dtype=np.int64)
+    new_positions = np.empty(int(new_offsets[target]), dtype=POSITIONS_DTYPE)
     new_positions[:drawn] = positions[:drawn]
     lib.repro_coin_fill(
         m, keys, thr, sure, theta, target, new_offsets, new_positions

@@ -41,7 +41,7 @@
 #include <stdlib.h>
 
 /* First index in positions[lo:hi) whose value is >= key. */
-static int64_t lower_bound(const int64_t *a, int64_t lo, int64_t hi,
+static int64_t lower_bound(const int32_t *a, int64_t lo, int64_t hi,
                            int64_t key) {
     while (lo < hi) {
         int64_t mid = (lo + hi) >> 1;
@@ -87,7 +87,8 @@ static int64_t lt_eval(int64_t v, int64_t *ancestor, int64_t *label,
  *     slice with indptr[v] <= p < indptr[v + 1].
  * edge_dst: base-graph CSR targets (one per edge position).
  * positions / offsets: the pool's flat sample arrays — sample t
- *     survives positions[offsets[t]:offsets[t+1]] (ascending).
+ *     survives positions[offsets[t]:offsets[t+1]] (ascending int32
+ *     edge positions; the offsets stay int64).
  * sample_idx: the samples to build, in output order.
  * seeds: targets of the virtual root (id n), in order.
  * blocked: byte mask over the n real vertices; edges into a blocked
@@ -106,7 +107,7 @@ int64_t repro_build_trees(
     int64_t n,
     const int64_t *indptr,
     const int64_t *edge_dst,
-    const int64_t *positions,
+    const int32_t *positions,
     const int64_t *offsets,
     const int64_t *sample_idx,
     int64_t batch,
@@ -360,7 +361,7 @@ int64_t repro_reach_counts(
     int64_t n,
     const int64_t *indptr,
     const int64_t *edge_dst,
-    const int64_t *positions,
+    const int32_t *positions,
     const int64_t *offsets,
     int64_t rounds,
     const int64_t *seeds,
@@ -461,7 +462,8 @@ void repro_coin_counts(
  * written to positions[offsets[t]:offsets[t + 1]].
  *
  * offsets must hold the counts repro_coin_counts returned for the same
- * inputs, so each sample's window is exactly its survivor count.  The
+ * inputs, so each sample's window is exactly its survivor count, and m
+ * must fit int32 positions (the caller refuses larger graphs).  The
  * store is branchless: every edge is written to the next free slot and
  * the slot advances only when the edge survives.  The scan stops as
  * soon as the window is full, so no store lands past it.
@@ -474,14 +476,14 @@ void repro_coin_fill(
     int64_t lo,
     int64_t hi,
     const int64_t *offsets,
-    int64_t *positions) {
+    int32_t *positions) {
     for (int64_t t = lo; t < hi; t++) {
         const uint64_t step = (uint64_t)(t + 1) * COIN_GOLDEN;
-        int64_t *out = positions + offsets[t];
+        int32_t *out = positions + offsets[t];
         const int64_t need = offsets[t + 1] - offsets[t];
         int64_t k = 0;
         for (int64_t j = 0; j < m && k < need; j++) {
-            out[k] = j;
+            out[k] = (int32_t)j;
             k += (mix64(keys[j] + step) < thr[j]) | sure[j];
         }
     }

@@ -165,7 +165,7 @@ def _key_params(graph, model, theta, seed) -> dict[str, object]:
     if theta is not None:
         params["theta"] = _check_int("theta", theta, minimum=1)
     if seed is not None:
-        params["seed"] = _check_int("seed", seed)
+        params["seed"] = _check_int("seed", seed, minimum=0)
     return params
 
 
@@ -385,7 +385,7 @@ class ServiceClient:
         if algorithm is not None:
             params["algorithm"] = _check_str("algorithm", algorithm)
         if rng is not None:
-            params["rng"] = _check_int("rng", rng)
+            params["rng"] = _check_int("rng", rng, minimum=0)
         if num_seeds is not None:
             params["num_seeds"] = _check_int(
                 "num_seeds", num_seeds, minimum=1

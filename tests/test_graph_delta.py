@@ -184,11 +184,19 @@ class TestGraphDelta:
         assert graph.m == 2
 
     def test_apply_to_validates_first(self):
-        graph = DiGraph.from_edges(3, [(0, 1)])
-        before = graph.version
+        graph = DiGraph.from_edges(
+            3, [(0, 1, 0.5), (1, 2, 0.4), (2, 0, 0.3)]
+        )
+        before = sorted(graph.edges())
+        # the delete and the reweight are valid; the insert names an
+        # existing edge, and inserts apply last
+        delta = GraphDelta(
+            deletes=[(0, 1)], reweights=[(1, 2, 0.9)], inserts=[(2, 0, 0.7)]
+        )
         with pytest.raises(ValueError):
-            GraphDelta(deletes=[(1, 2)]).apply_to(graph)
-        assert graph.version == before  # nothing was half-applied
+            delta.apply_to(graph)
+        # nothing was half-applied: same edges, same probabilities
+        assert sorted(graph.edges()) == before
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +207,9 @@ class TestGraphDelta:
 class TestRemoveEdge:
     def test_removes_edge_and_updates_counts(self):
         graph = DiGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.4)])
-        before = graph.version
         graph.remove_edge(0, 1)
         assert not graph.has_edge(0, 1)
         assert graph.m == 1
-        assert graph.version > before
         assert 0 not in graph.in_neighbors(1)
         assert 1 not in graph.out_neighbors(0)
 

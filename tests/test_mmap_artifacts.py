@@ -243,7 +243,7 @@ DAMAGE = {
     "offsets-2d": lambda off, pos: (off[None, :], pos),
     "offsets-shifted": lambda off, pos: (off + 1, pos),
     "offsets-decreasing": lambda off, pos: (decreasing(off), pos),
-    "positions-int32": lambda off, pos: (off, pos.astype(np.int32)),
+    "positions-int64": lambda off, pos: (off, pos.astype(np.int64)),
 }
 
 
@@ -311,7 +311,7 @@ class TestDamagedPoolFiles:
 
     @pytest.mark.parametrize("kind", [
         "truncated", "offsets-float", "offsets-2d", "offsets-shifted",
-        "offsets-decreasing", "positions-int32",
+        "offsets-decreasing", "positions-int64",
     ])
     def test_both_engines_answer_as_cold(
         self, kind, ba_graph, undamaged, tmp_path

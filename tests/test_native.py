@@ -95,7 +95,7 @@ def test_kernel_empty_batch():
         3,
         np.zeros(4, dtype=np.int64),
         empty,
-        empty,
+        np.zeros(0, dtype=np.int32),
         np.zeros(1, dtype=np.int64),
         empty,
         empty,
@@ -322,7 +322,7 @@ def grown_pool(graph, steps, rng=5, cache_dir=None):
 def assert_same_samples(a, b):
     assert a.theta == b.theta
     assert a.offsets.dtype == b.offsets.dtype == np.int64
-    assert a.positions.dtype == b.positions.dtype == np.int64
+    assert a.positions.dtype == b.positions.dtype == np.int32
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.positions, b.positions)
 
@@ -461,7 +461,7 @@ class TestCoinKernel:
         thr = np.full(5, 2**63, dtype=np.uint64)
         sure = np.zeros(5, dtype=bool)
         offsets = np.zeros(3, dtype=np.int64)
-        positions = np.zeros(0, dtype=np.int64)
+        positions = np.zeros(0, dtype=np.int32)
         draw = native.native_draw_samples
         with pytest.raises(ValueError):
             draw(keys, thr[:4], sure, offsets, positions, 2, 4)

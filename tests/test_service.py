@@ -1060,6 +1060,12 @@ class TestWireProtocolV1:
             client.block(graph="toy", budget=0)
         with pytest.raises(BadParamsError, match="graph"):
             client.warm(graph="")
+        # seeds name numpy streams: a negative one never leaves either
+        for verb in (client.spread, client.block, client.warm):
+            with pytest.raises(BadParamsError, match="seed"):
+                verb(graph="toy", seed=-1)
+        with pytest.raises(BadParamsError, match="rng"):
+            client.block(graph="toy", rng=-1)
         assert client._sock is None
 
     def test_malformed_error_envelope_raises_bare_service_error(self):
