@@ -49,6 +49,7 @@ __all__ = [
     "reach_counts_from_alive",
     "sample_csr",
     "postings_csr",
+    "postings_order",
 ]
 
 # soft cap on the (batch, n) activation matrix: ~16M cells = 16 MB of
@@ -326,26 +327,41 @@ def postings_csr(
     """Inverted membership index: vertex -> samples containing it.
 
     ``(sample_ids[i], vertices[i])`` pairs state "sample ``t`` reaches
-    vertex ``v``"; ``sample_ids`` must be non-decreasing (the natural
-    order when pairs are emitted sample by sample).  Returns
-    ``(indptr, samples)`` CSR arrays over the ``n`` vertices: the
-    samples reaching ``v`` are ``samples[indptr[v]:indptr[v + 1]]``,
-    **ascending** — a stable counting sort by vertex preserves the
-    sample order within each row, which is what lets consumers binary
-    search rows (and concatenations of rows) by ``v * theta + t``
-    keys.
+    vertex ``v``", in any order.  Returns ``(indptr, samples)`` CSR
+    arrays over the ``n`` vertices: the samples reaching ``v`` are
+    ``samples[indptr[v]:indptr[v + 1]]``, **ascending**, which is what
+    lets consumers binary search rows (and concatenations of rows) by
+    ``v * theta + t`` keys.
 
     This is the construction kernel of the sketch index's
     inverted membership index (the arena-backed query path): built
     once per view from the base trees, then patched in place through
     an aliveness mask as rebases move the blocker set.
     """
+    indptr, order = postings_order(sample_ids, vertices, n)
+    return indptr, sample_ids[order]
+
+
+def postings_order(
+    sample_ids: np.ndarray,
+    vertices: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers and sort permutation of :func:`postings_csr`.
+
+    ``order`` sorts the pairs vertex-major with samples ascending
+    within each vertex, so ``sample_ids[order]`` is the postings array
+    and the inverse of ``order`` maps every input pair to its posting.
+    A sample reaches a vertex at most once, so the keys
+    ``v * span + t`` are unique and one unstable argsort of them gives
+    the rows a stable sort by vertex would.
+    """
     if sample_ids.shape != vertices.shape:
         raise ValueError("sample_ids and vertices must align")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(vertices, minlength=n), out=indptr[1:])
-    order = np.argsort(vertices, kind="stable")
-    return indptr, sample_ids[order]
+    span = int(sample_ids.max()) + 1 if sample_ids.shape[0] else 1
+    return indptr, np.argsort(vertices * span + sample_ids)
 
 
 def reach_counts_from_alive(

@@ -36,18 +36,21 @@ behind the :class:`~repro.engine.evaluator.SpreadEvaluator` protocol:
   array read (Algorithm 2's "all candidates at once" property).
 
 Per-sample trees live in one pooled **arena** — flat ``order``/``sizes``
-arrays plus per-sample ``(start, length)`` slots (CSR-of-trees), grown
-by amortised doubling when a rebuilt tree outgrows its slot.
+arrays plus per-sample ``(start, length)`` slots (CSR-of-trees).  Each
+view keeps an immutable **base**, the unblocked trees laid out in
+sample order, beside its current state: blocking only removes reach,
+so every rebuilt tree fits its base slot, and a return to the empty
+blocker set copies the base back instead of rebuilding a single tree.
 Reachability is an **inverted membership index**: a CSR postings
-structure mapping vertex -> samples whose *base* (unblocked) tree
-reaches it (:func:`repro.engine.kernels.postings_csr`), built once per
-view, with a per-posting aliveness bit tracking the *current* blocker
-set.  A rebase unions the postings rows of the moved blockers to find
-the touched samples (O(affected postings) — no Python loop over
+structure mapping vertex -> samples whose base tree reaches it
+(:func:`repro.engine.kernels.postings_csr`), built once per base, with
+a per-posting aliveness bit tracking the *current* blocker set.  A
+rebase unions the postings rows of the moved blockers to find the
+touched samples (O(affected postings) — no Python loop over
 ``theta``), applies every touched sample's -/+ subtree-size delta in
 one batched ``np.bincount`` scatter, patches the aliveness bits with
-one ``searchsorted`` over ``v * theta + t`` keys, and writes the
-rebuilt trees back into the arena in one flat scatter.
+one ``searchsorted`` of sorted ``v * theta + t`` keys, and writes the
+rebuilt trees into their base slots in one flat scatter.
 
 Every answer of a rebased view is bit-identical to a view built cold
 at the same blocker set, and its spreads equal the ``pooled`` backend's
@@ -78,7 +81,7 @@ import numpy as np
 
 from ..graph import CSRGraph, GraphDelta
 from ..obs import global_registry, span, track
-from .kernels import _checked_ids, postings_csr, ragged_arange
+from .kernels import _checked_ids, postings_order, ragged_arange
 from .pool import (
     _EvaluatorLifecycle,
     PoolDeltaReport,
@@ -97,21 +100,30 @@ _MAX_VIEWS = 4
 # stale artifacts fall back to a cold build instead of misloading
 _SKETCH_FORMAT = 1
 
-# persisted array fields of an arena view: file tag -> attribute.
-# Everything a query or rebase reads is here, so a rehydrated view
-# answers without building a single tree.
+# persisted array fields of an arena view's base: file tag ->
+# attribute.  Everything a query or rebase reads is here, so a
+# rehydrated view answers without building a single tree.
 _ARTIFACT_FIELDS: tuple[tuple[str, str], ...] = (
-    ("lengths", "_lengths"),
+    ("lengths", "_base_lengths"),
     ("starts", "_starts"),
-    ("order", "_order_arena"),
-    ("sizes", "_sizes_arena"),
-    ("delta", "_delta_sum"),
+    ("order", "_base_order"),
+    ("sizes", "_base_sizes"),
+    ("delta", "_base_delta"),
     ("pindptr", "_post_indptr"),
     ("psamples", "_post_samples"),
-    ("palive", "_post_alive"),
+    ("palive", "_base_alive"),
     ("pkey", "_post_key"),
     ("sindptr", "_samp_indptr"),
     ("spidx", "_samp_pidx"),
+)
+
+# the current state a rebase writes -> the base array it starts from
+_CURRENT_FIELDS: tuple[tuple[str, str], ...] = (
+    ("_lengths", "_base_lengths"),
+    ("_order_arena", "_base_order"),
+    ("_sizes_arena", "_base_sizes"),
+    ("_delta_sum", "_base_delta"),
+    ("_post_alive", "_base_alive"),
 )
 
 
@@ -123,6 +135,9 @@ class SketchStats:
     """Spread / marginal-gain queries answered."""
     rebases: int = 0
     """Blocker-set transitions that re-derived at least one tree."""
+    restores: int = 0
+    """Returns to the empty blocker set, answered by copying a view's
+    unblocked base back instead of building trees."""
     trees_built: int = 0
     """Dominator trees constructed (initial builds + rebases)."""
     samples_skipped: int = 0
@@ -136,11 +151,14 @@ class SketchStats:
     The serving layer adds this to its artifact byte accounting so LRU
     byte bounds reflect the tree cache, not just the sample pools."""
     arena_bytes: int = 0
-    """Resident bytes of the pooled tree arenas (flat order/sizes
-    arrays at capacity, plus the per-sample slot tables)."""
+    """Resident bytes of the pooled tree arenas: the base and current
+    order/sizes payloads, slot tables and subtree-size sums, each
+    distinct array once (current arrays alias the base until a rebase
+    writes)."""
     postings_bytes: int = 0
     """Resident bytes of the inverted membership indexes (postings
-    CSR, aliveness bits, search keys, by-sample posting table)."""
+    CSR, search keys, by-sample posting table, and the base and
+    current aliveness bits)."""
     rehydrations: int = 0
     """Arena views attached memory-mapped from a persisted artifact
     instead of cold-built — a rehydrate skips sampling *and* every
@@ -169,6 +187,7 @@ class SketchStats:
         return {
             "queries": self.queries,
             "rebases": self.rebases,
+            "restores": self.restores,
             "trees_built": self.trees_built,
             "samples_skipped": self.samples_skipped,
             "tree_bytes": self.tree_bytes,
@@ -222,18 +241,40 @@ def _delta_sources(delta: GraphDelta) -> list[int]:
 class _ArenaSketchView:
     """Per-(seed set, theta) tree cache, pooled-arena layout.
 
-    All ``theta`` trees live in two flat int64 arenas (``order`` and
-    ``sizes`` payloads) addressed by per-sample ``(start, length)``
-    slots; reachability lives in an inverted membership index (vertex
-    -> samples, CSR postings with an aliveness bit per posting).
-    Every rebase step — touch detection, -/+ delta aggregation,
-    postings patching, tree write-back — is a constant number of numpy
-    calls over the touched slice, with no Python loop over samples.
-    Answers after any rebase are bit-identical to a view built cold at
-    the same blocker set.
+    The view holds an immutable **base** — the unblocked trees of all
+    ``theta`` samples in two flat int64 arenas (``order`` and
+    ``sizes`` payloads) laid out in sample order, their fixed
+    per-sample ``start`` slots, their subtree-size sums, and an
+    inverted membership index (vertex -> samples, CSR postings) — and
+    a **current** state at the committed blocker set: per-sample
+    lengths, the two arenas, the sums and one aliveness bit per
+    posting.  The current arrays alias the base until the first write
+    (copy-on-write), and a return to the empty blocker set copies the
+    base back into them.  Every rebase step — touch detection, -/+
+    delta aggregation, postings patching, tree write-back — is a
+    constant number of numpy calls over the touched slice, with no
+    Python loop over samples.  Answers after any rebase are
+    bit-identical to a view built cold at the same blocker set.
     """
 
     def __init__(
+        self,
+        csr: CSRGraph,
+        batch: SampleBatch,
+        seeds: tuple[int, ...],
+        stats: SketchStats,
+        builder: TreeBuilder,
+    ) -> None:
+        self._attach(csr, batch, seeds, stats, builder)
+        # cold build: one packed batch, laid out as the base
+        lengths, orders, sizes = builder.build_packed(
+            batch, range(self.theta), seeds, ()
+        )
+        stats.trees_built += self.theta
+        self._take_base(lengths, orders, sizes)
+        self._sync_bytes()
+
+    def _attach(
         self,
         csr: CSRGraph,
         batch: SampleBatch,
@@ -246,67 +287,89 @@ class _ArenaSketchView:
         self.seeds = seeds
         self.stats = stats
         self.builder = builder
-        self.root = csr.n  # virtual super-source
         self.theta = batch.theta
-        self.blocked: frozenset[int] = frozenset()
-        self._writable = True
-        n = csr.n
         self._accounted_arena = 0
         self._accounted_postings = 0
 
-        # ---- cold build: one packed batch, written as the arena ----
-        lengths, orders, sizes = builder.build_packed(
-            batch, range(self.theta), seeds, ()
+    def _take_base(
+        self, lengths: np.ndarray, orders: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        """Make a full unblocked payload (all ``theta`` trees, in sample
+        order) the base, derive its sums and postings, and reset the
+        current state to it."""
+        self._base_lengths = lengths.astype(np.int64, copy=True)
+        self._starts = np.zeros(self.theta, dtype=np.int64)
+        np.cumsum(self._base_lengths[:-1], out=self._starts[1:])
+        self._base_order = np.ascontiguousarray(orders, dtype=np.int64)
+        self._base_sizes = np.ascontiguousarray(sizes, dtype=np.int64)
+        self._base_spread = int(self._base_order.shape[0] - self.theta)
+        self._base_delta = subtree_size_sums(
+            self._base_lengths, self._base_order, self._base_sizes,
+            self.csr.n,
         )
-        stats.trees_built += self.theta
-        self._lengths = lengths.astype(np.int64, copy=True)
-        starts = np.zeros(self.theta, dtype=np.int64)
-        np.cumsum(self._lengths[:-1], out=starts[1:])
-        self._starts = starts
-        self._used = int(self._lengths.sum())
-        self._order_arena = np.ascontiguousarray(orders, dtype=np.int64)
-        self._sizes_arena = np.ascontiguousarray(sizes, dtype=np.int64)
-        self._spread_sum = int(self._used - self.theta)
-        self._delta_sum = subtree_size_sums(
-            self._lengths, self._order_arena, self._sizes_arena, n
-        )
-        self._rebuild_postings()
-        self._sync_bytes()
+        self._build_postings()
+        self._reset_to_base()
+
+    def _reset_to_base(self) -> None:
+        """Point the current state at the base (no copy until a rebase
+        writes, :meth:`_promote`)."""
+        for current, base in _CURRENT_FIELDS:
+            setattr(self, current, getattr(self, base))
+        self._spread_sum = self._base_spread
+        self._writable = False
+        self.blocked: frozenset[int] = frozenset()
+
+    def _promote(self) -> None:
+        """First write since the base was taken: copy the current
+        arrays out of the base (for a rehydrated view, out of the
+        read-only mapping).  The postings CSR, search keys and
+        by-sample table are immutable until the next graph delta and
+        are never copied."""
+        if self._writable:
+            return
+        for current, base in _CURRENT_FIELDS:
+            setattr(self, current, np.array(getattr(self, base)))
+        self._writable = True
+
+    def _restore(self) -> None:
+        """Return to the empty blocker set by copying the base into the
+        current arrays; no tree is built."""
+        if self._writable:
+            for current, base in _CURRENT_FIELDS:
+                np.copyto(getattr(self, current), getattr(self, base))
+        self._spread_sum = self._base_spread
+        self.stats.restores += 1
 
     # ------------------------------------------------------------------
     # persistence: .npy artifacts next to the sample pool's cache
     # ------------------------------------------------------------------
     def save(self, prefix: Path) -> bool:
-        """Serialize this view's **base** state as mmap-able ``.npy``
-        files under ``prefix`` (plus a ``.meta.json`` descriptor).
+        """Serialize this view's **base** as mmap-able ``.npy`` files
+        under ``prefix`` (plus a ``.meta.json`` descriptor), whatever
+        the current blocker set, so every reader rehydrates the same
+        bit-identical starting point.
 
-        Only the unrebased state is ever written (the cold build calls
-        this before any query moves the blocker set), so every reader
-        rehydrates the same bit-identical starting point.  Each file
-        is written tmp-then-rename; the meta descriptor lands last and
-        acts as the commit marker — a crash mid-save leaves no
+        Each file is written tmp-then-rename; the meta descriptor lands
+        last and acts as the commit marker — a crash mid-save leaves no
         loadable artifact.  I/O failures are reported as ``False``
         (persistence is an optimisation, never a correctness gate).
         """
-        if self.blocked:
-            return False
-        arrays = dict(self._artifact_arrays())
         try:
             prefix.parent.mkdir(parents=True, exist_ok=True)
-            for tag, _ in _ARTIFACT_FIELDS:
+            for tag, attr in _ARTIFACT_FIELDS:
                 path = _artifact_file(prefix, tag)
                 tmp = path.with_name(
                     path.name[: -len(".npy")] + ".tmp.npy"
                 )
-                np.save(tmp, np.asarray(arrays[tag]))
+                np.save(tmp, np.asarray(getattr(self, attr)))
                 tmp.replace(path)
             meta = {
                 "format": _SKETCH_FORMAT,
                 "n": int(self.csr.n),
                 "theta": int(self.theta),
                 "seeds": [int(s) for s in self.seeds],
-                "used": int(self._used),
-                "spread_sum": int(self._spread_sum),
+                "used": int(self._base_order.shape[0]),
+                "spread_sum": int(self._base_spread),
             }
             meta_path = _artifact_file(prefix, "meta", suffix=".json")
             tmp = meta_path.with_name(meta_path.name + ".tmp")
@@ -316,16 +379,6 @@ class _ArenaSketchView:
             return False
         self.stats.persists += 1
         return True
-
-    def _artifact_arrays(self):
-        """``(tag, array)`` pairs in persisted form (arenas trimmed to
-        ``used`` — a fresh cold build has no slack, and slack must not
-        be persisted anyway)."""
-        for tag, attr in _ARTIFACT_FIELDS:
-            array = getattr(self, attr)
-            if attr in ("_order_arena", "_sizes_arena"):
-                array = array[: self._used]
-            yield tag, array
 
     @classmethod
     def from_artifact(
@@ -340,11 +393,10 @@ class _ArenaSketchView:
         """Rehydrate a persisted base view, memory-mapped read-only.
 
         Returns ``None`` (caller cold-builds) unless a complete,
-        format- and identity-matching artifact exists.  The attached
-        arrays are copy-on-write at the view level: queries read the
-        shared pages directly; the first rebase promotes the mutable
-        arrays to private copies (:meth:`_promote`) while the large
-        immutable postings structures stay mapped forever.
+        format- and identity-matching artifact exists.  The mapped
+        arrays are the view's base: queries read the shared pages
+        directly, and the first rebase copies the current arrays out
+        of them (:meth:`_promote`), so the files are never written.
         """
         meta_path = _artifact_file(prefix, "meta", suffix=".json")
         try:
@@ -367,71 +419,35 @@ class _ArenaSketchView:
         except (OSError, ValueError):
             return None
         used = int(meta.get("used", -1))
-        theta = batch.theta
-        if not _artifact_shapes_ok(arrays, csr.n, theta, used):
+        if not _artifact_shapes_ok(arrays, csr.n, batch.theta, used):
             return None
         view = cls.__new__(cls)
-        view.csr = csr
-        view.batch = batch
-        view.seeds = seeds
-        view.stats = stats
-        view.builder = builder
-        view.root = csr.n
-        view.theta = theta
-        view.blocked = frozenset()
-        view._writable = False
-        view._used = used
-        view._spread_sum = int(meta["spread_sum"])
-        view._accounted_arena = 0
-        view._accounted_postings = 0
+        view._attach(csr, batch, seeds, stats, builder)
         for tag, attr in _ARTIFACT_FIELDS:
             setattr(view, attr, arrays[tag])
+        view._base_spread = int(meta["spread_sum"])
+        view._reset_to_base()
         view._sync_bytes()
         stats.rehydrations += 1
         return view
-
-    def _promote(self) -> None:
-        """First-write promotion of a rehydrated view.
-
-        Copies exactly the arrays a rebase mutates — the delta sums,
-        aliveness bits, arenas and slot tables — into private writable
-        memory.  The postings CSR, search keys and by-sample table are
-        immutable for the view's lifetime and keep reading the shared
-        mapping, so promotion costs one pass over the mutable half
-        only.  No-op for cold-built (already private) views.
-        """
-        if self._writable:
-            return
-        for attr in (
-            "_delta_sum",
-            "_post_alive",
-            "_order_arena",
-            "_sizes_arena",
-            "_starts",
-            "_lengths",
-        ):
-            setattr(self, attr, np.array(getattr(self, attr)))
-        self._writable = True
 
     # ------------------------------------------------------------------
     # byte accounting (all gauges re-synced only after success)
     # ------------------------------------------------------------------
     def _arena_nbytes(self) -> int:
-        return int(
-            self._order_arena.nbytes
-            + self._sizes_arena.nbytes
-            + self._starts.nbytes
-            + self._lengths.nbytes
+        return _distinct_nbytes(
+            self._starts,
+            self._base_lengths, self._base_order, self._base_sizes,
+            self._base_delta,
+            self._lengths, self._order_arena, self._sizes_arena,
+            self._delta_sum,
         )
 
     def _postings_nbytes(self) -> int:
-        return int(
-            self._post_indptr.nbytes
-            + self._post_samples.nbytes
-            + self._post_alive.nbytes
-            + self._post_key.nbytes
-            + self._samp_indptr.nbytes
-            + self._samp_pidx.nbytes
+        return _distinct_nbytes(
+            self._post_indptr, self._post_samples, self._post_key,
+            self._samp_indptr, self._samp_pidx,
+            self._base_alive, self._post_alive,
         )
 
     def _sync_bytes(self) -> None:
@@ -458,12 +474,10 @@ class _ArenaSketchView:
         self._accounted_arena = 0
         self._accounted_postings = 0
         empty = np.zeros(0, dtype=np.int64)
-        self._order_arena = self._sizes_arena = empty
-        self._starts = self._lengths = empty
-        self._post_indptr = self._post_samples = empty
-        self._post_key = self._samp_indptr = self._samp_pidx = empty
-        self._post_alive = np.zeros(0, dtype=bool)
-        self._used = 0
+        for attr, _ in _CURRENT_FIELDS:
+            setattr(self, attr, empty)
+        for _, attr in _ARTIFACT_FIELDS:
+            setattr(self, attr, empty)
 
     # ------------------------------------------------------------------
     # rebase: move the committed blocker set, touching few samples
@@ -488,15 +502,17 @@ class _ArenaSketchView:
     def _postings_rows(self, vertices: Iterable[int]) -> np.ndarray:
         """Concatenated posting indices of the given vertices' rows."""
         vs = np.asarray(sorted(vertices), dtype=np.int64)
-        counts = self._post_indptr[vs + 1] - self._post_indptr[vs]
-        return np.repeat(self._post_indptr[vs], counts) + ragged_arange(
-            counts
-        )
+        starts = self._post_indptr[vs]
+        return _slots(starts, self._post_indptr[vs + 1] - starts)
 
     def rebase(self, blocked: frozenset[int]) -> None:
         if blocked == self.blocked:
             return
         with span("sketch.rebase"):
+            if not blocked:
+                self._restore()
+                self.blocked = blocked
+                return
             touched = self._touched(
                 blocked - self.blocked, self.blocked - blocked
             )
@@ -508,9 +524,9 @@ class _ArenaSketchView:
                     self.batch, touched, self.seeds, sorted(blocked)
                 )
                 self.stats.trees_built += int(touched.shape[0])
-                # first write into a rehydrated view: promote the
-                # mutable arrays to private copies (after the build,
-                # so a builder failure leaves the mapping untouched)
+                # first write since the base was taken: copy the
+                # current arrays out of the base (after the build, so
+                # a builder failure leaves the view untouched)
                 self._promote()
                 self._writeback(touched, lengths, orders, sizes)
                 self.stats.rebases += 1
@@ -527,47 +543,31 @@ class _ArenaSketchView:
         orders: np.ndarray,
         sizes: np.ndarray,
     ) -> None:
-        """Swap the touched samples' trees: one batched delta scatter,
-        one postings patch, one arena scatter."""
+        """Swap the touched samples' trees: one postings patch, one
+        batched delta scatter, one arena scatter into the base slots."""
         # postings patch: kill every touched sample's postings, then
         # revive the (vertex, sample) pairs its new tree still reaches
         # — new reachability is always a subset of base reachability,
-        # so every pair resolves to an existing posting.  (Graph
-        # deltas break that invariant, which is why apply_delta
-        # rebuilds the postings instead of patching them.)
-        new_mask = _payload_mask(lengths)
-        kill_counts = (
-            self._samp_indptr[touched + 1] - self._samp_indptr[touched]
+        # so every pair resolves to an existing posting.  Sorted keys
+        # probe the postings keys in order, which keeps the search
+        # cache-friendly.
+        kill_starts = self._samp_indptr[touched]
+        kill = _slots(
+            kill_starts, self._samp_indptr[touched + 1] - kill_starts
         )
-        kill = np.repeat(
-            self._samp_indptr[touched], kill_counts
-        ) + ragged_arange(kill_counts)
         self._post_alive[self._samp_pidx[kill]] = False
-        revive_keys = orders[new_mask] * self.theta + np.repeat(
-            touched, lengths - 1
-        )
+        revive_keys = orders[_payload_mask(lengths)] * self.theta
+        revive_keys += np.repeat(touched, lengths - 1)
+        revive_keys.sort()
         self._post_alive[
             np.searchsorted(self._post_key, revive_keys)
         ] = True
 
-        self._scatter_trees(touched, lengths, orders, sizes)
-
-    def _scatter_trees(
-        self,
-        touched: np.ndarray,
-        lengths: np.ndarray,
-        orders: np.ndarray,
-        sizes: np.ndarray,
-    ) -> None:
-        """Delta aggregation plus arena write-back of rebuilt trees —
-        the postings-agnostic half shared by blocker rebases and graph
-        deltas."""
-        old_lengths = self._lengths[touched]
-        old_flat = np.repeat(
-            self._starts[touched], old_lengths
-        ) + ragged_arange(old_lengths)
         # -/+ subtree-size totals of every touched sample (exact
         # integer sums, so the reordering vs per-sample scatters cancels)
+        starts = self._starts[touched]
+        old_lengths = self._lengths[touched]
+        old_flat = _slots(starts, old_lengths)
         n = self.csr.n
         self._delta_sum += subtree_size_sums(
             lengths, orders, sizes, n
@@ -577,34 +577,12 @@ class _ArenaSketchView:
         )
         self._spread_sum += int(lengths.sum()) - int(old_lengths.sum())
 
-        # arena write-back: in place when the new tree fits its slot
-        # (the common case — blocking shrinks trees), appended with
-        # amortised doubling when it grew (blockers removed)
-        fits = lengths <= old_lengths
-        dest = np.where(fits, self._starts[touched], 0)
-        if not fits.all():
-            grow_lengths = lengths[~fits]
-            total = int(grow_lengths.sum())
-            self._ensure_capacity(self._used + total)
-            grow_starts = np.zeros(grow_lengths.shape[0], dtype=np.int64)
-            np.cumsum(grow_lengths[:-1], out=grow_starts[1:])
-            dest[~fits] = self._used + grow_starts
-            self._used += total
-        dest_flat = np.repeat(dest, lengths) + ragged_arange(lengths)
-        self._order_arena[dest_flat] = orders
-        self._sizes_arena[dest_flat] = sizes
-        self._starts[touched] = dest
+        # arena write-back in place: blocking only removes reach, so
+        # every rebuilt tree fits its sample's base slot
+        new_flat = _slots(starts, lengths)
+        self._order_arena[new_flat] = orders
+        self._sizes_arena[new_flat] = sizes
         self._lengths[touched] = lengths
-
-    def _ensure_capacity(self, need: int) -> None:
-        cap = self._order_arena.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        for name in ("_order_arena", "_sizes_arena"):
-            grown = np.empty(new_cap, dtype=np.int64)
-            grown[: self._used] = getattr(self, name)[: self._used]
-            setattr(self, name, grown)
 
     # ------------------------------------------------------------------
     # graph deltas: swap the graph under the view, rebuild few trees
@@ -619,22 +597,18 @@ class _ArenaSketchView:
     ) -> int:
         """Move this view onto the post-delta graph and samples.
 
-        Caller contract (:meth:`SketchIndex.apply_delta`): the view
-        was parked at the unblocked base while the *old* pool state
-        was live, so current trees equal base trees and the rebuilt
-        postings below need no aliveness patch; ``touched`` is the
-        pool's exact changed-sample set for this view's theta prefix.
-
-        The postings rows of the delta's source vertices narrow
-        ``touched`` further — a changed edge no sample's base tree
-        reaches the source of cannot change any tree
-        (:func:`_delta_sources`) — then only the surviving samples'
-        trees are rebuilt and scattered into the arena.  The arena is
-        re-compacted into cold-build order and the inverted membership
-        index is rebuilt from the post-delta trees (a graph insert can
-        extend reachability beyond the old base, so the kill/revive
-        patch of blocker rebases does not apply).  The resulting view
-        state is bit-identical to a cold build over the mutated graph.
+        ``touched`` is the pool's exact changed-sample set for this
+        view's theta prefix (:meth:`SketchIndex.apply_delta`).  The
+        base postings rows of the delta's source vertices narrow it
+        further — a changed edge whose source a sample's base tree does
+        not reach cannot change that sample's tree at any blocker set
+        (:func:`_delta_sources`; blocking only removes reach).  Only
+        the surviving samples' base trees are rebuilt; merged with the
+        kept ones, they are laid out once in sample order and taken as
+        the new base, with sums and postings derived as a cold build
+        derives them, so the view is bit-identical to a cold build
+        over the mutated graph and sits at the empty blocker set.
+        When no tree changes, base and current state stay as they are.
         Returns the number of trees rebuilt.
         """
         sources = _delta_sources(delta)
@@ -656,69 +630,62 @@ class _ArenaSketchView:
                 batch, touched, self.seeds, ()
             )
             self.stats.trees_built += count
-            self._promote()
-            self._scatter_trees(touched, lengths, orders, sizes)
-        if self._used != int(self._lengths.sum()):
-            # relocated slots (from this delta or earlier blocker
-            # rebases) leave dead slack a persisted artifact must not
-            # carry: repack into cold-build order
-            self._promote()
-            self._compact()
-        if count:
-            self._rebuild_postings()
-        self._sync_bytes()
+            self._take_base(
+                *self._merged_base(touched, lengths, orders, sizes)
+            )
+            self._sync_bytes()
         return count
 
-    def _compact(self) -> None:
-        """Repack the arena contiguously in sample order — the exact
-        layout a cold build produces."""
-        flat = np.repeat(self._starts, self._lengths) + ragged_arange(
-            self._lengths
+    def _merged_base(
+        self,
+        touched: np.ndarray,
+        lengths: np.ndarray,
+        orders: np.ndarray,
+        sizes: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The post-delta base payload in sample order: the rebuilt
+        trees of ``touched``, every other sample's base tree kept."""
+        merged_lengths = self._base_lengths.copy()
+        merged_lengths[touched] = lengths
+        # each sample's source slot: its base slot, or its rebuilt
+        # tree's slot in the payload appended after the base arena
+        sources = self._starts.copy()
+        sources[touched] = (
+            self._base_order.shape[0] + np.cumsum(lengths) - lengths
         )
-        self._order_arena = self._order_arena[flat]
-        self._sizes_arena = self._sizes_arena[flat]
-        starts = np.zeros(self.theta, dtype=np.int64)
-        np.cumsum(self._lengths[:-1], out=starts[1:])
-        self._starts = starts
-        self._used = int(self._lengths.sum())
+        flat = _slots(sources, merged_lengths)
+        return (
+            merged_lengths,
+            np.concatenate([self._base_order, orders])[flat],
+            np.concatenate([self._base_sizes, sizes])[flat],
+        )
 
-    def _rebuild_postings(self) -> None:
-        """Build the inverted membership index from the current arena
-        (all postings alive — only valid parked at the unblocked base,
-        where current trees are the base trees)."""
-        n = self.csr.n
-        counts = self._lengths - 1
-        flat = np.repeat(self._starts, self._lengths) + ragged_arange(
-            self._lengths
-        )
-        verts = self._order_arena[flat[_payload_mask(self._lengths)]]
+    def _build_postings(self) -> None:
+        """Build the inverted membership index of the base trees, every
+        posting alive.  The base payload is in sample order, so its
+        non-root entries are the (sample, vertex) pairs sample-major,
+        and the inverse of the postings sort permutation is the
+        by-sample posting table."""
+        counts = self._base_lengths - 1
+        verts = self._base_order[_payload_mask(self._base_lengths)]
         sample_ids = np.repeat(
             np.arange(self.theta, dtype=np.int64), counts
         )
-        self._post_indptr, self._post_samples = postings_csr(
-            sample_ids, verts, n
+        self._post_indptr, order = postings_order(
+            sample_ids, verts, self.csr.n
         )
-        self._post_alive = np.ones(
-            self._post_samples.shape[0], dtype=bool
-        )
-        # keys v * theta + t are globally ascending (vertex-major rows,
+        self._post_samples = sample_ids[order]
+        self._base_alive = np.ones(order.shape[0], dtype=bool)
+        # keys v * theta + t ascend globally (vertex-major rows,
         # samples ascending within a row): one searchsorted resolves
         # arbitrary (vertex, sample) pairs to posting indices
-        self._post_key = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self._post_indptr)
-            )
-            * self.theta
-            + self._post_samples
-        )
+        self._post_key = verts[order] * self.theta + self._post_samples
         # by-sample view of the same postings: row t lists the posting
         # indices of sample t's base-reachable vertices
         self._samp_indptr = np.zeros(self.theta + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self._post_samples, minlength=self.theta),
-            out=self._samp_indptr[1:],
-        )
-        self._samp_pidx = np.argsort(self._post_samples, kind="stable")
+        np.cumsum(counts, out=self._samp_indptr[1:])
+        self._samp_pidx = np.empty_like(order)
+        self._samp_pidx[order] = np.arange(order.shape[0], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # queries
@@ -741,6 +708,18 @@ class _ArenaSketchView:
             self.rebase(blocked)
             self.stats.queries += 1
             return self._delta_sum[: self.csr.n] / self.theta
+
+
+def _slots(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the concatenated ``[start, start + length)``
+    slots."""
+    return np.repeat(starts, lengths) + ragged_arange(lengths)
+
+
+def _distinct_nbytes(*arrays: np.ndarray) -> int:
+    """Total bytes of the given arrays, each distinct object once (a
+    current array that still aliases its base counts once)."""
+    return int(sum({id(a): a.nbytes for a in arrays}.values()))
 
 
 def _artifact_file(prefix: Path, tag: str, suffix: str = ".npy") -> Path:
@@ -885,23 +864,16 @@ class SketchIndex(_EvaluatorLifecycle):
 
         Patches the shared sample pool bit-identically to resampling
         the mutated graph (:meth:`SamplePool.apply_delta`), swaps the
-        frozen CSR and tree builder for post-delta ones, and rebases
-        every cached view by rebuilding only the trees of samples
-        whose survived-edge set changed — everything else (arena
-        slots, postings rows, aggregated gains of untouched samples)
-        is kept.  Views parked on a non-empty blocker set are first
-        rebased to the unblocked base (their next query re-rebases),
-        and persistable views are re-saved under the post-delta
-        artifact key, so a later process over the mutated graph
-        rehydrates the patched state.  Returns the pool's report.
+        frozen CSR and tree builder for post-delta ones, and moves
+        every cached view onto them by rebuilding only the base trees
+        of samples whose survived-edge set changed — every other
+        sample's base tree is kept.  A view with a rebuilt tree takes
+        its post-delta base and sits at the empty blocker set (its next
+        query rebases), and persistable views are re-saved under the
+        post-delta artifact key, so a later process over the mutated
+        graph rehydrates the patched state.  Returns the pool's report.
         """
         with span("sketch.delta"):
-            # park every view at the unblocked base while the OLD
-            # pool and CSR are still live: after this, current trees
-            # == base trees in every view, the contract the per-view
-            # delta path relies on
-            for view in self._views.values():
-                view.rebase(frozenset())
             report = self.pool.apply_delta(delta)
             self.builder = TreeBuilder(self.csr)
             touched_hist, rebuilt_counter = _delta_metrics()

@@ -513,6 +513,10 @@ _STANDARD_COLLECTORS: tuple[tuple[str, str, str, str, str], ...] = (
     ("repro_sketch_rebases_total",
      "Blocker-set transitions that re-derived at least one tree",
      "sketch", "rebases", "counter"),
+    ("repro_sketch_restores_total",
+     "Returns to the empty blocker set answered by copying a view's "
+     "unblocked base back (no tree built)",
+     "sketch", "restores", "counter"),
     ("repro_sketch_trees_built_total",
      "Dominator trees constructed (cold builds + rebases)",
      "sketch", "trees_built", "counter"),

@@ -248,6 +248,7 @@ class TestArenaLegacyParity:
         arena = SketchIndex(pool)
         walk = [[], [7], [7, 30], [7, 30, 61], [30], [], [61, 100]]
         touched = []
+        restores = 0
         for before, blocked in zip([[]] + walk, walk):
             assert legacy.expected_spread(
                 seeds, theta, blocked
@@ -256,10 +257,16 @@ class TestArenaLegacyParity:
                 legacy.decrease_estimates(seeds, theta, blocked),
                 arena.decrease_estimates(seeds, theta, blocked),
             )
-            if before != blocked:
+            if before == blocked:
+                continue
+            if blocked:
                 touched.append(legacy.touched(seeds, theta, before, blocked))
+            else:
+                # back to the empty set: the base is copied back
+                restores += 1
         # the postings rows touch exactly the samples the per-sample
         # reachability scan would rebuild
+        assert arena.stats.restores == restores == 1
         assert arena.stats.rebases == sum(1 for k in touched if k)
         assert arena.stats.trees_built == theta + sum(touched)
         assert arena.stats.samples_skipped == sum(
@@ -313,29 +320,146 @@ class TestArenaLegacyParity:
                 warm.decrease_estimates(seeds, theta, blocked),
                 cold.decrease_estimates(seeds, theta, blocked),
             ), blocked
-        # the walk exercised both the in-place (shrink) and the
-        # appended (grow) arena write-back paths
+        # the walk rebuilt trees both ways: blockers added (trees
+        # shrink) and removed (trees regrow inside their base slots)
         assert warm.stats.rebases >= 6
 
-    def test_arena_growth_appends_and_doubles(self, wc_setup):
+    def test_blocker_walks_never_grow_the_arena(self, wc_setup):
+        """Blocking only removes reach, so every rebuilt tree fits its
+        base slot: no blocker walk — unblocking included — moves a
+        slot or grows the arena past the base payload."""
         graph, csr, pool = wc_setup
         theta = 60
         seeds = [0, 5]
         arena = SketchIndex(pool)
-        arena.expected_spread(seeds, theta, list(range(10, 50)))
+        walk = [
+            list(range(10, 50)), [10, 11], list(range(10, 50)), [30],
+            [7, 30, 61], [61], [], list(range(10, 50)),
+        ]
+        arena.expected_spread(seeds, theta)
         view = next(iter(arena._views.values()))
-        cap_before = view._order_arena.shape[0]
-        used_before = view._used
-        # unblocking regrows every touched tree past its shrunken
-        # slot: the rebuilt payloads must append at the arena tail
-        arena.expected_spread(seeds, theta, [])
-        assert view._used > used_before
-        assert view._order_arena.shape[0] >= cap_before
+        starts = view._starts.copy()
+        used = view._base_order.shape[0]
+        for blocked in walk:
+            arena.decrease_estimates(seeds, theta, blocked)
+            assert view._order_arena.shape[0] == used, blocked
+            assert view._sizes_arena.shape[0] == used, blocked
+            assert np.array_equal(view._starts, starts), blocked
+            assert (view._lengths <= view._base_lengths).all(), blocked
         # and answers still match a cold rebuild exactly
         cold = SketchIndex(pool)
         assert arena.expected_spread(
-            seeds, theta
-        ) == cold.expected_spread(seeds, theta)
+            seeds, theta, walk[-1]
+        ) == cold.expected_spread(seeds, theta, walk[-1])
+
+
+# ----------------------------------------------------------------------
+# restores and base slots: returns to the empty set copy the base
+# ----------------------------------------------------------------------
+class TestRestoreAndBaseSlots:
+    """Walks that return to the empty blocker set more than once, on a
+    cold-built view and on one rehydrated from disk.  Each return is a
+    restore (the base copied back, no tree built), rebuilt trees stay
+    in their base slots, and every answer matches sketches that never
+    rebased."""
+
+    THETA = 120
+    SEEDS = [0, 5, 9]
+    B1 = [7, 30]
+    B2 = [61, 100]
+    WALK = [[], B1, [], B2, B1 + B2, [], B1, [30, 61], []]
+
+    def index(self, csr, source, tmp_path):
+        """A warm index over the module's samples, its view built cold
+        or rehydrated from a persisted artifact."""
+        if source == "cold":
+            index = SketchIndex(SamplePool(csr, rng=11))
+            index.expected_spread(self.SEEDS, self.THETA)
+            return index
+
+        def persisted():
+            return SketchIndex(SamplePool(
+                csr, rng=11, cache_dir=tmp_path, cache_key="restore"
+            ))
+
+        with persisted() as writer:
+            writer.expected_spread(self.SEEDS, self.THETA)
+        index = persisted()
+        index.expected_spread(self.SEEDS, self.THETA)
+        assert index.stats.rehydrations == 1
+        assert index.stats.trees_built == 0
+        return index
+
+    @pytest.mark.parametrize("source", ["cold", "rehydrated"])
+    def test_walk_matches_references(self, wc_setup, tmp_path, source):
+        graph, csr, pool = wc_setup
+        index = self.index(csr, source, tmp_path)
+        files = {
+            path.name: path.read_bytes()
+            for path in tmp_path.glob("sketch-*")
+        }
+        assert bool(files) == (source == "rehydrated")
+        legacy = LegacySketch(pool)
+        view = next(iter(index._views.values()))
+        used = view._base_order.shape[0]
+        before = []
+        for blocked in self.WALK:
+            stats = index.stats.as_dict()
+            spread = index.expected_spread(self.SEEDS, self.THETA, blocked)
+            gains = index.decrease_estimates(
+                self.SEEDS, self.THETA, blocked
+            )
+            cold = SketchIndex(pool)
+            for reference in (cold, legacy):
+                assert spread == reference.expected_spread(
+                    self.SEEDS, self.THETA, blocked
+                ), (reference, blocked)
+                assert np.array_equal(
+                    gains,
+                    reference.decrease_estimates(
+                        self.SEEDS, self.THETA, blocked
+                    ),
+                ), (reference, blocked)
+            cold.close()
+            after = index.stats.as_dict()
+            restored = not blocked and before != []
+            assert after["restores"] - stats["restores"] == int(restored)
+            if restored:
+                assert after["trees_built"] == stats["trees_built"]
+            # the current arena is exactly the base payload's size
+            assert view._order_arena.shape[0] == used
+            assert view._sizes_arena.shape[0] == used
+            before = blocked
+        assert index.stats.restores == 3
+        # the mapped files are the base and are never written
+        assert {
+            path.name: path.read_bytes()
+            for path in tmp_path.glob("sketch-*")
+        } == files
+        index.close()
+
+    def test_byte_gauges_count_base_and_current_once(self, wc_setup):
+        graph, csr, pool = wc_setup
+        index = SketchIndex(pool)
+        index.expected_spread(self.SEEDS, self.THETA)
+        (view,) = index._views.values()
+        arena, postings = index.stats.arena_bytes, index.stats.postings_bytes
+        # the current arrays alias the base until a rebase writes; then
+        # each is a second copy, and the slot starts stay shared
+        index.expected_spread(self.SEEDS, self.THETA, self.B1)
+        promoted = 2 * arena - view._starts.nbytes
+        assert index.stats.arena_bytes == promoted
+        assert index.stats.postings_bytes == (
+            postings + view._post_alive.nbytes
+        )
+        # a restore copies in place: no bytes move
+        index.expected_spread(self.SEEDS, self.THETA)
+        assert index.stats.arena_bytes == promoted
+        assert index.stats.tree_bytes == (
+            index.stats.arena_bytes + index.stats.postings_bytes
+        )
+        index.close()
+        assert index.stats.tree_bytes == 0
 
 
 # ----------------------------------------------------------------------

@@ -14,16 +14,21 @@ running over an updated graph.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.datasets import figure1_graph, figure1_seed
 from repro.engine import SamplePool, SketchIndex
-from repro.graph import CSRGraph, DiGraph, GraphDelta
+from repro.graph import barabasi_albert, CSRGraph, DiGraph, GraphDelta
+from repro.models import assign_weighted_cascade
 from repro.service import DeltaJournal
 from repro.spread import exact_expected_spread, expected_activation_curve
 
 from .conftest import reference_sketch
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_graph(gen, n: int, m: int) -> DiGraph:
@@ -442,6 +447,103 @@ class TestDeltaPersistence:
         )
         assert again.stats.rehydrations >= 1
         again.close()
+
+
+# ----------------------------------------------------------------------
+# the unblocked base after a delta: a later return to the empty set
+# must land on the post-delta trees, not the pre-delta ones
+# ----------------------------------------------------------------------
+
+
+class TestDeltaRetakesBase:
+    """How a delta moves a view's unblocked base.  The walk ∅ -> [1, 2]
+    -> a 200-edit delta -> [1, 2] -> ∅, on a view that was cold-built
+    or rehydrated from disk, must equal a cold build over the mutated
+    graph at every post-delta step, so a view that restored the
+    pre-delta base at the final ∅ fails.  A delta that changes none of
+    a view's trees leaves it parked where it was."""
+
+    THETA = 200
+    SEEDS = [0, 5, 9]
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return assign_weighted_cascade(barabasi_albert(2000, 4, rng=3))
+
+    @pytest.mark.parametrize("source", ["cold", "rehydrated"])
+    def test_walk_through_a_delta_matches_cold(
+        self, graph, tmp_path, monkeypatch, source
+    ):
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.workloads import random_delta
+
+        delta = random_delta(graph, 200, np.random.default_rng(1))
+
+        def index_over(g):
+            if source == "cold":
+                return SketchIndex(SamplePool(g.copy(), rng=7))
+            return SketchIndex(SamplePool(
+                g.copy(), rng=7, cache_dir=tmp_path, cache_key="seed7"
+            ))
+
+        if source == "rehydrated":
+            with index_over(graph) as writer:
+                writer.expected_spread(self.SEEDS, self.THETA)
+        index = index_over(graph)
+        assert index.expected_spread(self.SEEDS, self.THETA) == (
+            SketchIndex(SamplePool(graph.copy(), rng=7)).expected_spread(
+                self.SEEDS, self.THETA
+            )
+        )
+        assert index.stats.rehydrations == int(source == "rehydrated")
+        index.decrease_estimates(self.SEEDS, self.THETA, [1, 2])
+        index.apply_delta(delta)
+
+        cold = SketchIndex(
+            SamplePool(delta.apply_to(graph.copy()), rng=7)
+        )
+        for blocked in ([1, 2], []):
+            assert index.expected_spread(
+                self.SEEDS, self.THETA, blocked
+            ) == cold.expected_spread(self.SEEDS, self.THETA, blocked), (
+                blocked
+            )
+            assert np.array_equal(
+                index.decrease_estimates(self.SEEDS, self.THETA, blocked),
+                cold.decrease_estimates(self.SEEDS, self.THETA, blocked),
+            ), blocked
+        index.close()
+        cold.close()
+
+
+    def test_delta_out_of_reach_keeps_the_parked_state(self):
+        """A delta that changes no tree of a view leaves it at its
+        blocker set, and every answer still equals a cold build."""
+        gen = np.random.default_rng(3)
+        graph = DiGraph(60)
+        for low in (0, 30):  # two components; the seeds live in the first
+            for u, v, p in random_graph(gen, 30, 90).edges():
+                graph.add_edge(u + low, v + low, p)
+        far = [(u, v) for u, v, _ in graph.edges() if u >= 30]
+        delta = GraphDelta(
+            deletes=far[:5], reweights=[(u, v, 0.9) for u, v in far[5:10]]
+        )
+        seeds = [0, 1]
+        index = SketchIndex(SamplePool(graph.copy(), rng=7))
+        index.expected_spread(seeds, 100, [2, 3])
+        index.apply_delta(delta)
+        assert index.stats.delta_trees_rebuilt == 0
+        (view,) = index._views.values()
+        assert view.blocked == {2, 3}
+        cold = SketchIndex(SamplePool(delta.apply_to(graph.copy()), rng=7))
+        for blocked in ([2, 3], [], [4, 5]):
+            assert index.expected_spread(
+                seeds, 100, blocked
+            ) == cold.expected_spread(seeds, 100, blocked), blocked
+            assert np.array_equal(
+                index.decrease_estimates(seeds, 100, blocked),
+                cold.decrease_estimates(seeds, 100, blocked),
+            ), blocked
 
 
 # ----------------------------------------------------------------------

@@ -999,7 +999,7 @@ def test_artifact_exposes_engine_stats(cache):
     description = artifact.describe()
     assert description["pool"]["generated"] >= 100
     assert set(description["sketch"]) == {
-        "queries", "rebases", "trees_built", "samples_skipped",
+        "queries", "rebases", "restores", "trees_built", "samples_skipped",
         "tree_bytes", "arena_bytes", "postings_bytes",
         "rehydrations", "persists",
         "deltas", "delta_trees_rebuilt", "delta_samples_skipped",
