@@ -63,10 +63,13 @@ GATES = {
         ("legacy_s", "batched_s", "cold_index_s"),
     ),
     # both sides run the C tree kernel compiled on the runner, so the
-    # ratio is compiler-sensitive on top of the usual noise
+    # ratio is compiler-sensitive on top of the usual noise; the two
+    # loops and the cold build are echoed so a log shows which side of
+    # the ratio moved
     "sketch_query": Gate(
         "select_speedup_vs_rebuild", 0.5, "identical",
-        ("rebase_speedup_vs_cold", "native"),
+        ("rebase_speedup_vs_cold", "native", "arena_select_s",
+         "rebuild_select_s", "arena_cold_s"),
     ),
     # the rehydrate numerator is bound by the page cache and the
     # filesystem, which vary more across runners than numpy throughput

@@ -263,29 +263,28 @@ def reach_counts(
 
     The compiled reach kernel (:func:`~repro.native.native_reach_counts`)
     counts straight from the batch's flat arrays, one call per blocked
-    set.  Without it, the fallback streams chunks of a boolean
-    aliveness matrix through :func:`reach_counts_from_alive`,
-    materialising each chunk once for every blocked set (the judge
-    scores the unblocked and blocked sets together) instead of once
-    per set.  Both paths count the same vertices.  Ids are checked
-    first: an out-of-range seed raises ``IndexError``, an out-of-range
-    or seed blocked id ``ValueError``.
+    set, the sets split across threads (the judge's unblocked and
+    blocked sets count side by side).  Without it, the serial fallback
+    streams chunks of a boolean aliveness matrix through
+    :func:`reach_counts_from_alive`, materialising each chunk once for
+    every blocked set instead of once per set.  Both paths count the
+    same vertices.  Ids are checked first: an out-of-range seed raises
+    ``IndexError``, an out-of-range or seed blocked id ``ValueError``.
     """
     seed_list = list(seeds)
     blocked_lists = [list(b) for b in blocked_sets]
     seed_arr, _ = _checked_ids(csr.n, seed_list, ())
-    out = np.empty((len(blocked_lists), batch.theta), dtype=np.int64)
-    for i, blocked_list in enumerate(blocked_lists):
-        mask = _blocked_mask(csr.n, blocked_list, seed_list)
-        counts = native_reach_counts(
-            csr.n, csr.indptr, csr.indices, batch.positions,
-            batch.offsets, batch.theta, seed_arr, mask.view(np.uint8),
-        )
-        if counts is None:
-            break
-        out[i] = counts
-    else:
+    masks = np.array(
+        [_blocked_mask(csr.n, b, seed_list) for b in blocked_lists],
+        dtype=np.uint8,
+    ).reshape(len(blocked_lists), csr.n)
+    out = native_reach_counts(
+        csr.n, csr.indptr, csr.indices, batch.positions,
+        batch.offsets, batch.theta, seed_arr, masks,
+    )
+    if out is not None:
         return out
+    out = np.empty((len(blocked_lists), batch.theta), dtype=np.int64)
     step = auto_batch_size(max(csr.m, csr.n))
     for lo in range(0, batch.theta, step):
         hi = min(lo + step, batch.theta)

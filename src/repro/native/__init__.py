@@ -17,8 +17,22 @@ produces bit-identical results, just slower.
 Compiled objects are cached under a per-user temp directory keyed by a
 hash of the C source, so a source change triggers exactly one
 recompile and concurrent processes (the service's shard workers, say)
-race benignly (atomic rename).  Every kernel runs in the calling
-process.
+race benignly (atomic rename).
+
+Every kernel runs in the calling process, split across its cores.
+Each sample's tree, reach count and coins depend on that sample
+alone, and ``ctypes`` releases the GIL for the call, so a wrapper
+cuts its work into contiguous ranges — of ``sample_idx`` for a tree
+build, of the new samples for both coin passes, of the blocked sets
+for reach counts — and runs one kernel call per range: the first in
+the calling thread, the rest on a worker set of :func:`core_count`
+− 1 threads.  Every range writes its own slice of outputs the calling
+thread allocated, and the ranges join in input order, so the answers
+are bit-identical to one serial call.  The worker set starts on the
+first split (importing starts no thread), lives as long as the
+process, and is dropped in a forked child.  One range — one core, one
+sample, one blocked set — runs inline.  Counters count once per
+wrapper call (reach calls once per blocked set), never per range.
 
 The consumers are
 :meth:`repro.engine.treebuild.TreeBuilder.build_packed`
@@ -42,7 +56,10 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -50,6 +67,7 @@ from ..obs import global_registry
 
 __all__ = [
     "POSITIONS_DTYPE",
+    "core_count",
     "native_build_available",
     "native_build_trees",
     "native_cache_dir",
@@ -57,12 +75,86 @@ __all__ = [
     "native_reach_counts",
 ]
 
+_R = TypeVar("_R")
 
-def _count(name: str, help_text: str) -> None:
+
+def _count(name: str, help_text: str, amount: int = 1) -> None:
     """Bump a loader counter in the shared metrics registry — how the
     ops surface answers "did this process compile the kernel, reuse a
     cached object, or fall back to Python?" without log spelunking."""
-    global_registry().counter(name, help_text).inc()
+    global_registry().counter(name, help_text).inc(amount)
+
+
+def core_count() -> int:
+    """The cores this process may run on: its CPU affinity mask, which
+    ``taskset`` or a cpuset narrows, or every CPU the OS reports where
+    the platform has no affinity call.  It sizes both the kernels'
+    range split and the service's shared artifact lock."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without an affinity call
+        return os.cpu_count() or 1
+
+
+# the threads that run every range but the caller's own: started by
+# the first split, kept for the process's life (a thread started per
+# call costs more than a small rebase saves), and forgotten in a forked
+# child, whose copy would wait on threads that do not exist there
+_workers: ThreadPoolExecutor | None = None
+_workers_lock = threading.Lock()
+
+
+def _forget_workers() -> None:
+    global _workers, _workers_lock
+    _workers = None
+    _workers_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _split(
+    count: int, run: Callable[[int, int], _R], grain: int = 1
+) -> list[_R]:
+    """``run(lo, hi)`` over at most :func:`core_count` contiguous ranges
+    covering ``[0, count)``, each of at least ``grain`` items (unless
+    there is only one) and their sizes within one of each other.
+
+    The first range runs in the calling thread and the others on the
+    worker threads.  Returns the ranges' results in range order once
+    every range has finished; an error in any range is raised here (the
+    lowest failing range's), after all of them stopped writing.  A
+    single range runs inline and starts no thread.
+    """
+    global _workers
+    parts = max(1, min(core_count(), count // grain))
+    bounds = [count * k // parts for k in range(parts + 1)]
+    if parts == 1:
+        return [run(0, count)]
+    with _workers_lock:
+        if _workers is None:
+            _workers = ThreadPoolExecutor(
+                max(1, core_count() - 1), thread_name_prefix="repro-kernel"
+            )
+        workers = _workers
+    rest = [
+        workers.submit(run, lo, hi)
+        for lo, hi in zip(bounds[1:-1], bounds[2:])
+    ]
+    try:
+        first = run(bounds[0], bounds[1])
+    finally:
+        wait(rest)
+    return [first, *(future.result() for future in rest)]
+
+
+# the fewest samples a tree-build range gets: handing a range to a
+# sleeping worker costs about as much as building a few trees on
+# block-select's graph (~30 us each), so a smaller range runs slower
+# split than inline.  One sample's coins or one blocked set's reach
+# count is work enough for a range of its own.
+_TREE_GRAIN = 16
 
 _SOURCE = Path(__file__).with_name("lt_kernel.c")
 
@@ -274,7 +366,8 @@ def native_build_trees(
     :data:`POSITIONS_DTYPE` raise ``TypeError``); ``indptr`` is the
     base graph's CSR row-pointer array and ``blocked_mask`` a
     ``uint8[n]`` mask.  Output arrays are trimmed to the written
-    payload.
+    payload.  Contiguous ranges of ``sample_idx`` build on their own
+    threads (see the module docstring) and join in input order.
     """
     lib = _load()
     if lib is False:
@@ -300,7 +393,7 @@ def native_build_trees(
     # pointer crosses
     if indptr.shape[0] != n + 1 or blocked_mask.shape[0] != n:
         raise ValueError("indptr and blocked_mask must cover n vertices")
-    window = 0
+    windows = np.zeros(0, dtype=np.int64)
     if batch:
         if sample_idx.min() < 0 or sample_idx.max() + 1 >= offsets.shape[0]:
             raise ValueError(
@@ -315,30 +408,39 @@ def native_build_trees(
             or ends.max() > positions.shape[0]
         ):
             raise ValueError("positions shorter than the sample window")
-        window = int((ends - starts).sum())
+        windows = ends - starts
     if seeds.shape[0] and (seeds.min() < 0 or seeds.max() >= n):
         raise IndexError(f"seeds must be vertices in [0, {n})")
+    num_seeds = int(seeds.shape[0])
     lengths = np.empty(max(batch, 1), dtype=np.int64)
     # every non-root reachable vertex is a seed or has a surviving
-    # in-edge, so the payload is bounded by edges + roots + seeds
-    cap = window + batch * (1 + int(seeds.shape[0])) + 1
-    out_order = np.empty(cap, dtype=np.int64)
-    out_sizes = np.empty(cap, dtype=np.int64)
-    total = lib.repro_build_trees(
-        n, indptr, edge_dst, positions, offsets, sample_idx, batch,
-        seeds, int(seeds.shape[0]), blocked_mask,
-        out_order, out_sizes, lengths,
-    )
-    if total < 0:  # pragma: no cover - scratch malloc failure
-        raise MemoryError("native tree-build kernel out of memory")
-    # copy, don't slice: a slice would pin the whole cap-sized output
+    # in-edge, so a sample's payload is bounded by its edges + root +
+    # seeds; a range writes from the running sum of those bounds
+    bound = np.zeros(batch + 1, dtype=np.int64)
+    np.cumsum(windows + (1 + num_seeds), out=bound[1:])
+    out_order = np.empty(int(bound[-1]) + 1, dtype=np.int64)
+    out_sizes = np.empty(int(bound[-1]) + 1, dtype=np.int64)
+
+    def build(lo: int, hi: int) -> slice:
+        start = int(bound[lo])
+        total = lib.repro_build_trees(
+            n, indptr, edge_dst, positions, offsets, sample_idx[lo:hi],
+            hi - lo, seeds, num_seeds, blocked_mask,
+            out_order[start:], out_sizes[start:], lengths[lo:],
+        )
+        if total < 0:
+            raise MemoryError("native tree-build kernel out of memory")
+        return slice(start, start + total)
+
+    written = _split(batch, build, _TREE_GRAIN)
+    # copy, don't slice: a slice would pin the whole bound-sized output
     # buffer (sized by surviving *edges*, typically ~10x the payload)
     # for as long as a consumer — e.g. an arena view — holds it, and
     # byte gauges built on .nbytes would wildly under-count residency
     return (
         lengths[:batch].copy(),
-        out_order[:total].copy(),
-        out_sizes[:total].copy(),
+        np.concatenate([out_order[part] for part in written]),
+        np.concatenate([out_sizes[part] for part in written]),
     )
 
 
@@ -352,18 +454,21 @@ def native_reach_counts(
     seeds: np.ndarray,
     blocked_mask: np.ndarray,
 ) -> np.ndarray | None:
-    """Per-sample reach counts ``int64[rounds]`` of ``seeds`` over the
-    pool's samples ``[0, rounds)``, or ``None`` when the kernel is
-    unavailable (callers fall back to the aliveness-matrix path of
+    """Per-sample reach counts of ``seeds`` over the pool's samples
+    ``[0, rounds)``: ``int64[rounds]`` for one ``uint8[n]``
+    ``blocked_mask``, ``int64[sets, rounds]`` for a ``uint8[sets, n]``
+    stack of them.  ``None`` when the kernel is unavailable (callers
+    fall back to the aliveness-matrix path of
     :func:`~repro.engine.kernels.reach_counts_from_alive` — the counts
     are identical either way).
 
     ``offsets``/``positions`` are the pool's flat sample arrays, read in
     place (a memory-mapped pool is never copied, and positions of any
     dtype but :data:`POSITIONS_DTYPE` raise ``TypeError``); ``indptr``/
-    ``edge_dst`` are the base graph's CSR arrays and ``blocked_mask`` a
-    ``uint8[n]`` mask.  Counts include the seeds, each once.  The GIL
-    is released for the count.
+    ``edge_dst`` are the base graph's CSR arrays.  Counts include the
+    seeds, each once.  Each blocked set is one kernel call, and
+    contiguous ranges of the sets count on their own threads (see the
+    module docstring); one set counts inline.
     """
     lib = _load()
     if lib is False:
@@ -373,21 +478,23 @@ def native_reach_counts(
             "(the aliveness-matrix path answers them)",
         )
         return None
+    masks = np.ascontiguousarray(blocked_mask, dtype=np.uint8)
+    rows = np.atleast_2d(masks)  # one row per blocked set
     _count(
         "repro_native_reach_calls_total",
         "Pooled reach counts (one per blocked set) answered by the "
         "compiled kernel",
+        rows.shape[0],
     )
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
     positions = _positions(positions)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     seeds = np.ascontiguousarray(seeds, dtype=np.int64)
-    blocked_mask = np.ascontiguousarray(blocked_mask, dtype=np.uint8)
     rounds = int(rounds)
     # the kernel trusts every index it is handed: check the shapes
     # and the caller-supplied ids here, before any pointer crosses
-    if indptr.shape[0] != n + 1 or blocked_mask.shape[0] != n:
+    if indptr.shape[0] != n + 1 or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("indptr and blocked_mask must cover n vertices")
     if not 0 <= rounds < offsets.shape[0]:
         raise ValueError(
@@ -398,14 +505,19 @@ def native_reach_counts(
         raise ValueError("positions shorter than the sample window")
     if seeds.shape[0] and (seeds.min() < 0 or seeds.max() >= n):
         raise IndexError(f"seeds must be vertices in [0, {n})")
-    out = np.empty(max(rounds, 1), dtype=np.int64)
-    status = lib.repro_reach_counts(
-        n, indptr, edge_dst, positions, offsets, rounds,
-        seeds, int(seeds.shape[0]), blocked_mask, out,
-    )
-    if status < 0:  # pragma: no cover - scratch malloc failure
-        raise MemoryError("native reach kernel out of memory")
-    return out[:rounds]
+    out = np.empty((rows.shape[0], max(rounds, 1)), dtype=np.int64)
+
+    def count(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            status = lib.repro_reach_counts(
+                n, indptr, edge_dst, positions, offsets, rounds,
+                seeds, int(seeds.shape[0]), rows[i], out[i],
+            )
+            if status < 0:
+                raise MemoryError("native reach kernel out of memory")
+
+    _split(rows.shape[0], count)
+    return out[0, :rounds] if masks.ndim == 1 else out[:, :rounds]
 
 
 def native_draw_samples(
@@ -431,8 +543,9 @@ def native_draw_samples(
     pass sizes one positions array of old + new survivors; the first
     ``offsets[theta]`` entries are copied from ``positions`` and a fill
     pass writes each new sample's survivors after them, ascending.
-    Nothing else of size θ×m or θ×survivors is allocated.  The GIL is
-    released for both passes.
+    Nothing else of size θ×m or θ×survivors is allocated.  Contiguous
+    ranges of the new samples run both passes on their own threads (see
+    the module docstring).
     """
     lib = _load()
     if lib is False:
@@ -469,15 +582,21 @@ def native_draw_samples(
     drawn = int(offsets[theta])
     if not 0 <= drawn <= positions.shape[0]:
         raise ValueError("positions shorter than the sample window")
+    # both passes split the new samples into ranges (see the module
+    # docstring): the count pass writes each range's slice of counts,
+    # the fill pass each range's windows of the one positions array
     counts = np.empty(target - theta, dtype=np.int64)
-    lib.repro_coin_counts(m, keys, thr, sure, theta, target, counts)
+    _split(target - theta, lambda lo, hi: lib.repro_coin_counts(
+        m, keys, thr, sure, theta + lo, theta + hi, counts[lo:]
+    ))
     new_offsets = np.empty(target + 1, dtype=np.int64)
     new_offsets[: theta + 1] = offsets[: theta + 1]
     np.cumsum(counts, out=new_offsets[theta + 1:])
     new_offsets[theta + 1:] += drawn
     new_positions = np.empty(int(new_offsets[target]), dtype=POSITIONS_DTYPE)
     new_positions[:drawn] = positions[:drawn]
-    lib.repro_coin_fill(
-        m, keys, thr, sure, theta, target, new_offsets, new_positions
-    )
+    _split(target - theta, lambda lo, hi: lib.repro_coin_fill(
+        m, keys, thr, sure, theta + lo, theta + hi,
+        new_offsets, new_positions,
+    ))
     return new_offsets, new_positions

@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -42,6 +41,7 @@ from ..bench import pick_seeds, prepare_graph
 from ..core import solve_imin
 from ..engine import build_evaluator, EngineSpec
 from ..graph import GraphDelta
+from ..native import core_count
 from ..obs import span, track
 from .registry import GraphRegistry
 
@@ -310,11 +310,13 @@ class Artifact:
     everything else holds it exclusively.  Results are pure functions
     of the key and the query parameters.
 
-    At most one spread per CPU, and at least two, share the lock: two
+    At most one spread per core, and at least two, share the lock: two
     let one spread's Python overlap another's kernel call even on one
-    CPU, and more than one per CPU would only contend for the cores —
+    core, and more than one per core would only contend for the cores —
     the rest wait for the lock, which is what keeps ``--max-pending``
-    admission meaningful for spreads.
+    admission meaningful for spreads.  The cores are those the process
+    may run on (:func:`~repro.native.core_count`), which a ``taskset``
+    or cpuset narrows.
     """
 
     def __init__(
@@ -347,7 +349,7 @@ class Artifact:
         """Journal position this artifact's state reflects (set by the
         cache: the journal head at build-replay time, advanced by each
         applied update)."""
-        self.lock = SharedLock(max(2, os.cpu_count() or 1))
+        self.lock = SharedLock(max(2, core_count()))
         """Held by every query and mutation of this artifact; the
         service holds it around a whole request, and the methods
         re-enter it."""

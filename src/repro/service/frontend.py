@@ -113,7 +113,10 @@ def _start_method() -> str:
     the child.  The front end restarts workers from supervisor
     threads, so under threads we fall back to ``forkserver``/``spawn``,
     where workers start from a clean process at the cost of pickling
-    the :class:`WorkerSpec` once per worker.
+    the :class:`WorkerSpec` once per worker.  A process that has split
+    a kernel across cores keeps :mod:`repro.native`'s idle worker
+    threads, so it counts as threaded here too; the front end itself
+    runs no kernel and forks its first workers.
     """
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods and threading.active_count() == 1:
