@@ -2,7 +2,7 @@
 
 PR 4 made the cold sketch *build* array-native; this benchmark times
 the other half of Algorithm 2's life — the per-selection rebase + gains
-sweep inside the CELF greedy loop, the hot path of every ``block``
+sweep of each greedy round, the hot path of every ``block``
 query the service answers.  Both sides run the same greedy
 (:func:`repro.core.advanced_greedy.lazy_blocking`) over the **same
 pooled samples** and must produce bit-identical blocker sets, gains
@@ -19,7 +19,7 @@ and spread estimates:
 
 A rebase microbench row isolates one representative blocker-set
 transition (first pick's rebase + whole-candidate sweep) from the
-CELF machinery around it, next to the cold view build it avoids.
+selection loop around it, next to the cold view build it avoids.
 
 Timing excludes sampling (shared pool) and both sides run the same
 kernels in one process, so machine speed cancels in the ratio.  The
@@ -84,9 +84,6 @@ class RebuildPerStep:
 
     def expected_spread(self, seeds, rounds, blocked=()):
         return self._at(blocked).expected_spread(seeds, rounds, blocked)
-
-    def marginal_gain(self, v, seeds, rounds, blocked=()):
-        return self._at(blocked).marginal_gain(v, seeds, rounds, blocked)
 
     def decrease_estimates(self, seeds, rounds, blocked=()):
         return self._at(blocked).decrease_estimates(seeds, rounds, blocked)

@@ -18,7 +18,7 @@ either — and the comparison isolates mechanics:
 The acceptance bar: on the 10k-vertex WC graph the sketch must beat
 the vectorized MC full sweep by >= 2x.  In practice it wins by orders
 of magnitude — the paper's point — and the report also times a full
-CELF-lazy AdvancedGreedy selection on the warm index.
+AdvancedGreedy selection on the warm index.
 
 Run standalone (CI smoke uses tiny sizes)::
 
@@ -107,7 +107,7 @@ def run_comparison(
     base_spread = max(spread_sketch, spread_mc, 1.0)
 
     # ------------------------------------------------------------------
-    # end-to-end: CELF-lazy AdvancedGreedy on the (warm) sketch index
+    # end-to-end: AdvancedGreedy on the (warm) sketch index
     # ------------------------------------------------------------------
     start = time.perf_counter()
     selection = advanced_greedy(

@@ -8,11 +8,6 @@ from .advanced_greedy import (
 )
 from .baseline_greedy import baseline_greedy, BaselineGreedyResult
 from .decrease import decrease_es_computation, DecreaseResult
-from .edge_blocking import (
-    edge_decrease_computation,
-    EdgeBlockingResult,
-    greedy_edge_blocking,
-)
 from .exact import exact_blockers, ExactResult
 from .greedy_replace import greedy_replace
 from .heuristics import (
@@ -23,7 +18,6 @@ from .heuristics import (
     pagerank_blockers,
     random_blockers,
 )
-from .lazy import celf_select, LazySelection, make_gain_fn
 from .problem import IMINInstance, unify_seeds, UnifiedProblem
 from .solve import ALGORITHMS, solve_imin, SolveResult
 from .static_greedy import static_sample_greedy
@@ -38,9 +32,6 @@ __all__ = [
     "advanced_greedy",
     "greedy_replace",
     "lazy_blocking",
-    "celf_select",
-    "LazySelection",
-    "make_gain_fn",
     "BlockingResult",
     "SamplerFactory",
     "baseline_greedy",
@@ -51,9 +42,6 @@ __all__ = [
     "solve_imin",
     "SolveResult",
     "ALGORITHMS",
-    "greedy_edge_blocking",
-    "edge_decrease_computation",
-    "EdgeBlockingResult",
     "optimal_tree_blockers",
     "TreeDPResult",
     "random_blockers",

@@ -6,6 +6,14 @@ Monte-Carlo simulation: each round costs ``O(theta * m * alpha(m, n))``
 for *all* candidates together, versus ``O(n * r * m)`` for the
 baseline.  Effectiveness is unchanged — with ``r = theta`` both
 methods average the same live-edge statistic (Section V-C).
+
+A sketch evaluator (one that answers ``decrease_estimates``) takes
+over selection in every greedy solver through one loop,
+:func:`_sweep_select`: each round takes the argmax of one
+whole-candidate gain sweep.  That is the paper's rule.  IMIN is not
+submodular (Theorem 3), so a heap of stale gain bounds could pick
+differently, and over a sketch it would save no work: every round
+pays one rebase and one sweep either way.
 """
 
 from __future__ import annotations
@@ -13,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, TYPE_CHECKING
 
+import numpy as np
+
 from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
 from ..sampling import EdgeSampler, ICSampler
 from .decrease import decrease_es_computation
-from .lazy import celf_select, make_gain_fn, selects_through_sketch
 from .problem import unify_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -57,6 +66,68 @@ class BlockingResult:
     round_deltas: list[float]
 
 
+def selects_through_sketch(
+    evaluator: object, sampler_factory: object = None
+) -> bool:
+    """Whether a solver hands selection to ``evaluator``'s gain sweep.
+
+    True exactly when the evaluator answers the whole-candidate
+    ``decrease_estimates`` sweep (a sketch).  A sketch answers for its
+    own diffusion model, so it rejects a ``sampler_factory``, which
+    only shapes the sampling path.
+    """
+    if not callable(getattr(evaluator, "decrease_estimates", None)):
+        return False
+    if sampler_factory is not None:
+        raise ValueError(
+            "a sketch evaluator selects through its own diffusion "
+            "model; sampler_factory only applies to the sampling path "
+            "(pass a non-sketch evaluator or none)"
+        )
+    return True
+
+
+def _sweep_select(
+    evaluator: "SpreadEvaluator",
+    seeds: Sequence[int],
+    theta: int,
+    budget: int,
+    candidates: Sequence[int] | None = None,
+    picked: Sequence[int] = (),
+    spend_budget: bool = False,
+) -> tuple[list[int], list[float]]:
+    """Up to ``budget`` greedy ``(picks, gains)`` over a gain sweep.
+
+    Each round reads one ``decrease_estimates`` sweep on top of
+    ``picked`` plus the picks so far and takes the remaining candidate
+    with the largest estimated decrease, ties to the smaller id: the
+    paper's per-round rule (Algorithm 3).  ``candidates`` defaults to
+    every vertex; seeds and ``picked`` are never candidates, and
+    ``picked`` is not counted against ``budget``.  Selection stops
+    once the best decrease is <= 0, unless ``spend_budget``.
+    """
+    if candidates is None:
+        remaining = np.ones(evaluator.csr.n, dtype=bool)
+    else:
+        remaining = np.zeros(evaluator.csr.n, dtype=bool)
+        remaining[np.asarray(candidates, dtype=np.int64)] = True
+    remaining[np.asarray([*seeds, *picked], dtype=np.int64)] = False
+    picks: list[int] = []
+    gains: list[float] = []
+    while len(picks) < budget and remaining.any():
+        sweep = evaluator.decrease_estimates(
+            seeds, theta, [*picked, *picks]
+        )
+        x = int(np.argmax(np.where(remaining, sweep, -np.inf)))
+        gain = float(sweep[x])
+        if gain <= 0.0 and not spend_budget:
+            break
+        picks.append(x)
+        gains.append(gain)
+        remaining[x] = False
+    return picks, gains
+
+
 def lazy_blocking(
     graph: DiGraph,
     seeds: Sequence[int],
@@ -64,30 +135,27 @@ def lazy_blocking(
     theta: int,
     evaluator: "SpreadEvaluator",
 ) -> BlockingResult:
-    """Greedy blocking driven by a sketch evaluator through CELF.
+    """AG/SG's selection loop driven by a sketch evaluator.
 
-    The sketch counterpart of the AG/SG selection loop: marginal gains
-    come from :func:`repro.core.lazy.make_gain_fn` over ``evaluator``
-    (an array read per re-check) and are re-checked only when stale.
-    Selection stops once no candidate decreases the spread.  Works on
-    the *original* graph — multi-seed handling is the evaluator's job —
-    so blockers come back as original ids with no unification
-    round-trip.
+    Each round takes the argmax of one whole-candidate gain sweep
+    (:func:`_sweep_select`), so it picks what the exhaustive loop
+    picks on the sketch's worlds.  Those worlds are one fixed pool,
+    rebased to each round's blocker set: static-greedy semantics, not
+    Algorithm 3's fresh ``theta`` samples per round.  Selection stops
+    once no candidate decreases the spread.  Works on the *original*
+    graph — multi-seed handling is the evaluator's job — so blockers
+    come back as original ids with no unification round-trip.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     seed_list = list(dict.fromkeys(seeds))
-    seed_set = set(seed_list)
-    pool = [v for v in range(graph.n) if v not in seed_set]
-
     current = evaluator.expected_spread(seed_list, theta)
-    gain_fn = make_gain_fn(evaluator, seed_list, theta)
-    selection = celf_select(pool, budget, gain_fn)
+    picks, gains = _sweep_select(evaluator, seed_list, theta, budget)
 
     round_spreads = [current]
     round_deltas: list[float] = []
     blockers: list[int] = []
-    for pick, gain in zip(selection.picks, selection.gains):
+    for pick, gain in zip(picks, gains):
         if blockers:
             round_spreads.append(current)
         blockers.append(pick)
@@ -131,9 +199,9 @@ def advanced_greedy(
     evaluator:
         Optional spread evaluator built on the **original** graph (see
         :func:`repro.engine.build_evaluator`).  A sketch evaluator
-        takes over selection through CELF (:func:`lazy_blocking`);
-        any other evaluator only re-estimates the final blocker set's
-        spread over ``theta`` rounds, in place of the selection's own
+        takes over selection (:func:`lazy_blocking`); any other
+        evaluator only re-estimates the final blocker set's spread
+        over ``theta`` rounds, in place of the selection's own
         sampled-graph estimate.
 
     Selection stops early once no candidate decreases the spread:

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TYPE_CHECKING
 
+from ..engine.kernels import _checked_ids
 from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
 from ..spread import MonteCarloEngine
-from .lazy import celf_select, make_gain_fn, supports_marginal_gain
+from .advanced_greedy import _sweep_select, selects_through_sketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..engine import SpreadEvaluator
@@ -31,7 +32,9 @@ class BaselineGreedyResult:
     estimated_spread: float
     round_spreads: list[float]
     evaluations: int
-    """Number of expected-spread evaluations performed (the cost driver)."""
+    """Spread evaluations performed (the cost driver): one per
+    candidate per round in the Monte-Carlo loop; over a sketch, one
+    gain sweep per round answers every candidate at once."""
 
 
 def baseline_greedy(
@@ -55,19 +58,24 @@ def baseline_greedy(
         Restrict the candidate pool (defaults to all non-seed
         vertices) — a way to keep BG's runtime measurable on larger
         graphs, much as the paper caps BG with a 24-hour timeout.
+        Every id must be an integer vertex of ``graph``; anything else
+        raises ``ValueError`` before any evaluation.
     evaluator:
         Spread oracle for the inner loop (see
         :func:`repro.engine.build_evaluator`).  Defaults to a fresh
         scalar :class:`~repro.spread.MonteCarloEngine`, which
         reproduces the historical fixed-seed results exactly; the
         vectorized/pooled backends trade the RNG stream for
-        throughput.  A sketch evaluator selects through CELF (see
-        :mod:`repro.core.lazy`): marginal gains are priority-queued
-        and re-checked only when stale, instead of every candidate
-        being re-simulated every round.
+        throughput.  A sketch evaluator answers each round with one
+        whole-candidate gain sweep and picks its argmax — the vertex
+        the exhaustive loop would pick on the same worlds — instead of
+        re-simulating every candidate.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if candidates is not None:
+        _, checked = _checked_ids(graph.n, (), candidates)
+        candidates = checked.tolist()
     seed_list = list(seeds)
     seed_set = set(seed_list)
     engine = (
@@ -86,15 +94,13 @@ def baseline_greedy(
     current = engine.expected_spread(seed_list, rounds)
     evaluations += 1
 
-    if supports_marginal_gain(engine):
-        gain_fn = make_gain_fn(engine, seed_list, rounds)
+    if selects_through_sketch(engine):
         # BG's eager loop always spends the budget (it minimises the
-        # blocked spread, never tests positivity), so the CELF replay
-        # does too
-        selection = celf_select(
-            pool, budget, gain_fn, stop_when_exhausted=False
+        # blocked spread, never tests positivity), so the sweep does too
+        picks, gains = _sweep_select(
+            engine, seed_list, rounds, budget, pool, spend_budget=True
         )
-        for pick, gain in zip(selection.picks, selection.gains):
+        for pick, gain in zip(picks, gains):
             round_spreads.append(current)
             blockers.append(pick)
             # gain was measured as spread(B) - spread(B + [pick]) on
@@ -105,7 +111,7 @@ def baseline_greedy(
             blockers=blockers,
             estimated_spread=current,
             round_spreads=round_spreads,
-            evaluations=evaluations + selection.evaluations,
+            evaluations=evaluations + len(picks),
         )
 
     for _ in range(min(budget, len(pool))):

@@ -26,9 +26,13 @@ import numpy as np
 from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
 from ..sampling import EdgeSampler, ICSampler
-from .advanced_greedy import BlockingResult, SamplerFactory
+from .advanced_greedy import (
+    _sweep_select,
+    BlockingResult,
+    SamplerFactory,
+    selects_through_sketch,
+)
 from .decrease import decrease_es_computation
-from .lazy import celf_select, make_gain_fn, selects_through_sketch
 from .problem import unify_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -56,11 +60,9 @@ def greedy_replace(
     the original graph) re-estimates the final blocker set's spread
     independently over ``theta`` rounds; selection is unchanged.
 
-    A sketch evaluator instead runs all three phases itself: phases
-    1/1b priority-queue marginal gains CELF-style
-    (:mod:`repro.core.lazy`) and the replacement phase reads whole
-    candidate sweeps from
-    :meth:`~repro.engine.sketch.SketchIndex.decrease_estimates`.
+    A sketch evaluator instead runs all three phases itself: every
+    pick, in each phase, is the argmax of one whole-candidate
+    :meth:`~repro.engine.sketch.SketchIndex.decrease_estimates` sweep.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -172,23 +174,22 @@ def _lazy_greedy_replace(
 
     Mirrors the eager algorithm on the *original* graph (multi-seed
     handling is the evaluator's job, so blockers come back as original
-    ids): phase 1 CELF-selects over the seeds' out-neighbours, phase 1b
-    fills the budget over all candidates, and the replacement phase
-    revisits blockers in reverse insertion order against a
-    whole-candidate gain sweep.
+    ids).  Every pick is one round of
+    :func:`~repro.core.advanced_greedy._sweep_select`: phase 1 over the
+    seeds' out-neighbours, phase 1b over all candidates, and each
+    replacement over all candidates but the other blockers.
     """
     seed_list = list(dict.fromkeys(seeds))
     seed_set = set(seed_list)
-    gain_fn = make_gain_fn(evaluator, seed_list, theta)
 
     current = evaluator.expected_spread(seed_list, theta)
     round_spreads: list[float] = []
     round_deltas: list[float] = []
     blockers: list[int] = []
 
-    def take(selection) -> None:
+    def take(picks: list[int], gains: list[float]) -> None:
         nonlocal current
-        for pick, gain in zip(selection.picks, selection.gains):
+        for pick, gain in zip(picks, gains):
             round_spreads.append(current)
             blockers.append(pick)
             round_deltas.append(gain)
@@ -198,10 +199,8 @@ def _lazy_greedy_replace(
     # Phase 1: greedy over the seeds' out-neighbours — the unified
     # source's out-neighbourhood (Lines 1-10).
     # ------------------------------------------------------------------
-    neighbours = sorted(
-        {v for s in seed_list for v in graph.out_neighbors(s)} - seed_set
-    )
-    take(celf_select(neighbours, budget, gain_fn))
+    neighbours = [v for s in seed_list for v in graph.out_neighbors(s)]
+    take(*_sweep_select(evaluator, seed_list, theta, budget, neighbours))
 
     # ------------------------------------------------------------------
     # Phase 1b: out-degree smaller than the budget — fill greedily over
@@ -209,25 +208,24 @@ def _lazy_greedy_replace(
     # ------------------------------------------------------------------
     cap = min(budget, graph.n - len(seed_set))
     if fill_budget and len(blockers) < cap:
-        pool = [v for v in range(graph.n) if v not in seed_set]
         take(
-            celf_select(
-                pool, cap - len(blockers), gain_fn, picked=blockers
+            *_sweep_select(
+                evaluator, seed_list, theta, cap - len(blockers),
+                picked=blockers,
             )
         )
 
     # ------------------------------------------------------------------
     # Phase 2: replacement in reverse insertion order (Lines 11-20).
+    # The incumbent is a candidate, so every round picks a vertex.
     # ------------------------------------------------------------------
     for position in range(len(blockers) - 1, -1, -1):
         u = blockers[position]
         others = blockers[:position] + blockers[position + 1:]
         spread = evaluator.expected_spread(seed_list, theta, others)
-        x, gain = _best_replacement(
-            evaluator, seed_list, theta, others, seed_set
+        (x,), (gain,) = _sweep_select(
+            evaluator, seed_list, theta, 1, picked=others, spend_budget=True
         )
-        if x < 0:  # no candidate at all: keep the incumbent
-            x, gain = u, gain_fn(u, others)
         blockers[position] = x
         round_spreads.append(spread)
         round_deltas.append(gain)
@@ -245,33 +243,6 @@ def _lazy_greedy_replace(
         round_spreads=round_spreads,
         round_deltas=round_deltas,
     )
-
-
-def _best_replacement(
-    evaluator: "SpreadEvaluator",
-    seeds: Sequence[int],
-    theta: int,
-    others: Sequence[int],
-    seed_set: set[int],
-) -> tuple[int, float]:
-    """``(vertex, gain)`` maximising the decrease on top of ``others``.
-
-    Reads the whole sweep off the sketch's ``decrease_estimates``
-    (Algorithm 2's all-candidates-at-once shape, an array read).  Ties
-    break toward the smaller id, matching the eager ``best_vertex``;
-    returns ``(-1, 0.0)`` when no candidate exists.
-    """
-    banned = seed_set.union(others)
-    delta = np.asarray(
-        evaluator.decrease_estimates(seeds, theta, others), dtype=np.float64
-    )
-    masked = delta.copy()
-    if banned:
-        masked[list(banned)] = -np.inf
-    x = int(np.argmax(masked))
-    if not np.isfinite(masked[x]):
-        return -1, 0.0
-    return x, float(delta[x])
 
 
 def _argmax(delta, candidates: set[int]) -> int:

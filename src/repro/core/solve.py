@@ -82,10 +82,11 @@ def solve_imin(
         :func:`repro.engine.build_evaluator`).  ``baseline-greedy``
         uses it as its inner-loop oracle; the sampled-graph greedy
         methods use it to re-estimate the final spread.  A sketch
-        evaluator instead drives all four greedy methods' selection
-        through CELF (see :mod:`repro.core.lazy`).  Heuristics and
-        ``exact`` ignore it.  Default ``None`` reproduces historical
-        fixed-seed results exactly.
+        evaluator instead drives all four greedy methods' selection:
+        each round takes the argmax of one whole-candidate gain sweep
+        (see :func:`repro.core.advanced_greedy.lazy_blocking`).
+        Heuristics and ``exact`` ignore it.  Default ``None``
+        reproduces historical fixed-seed results exactly.
     """
     name = algorithm.lower()
     if name == "greedy-replace":

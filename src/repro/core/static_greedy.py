@@ -33,9 +33,13 @@ from ..engine.treebuild import TreeBuilder
 from ..graph import DiGraph
 from ..rng import ensure_rng, RngLike
 from ..sampling import EdgeSampler, ICSampler
-from .advanced_greedy import BlockingResult, lazy_blocking, SamplerFactory
+from .advanced_greedy import (
+    BlockingResult,
+    lazy_blocking,
+    SamplerFactory,
+    selects_through_sketch,
+)
 from .decrease import sampled_decrease
-from .lazy import selects_through_sketch
 from .problem import unify_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints

@@ -24,8 +24,10 @@ names:
     (:mod:`repro.engine.sketch`) over a borrowed pool: one cached
     dominator tree per sample, rebased incrementally as the blocker
     set moves.  Additionally answers
-    :meth:`~repro.engine.sketch.SketchIndex.marginal_gain` in O(1),
-    which the lazy greedy loops (:mod:`repro.core.lazy`) exploit.
+    :meth:`~repro.engine.sketch.SketchIndex.marginal_gain` in O(1) and
+    the whole-candidate
+    :meth:`~repro.engine.sketch.SketchIndex.decrease_estimates` sweep,
+    whose per-round argmax every greedy solver selects by.
 
 All backends estimate the same quantity ``E(S, G[V \\ blocked])``
 (Definition 3, seeds counted); they differ only in throughput and RNG

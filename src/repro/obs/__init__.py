@@ -21,8 +21,7 @@ process.  This package is the shared surface, stdlib + numpy only:
     monotonic timers, contextvar nesting, per-request trace ids, and a
     per-span latency histogram fed on every exit.  Instrumented
     through the hot paths — pool generation, batched tree builds,
-    arena rebases/gains sweeps, CELF selection, the full service
-    request lifecycle.
+    arena rebases/gains sweeps, the full service request lifecycle.
 :mod:`repro.obs.logs`
     Structured event logging (JSON lines or ``key=value``) behind one
     call-site API — ``repro-imin serve --log-json``.

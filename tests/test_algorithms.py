@@ -8,6 +8,7 @@ from repro.core import (
     greedy_replace,
 )
 from repro.datasets import figure1_graph, figure1_seed, V
+from repro.engine import build_evaluator, EngineSpec
 from repro.graph import DiGraph
 from repro.models import assign_weighted_cascade, LinearThresholdSampler
 from repro.spread import exact_expected_spread
@@ -37,6 +38,29 @@ class TestBaselineGreedy:
             candidates=[V(2), V(4)],
         )
         assert result.blockers[0] in (V(2), V(4))
+
+    @pytest.mark.parametrize("engine", ["sketch", "scalar"])
+    @pytest.mark.parametrize(
+        "candidates",
+        [[-1], [9], [1.5], [True]],
+        ids=["negative", "too-large", "float", "bool"],
+    )
+    def test_candidate_ids_checked_before_any_evaluation(
+        self, engine, candidates
+    ):
+        # numpy would wrap -1 onto vertex 8's gain, or coerce True to 1
+        graph = figure1_graph()
+        evaluator = build_evaluator(graph, EngineSpec(engine=engine, seed=7))
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated before checking candidates")
+
+        evaluator.expected_spread = no_evaluation
+        with pytest.raises(ValueError, match="blocked vertex"):
+            baseline_greedy(
+                graph, [0], 1, rounds=50, candidates=candidates,
+                evaluator=evaluator,
+            )
 
     def test_evaluation_count(self):
         graph = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

@@ -355,7 +355,7 @@ class TestShardedRouting:
         assert all(line.count('worker="') == 1 for line in build)
 
     def test_worker_scrape_carries_engine_metrics(self, frontend2):
-        # spans and selection counters record into each worker's
+        # spans and sketch counters record into each worker's
         # process-global registry, which is the one it renders
         owner = shard_for("toy", 2)
         with _client(frontend2) as client:
@@ -375,8 +375,8 @@ class TestShardedRouting:
         tag = f'{{worker="{owner}"'
         spans = values(f"repro_span_duration_seconds_count{tag},")
         assert spans and max(spans) > 0
-        celf = values(f"repro_celf_evaluations_total{tag}}}")
-        assert celf and celf[0] > 0
+        rebases = values(f"repro_sketch_rebases_total{tag}}}")
+        assert rebases and rebases[0] > 0
 
     def test_trace_includes_frontend_route_span(self, frontend2):
         with _client(frontend2) as client:

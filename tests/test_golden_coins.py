@@ -9,8 +9,9 @@ numpy draw produced them.  Both draw paths must reproduce them — the
 compiled coin kernel, and the numpy fallback under ``REPRO_NATIVE=0``.
 
 The selection pins hold the greedy solvers' blockers, in insertion
-order, and their spread estimates: each method's CELF path on the
-sketch, and the paper's sampled-graph loops (AG, GR, static greedy and
+order, and their spread estimates: each method's selection over the
+sketch (the argmax of one gain sweep per round), and the paper's
+sampled-graph loops (AG, GR, static greedy and
 the out-neighbors heuristic), which draw their own ``ICSampler`` coins
 — or, for AG/SG/GR, ``LinearThresholdSampler`` draws — plus the
 Lemma-1 estimate over ``ICSampler`` samples.  A change to a solver's
@@ -60,24 +61,24 @@ BA_POSITIONS = (
 EMAIL_SPREAD = "0x1.5e1eb851eb852p+6"  # 87.53
 EMAIL_BLOCKERS = [176, 300, 958]
 
-# budget-20 selections through the sketch, in insertion order; the
-# CELF paths of AG, static greedy and BG (at mcs_rounds=200, so on the
-# same 200 worlds) pick identically
-_CELF_BLOCKERS = [
-    300, 958, 176, 948, 162, 862, 700, 702, 776, 783,
-    24, 452, 238, 380, 90, 936, 60, 166, 105, 298,
+# budget-20 selections through the sketch, in insertion order; AG,
+# static greedy and BG (at mcs_rounds=200, so on the same 200 worlds)
+# run one selection loop and pick identically
+_SWEEP_BLOCKERS = [
+    300, 958, 176, 702, 948, 162, 700, 862, 776, 242,
+    783, 238, 60, 24, 452, 380, 135, 90, 936, 370,
 ]
 SKETCH_SELECTIONS = {
     "greedy-replace": (
         [
-            300, 958, 176, 948, 162, 862, 700, 702, 776, 783,
-            452, 585, 380, 90, 227, 135, 60, 936, 242, 238,
+            300, 958, 176, 702, 948, 162, 700, 862, 776, 242,
+            783, 452, 585, 227, 380, 90, 135, 60, 936, 238,
         ],
         "0x1.0d33333333333p+5",  # 33.65
     ),
-    "advanced-greedy": (_CELF_BLOCKERS, "0x1.128f5c28f5c2ap+5"),  # 34.32
-    "static-greedy": (_CELF_BLOCKERS, "0x1.128f5c28f5c2ap+5"),
-    "baseline-greedy": (_CELF_BLOCKERS, "0x1.128f5c28f5c2ap+5"),
+    "advanced-greedy": (_SWEEP_BLOCKERS, "0x1.0b147ae147ae2p+5"),  # 33.385
+    "static-greedy": (_SWEEP_BLOCKERS, "0x1.0b147ae147ae2p+5"),
+    "baseline-greedy": (_SWEEP_BLOCKERS, "0x1.0b147ae147ae2p+5"),
 }
 # budget-3 selections on the paper's sampled-graph loops (no evaluator)
 EAGER_SELECTIONS = {

@@ -1,23 +1,26 @@
-"""Sketch-index backend (engine/sketch.py) and CELF lazy greedy tests.
+"""Sketch-index backend (engine/sketch.py) and sketch selection tests.
 
 Cross-validates the dominator-subtree estimator against the exact
 possible-world enumeration and the vectorized Monte-Carlo backend on
 the Figure 1 toy graph (where exact computation is tractable), pins
 down the determinism guarantees of the chunk-seeded sample pool, and
-checks that the lazy (CELF) selection paths of the greedy solvers agree
-with their eager counterparts on common random worlds.
+checks that the greedy solvers' selection over a sketch (one gain
+sweep per round) agrees with their exhaustive loops on common random
+worlds.
 """
 
 import numpy as np
 import pytest
 
+from repro.bench import pick_seeds, prepare_graph
 from repro.core import (
     advanced_greedy,
     baseline_greedy,
     greedy_replace,
     static_sample_greedy,
 )
-from repro.core.lazy import celf_select, supports_marginal_gain
+from repro.core.advanced_greedy import selects_through_sketch
+from repro.datasets import load_dataset
 from repro.datasets.toy import figure1_graph, figure1_seed, V
 from repro.engine import (
     build_evaluator,
@@ -281,63 +284,49 @@ class TestDeterminism:
 
 class TestLazySelection:
     def test_supports_marginal_gain_detection(self, toy):
+        # the one dispatch rule: an evaluator that answers the gain
+        # sweep selects through it
         sketch = build_evaluator(toy, EngineSpec(engine="sketch"))
         vectorized = build_evaluator(toy, EngineSpec(engine="vectorized"))
-        assert supports_marginal_gain(sketch)
-        assert not supports_marginal_gain(vectorized)
-        assert not supports_marginal_gain(None)
-
-    def test_celf_matches_exhaustive_greedy_on_coverage(self):
-        # deterministic submodular gains: weighted set cover
-        sets = {
-            0: {1, 2, 3},
-            1: {3, 4},
-            2: {5},
-            3: {1, 2, 3, 4},
-            4: set(),
-        }
-
-        def gain(v, picked):
-            covered = set().union(*(sets[u] for u in picked)) if picked else set()
-            return float(len(sets[v] - covered))
-
-        calls = 0
-
-        def counting_gain(v, picked):
-            nonlocal calls
-            calls += 1
-            return gain(v, picked)
-
-        selection = celf_select(list(sets), 3, counting_gain)
-        # exhaustive greedy: 3 (covers {1,2,3,4}), then 2 (adds {5});
-        # every other set is now fully covered, so selection stops
-        # early despite budget 3
-        assert selection.picks == [3, 2]
-        assert selection.gains == [4.0, 1.0]
-        assert selection.evaluations == calls
-        # lazy must not evaluate more than exhaustive greedy would
-        assert calls <= len(sets) * 3
+        assert selects_through_sketch(sketch)
+        assert not selects_through_sketch(vectorized)
+        assert not selects_through_sketch(None)
 
     def test_lazy_equals_eager_baseline_greedy_on_sketch_worlds(self, toy):
-        sketch = build_evaluator(toy, EngineSpec(engine="sketch", seed=3))
+        email = prepare_graph(load_dataset("email-core"), "wc")
+        cases = [
+            (toy, [figure1_seed], 3, 2, None),
+            # 702's gain grows past 948's once 176 is blocked (IMIN is
+            # not submodular), so stale gain bounds would pick 948
+            (
+                email, pick_seeds(email, 5, rng=7), 7, 5,
+                [300, 958, 176, 948, 702],
+            ),
+        ]
+        for graph, seeds, seed, budget, candidates in cases:
+            sketch = build_evaluator(
+                graph, EngineSpec(engine="sketch", seed=seed)
+            )
 
-        class SpreadOnly:
-            # the sketch's worlds without its marginal_gain, so BG runs
-            # its exhaustive loop on them
-            csr = sketch.csr
-            expected_spread = staticmethod(sketch.expected_spread)
+            class SpreadOnly:
+                # the sketch's worlds without its gain sweep, so BG
+                # runs its exhaustive loop on them
+                csr = sketch.csr
+                expected_spread = staticmethod(sketch.expected_spread)
 
-        lazy = baseline_greedy(
-            toy, [figure1_seed], 2, rounds=200, evaluator=sketch
-        )
-        eager = baseline_greedy(
-            toy, [figure1_seed], 2, rounds=200, evaluator=SpreadOnly()
-        )
-        assert lazy.blockers == eager.blockers
-        assert lazy.estimated_spread == pytest.approx(
-            eager.estimated_spread, abs=1e-9
-        )
-        assert lazy.evaluations <= eager.evaluations
+            lazy = baseline_greedy(
+                graph, seeds, budget, rounds=200, candidates=candidates,
+                evaluator=sketch,
+            )
+            eager = baseline_greedy(
+                graph, seeds, budget, rounds=200, candidates=candidates,
+                evaluator=SpreadOnly(),
+            )
+            assert lazy.blockers == eager.blockers
+            assert lazy.estimated_spread == pytest.approx(
+                eager.estimated_spread, abs=1e-9
+            )
+            assert lazy.evaluations <= eager.evaluations
 
     def test_table3_budget1_blocks_v5(self, toy):
         # Example 1 / Table III: at budget 1 the best blocker is v5,
